@@ -1,9 +1,9 @@
 package mcdc_test
 
-// Design-choice ablation benchmarks for the mechanisms DESIGN.md §2 calls
-// out. These are not paper figures; they quantify the cost of the specific
-// engineering decisions of this implementation so that future changes can be
-// evaluated against a baseline:
+// Design-choice ablation benchmarks for the choices this implementation makes
+// around the paper's Algorithm 1. These are not paper figures; they quantify
+// the cost of the specific engineering decisions of this implementation so
+// that future changes can be evaluated against a baseline:
 //
 //   - BenchmarkAblation_RivalThreshold — the redundancy gate of the rival
 //     penalty (lower = more aggressive elimination = fewer, coarser levels).

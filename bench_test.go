@@ -1,7 +1,7 @@
 package mcdc_test
 
 // Benchmark harness: one testing.B benchmark per table / figure of the
-// paper's evaluation section (see DESIGN.md §4 for the experiment index).
+// paper's evaluation section.
 //
 //   - BenchmarkTable3_*  — the per-method clustering cost behind Table III
 //     (the table itself is regenerated by `go run ./cmd/experiments -exp
@@ -417,7 +417,9 @@ func linkBenchCondensed(n int) *similarity.Condensed {
 }
 
 // BenchmarkFig6_ScaleN reproduces the shape of Fig. 6a: MCDC execution time
-// as n grows (linear in n).
+// as n grows. The paper reports it linear in n; here it is superlinear,
+// because k₀ = ⌈√n⌉ makes each MGCPL pass O(d·n^1.5) (bench/README.md, "Why
+// train-paper is at paper scale", measures 35× the time for 5× the rows).
 func BenchmarkFig6_ScaleN(b *testing.B) {
 	for _, n := range []int{2000, 4000, 8000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {

@@ -6,7 +6,7 @@ import "mcdc/internal/datasets"
 // Table II by name ("Car.", "Con.", "Che.", "Mus.", "Tic.", "Vot.", "Bal.",
 // "Nur.", full names also accepted). Rule data sets (Car., Tic., Bal., Nur.)
 // are exact reconstructions of the UCI originals; the others are seeded
-// generative stand-ins with the published schema (see DESIGN.md §3).
+// generative stand-ins with the published schema.
 func Builtin(name string, seed int64) (*Dataset, error) {
 	return datasets.Load(name, seed)
 }

@@ -10,9 +10,6 @@
 //	experiments -exp fig6   [-quick]
 //	experiments -exp linkage [-quick]
 //	experiments -exp all
-//
-// See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-// paper-vs-measured comparisons.
 package main
 
 import (

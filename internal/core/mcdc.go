@@ -91,18 +91,7 @@ func PooledEncoding(rows [][]int, cardinalities []int, cfg MGCPLConfig, repeats 
 	if err != nil {
 		return nil, nil, err
 	}
-	var enc [][]int
-	for _, mg := range results {
-		e := mg.Encoding()
-		if enc == nil {
-			enc = e
-			continue
-		}
-		for i := range enc {
-			enc[i] = append(enc[i], e[i]...)
-		}
-	}
-	return enc, results[0], nil
+	return encode(results...), results[0], nil
 }
 
 // RunMCDC runs the pooled MGCPL analysis followed by CAME on integer-coded

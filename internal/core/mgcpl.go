@@ -44,7 +44,8 @@ type MGCPLConfig struct {
 	// redundant and penalized toward elimination. Lower values coarsen the
 	// final granularity; higher values preserve finer clusters. Defaults to
 	// 0.85. (This resolves the elimination-strength ambiguity of the
-	// paper's Eq. (13); see DESIGN.md §2.)
+	// paper's Eq. (13); learnLevel's rival-penalty comment gives the
+	// reasoning.)
 	RivalThreshold float64
 	// Workers bounds the parallelism of the order-independent parts of the
 	// learning (per-cluster feature-weight refreshes, and the fan-out of
@@ -120,12 +121,29 @@ func (r *MGCPLResult) Encoding() [][]int {
 	if len(r.Levels) == 0 {
 		return nil
 	}
-	n := len(r.Levels[0].Labels)
+	return encode(r)
+}
+
+// encode lays the levels of non-empty results side by side, in order, as an
+// n×Σσ matrix whose row i holds object i's label at every level. The rows
+// share one backing array, each capped at its own width so an append to one
+// row cannot spill into the next.
+func encode(results ...*MGCPLResult) [][]int {
+	n := len(results[0].Levels[0].Labels)
+	width := 0
+	for _, mg := range results {
+		width += len(mg.Levels)
+	}
+	flat := make([]int, n*width)
 	out := make([][]int, n)
-	for i := 0; i < n; i++ {
-		row := make([]int, len(r.Levels))
-		for j := range r.Levels {
-			row[j] = r.Levels[j].Labels[i]
+	for i := range out {
+		row := flat[i*width : (i+1)*width : (i+1)*width]
+		j := 0
+		for _, mg := range results {
+			for _, lv := range mg.Levels {
+				row[j] = lv.Labels[i]
+				j++
+			}
 		}
 		out[i] = row
 	}
@@ -139,6 +157,7 @@ type mgcplState struct {
 	g      []int       // winning counts of the previous pass (Eq. 7)
 	gCur   []int       // winning counts being accumulated this pass
 	delta  []float64   // δ_l driving the sigmoid weight u_l (Eq. 11)
+	u      []float64   // u[l] = sigmoidWeight(δ_l), rewritten wherever δ_l is
 	omega  [][]float64 // ω_rl feature weights per cluster (Eq. 18)
 	alive  []bool      // cluster slots still in play
 	eta    float64
@@ -149,6 +168,12 @@ type mgcplState struct {
 	rivalThreshold float64
 	// workers bounds the parallelism of the per-cluster weight refresh.
 	workers int
+	// terms[l] caches WeightedTerms(l, ω_l): cluster l's score for any
+	// non-member object is then a SumTerms lookup. dirty[l] marks a table
+	// made stale by a change to l's members or to ω_l; pickWinnerAndRival
+	// rebuilds it on first use.
+	terms [][]float64
+	dirty []bool
 }
 
 // weight returns u_l = 1/(1+e^(−10δ+5)), Eq. (11).
@@ -219,8 +244,11 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 		g:              make([]int, k),
 		gCur:           make([]int, k),
 		delta:          make([]float64, k),
+		u:              make([]float64, k),
 		omega:          make([][]float64, k),
 		alive:          make([]bool, k),
+		terms:          make([][]float64, k),
+		dirty:          make([]bool, k),
 		eta:            eta,
 		rivalThreshold: rivalThreshold,
 		order:          make([]int, n),
@@ -236,7 +264,9 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 	d := len(card)
 	for l := 0; l < k; l++ {
 		st.delta[l] = 1
+		st.u[l] = sigmoidWeight(1)
 		st.alive[l] = true
+		st.dirty[l] = true
 		st.omega[l] = make([]float64, d)
 		for r := range st.omega[l] {
 			st.omega[l][r] = 1 / float64(d)
@@ -284,16 +314,17 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 		st.rng.Shuffle(n, func(a, b int) { st.order[a], st.order[b] = st.order[b], st.order[a] })
 		gCurTotal := 0.0
 		for _, i := range st.order {
-			v, h := st.pickWinnerAndRival(i, gTotal+gCurTotal)
+			v, h, simV, simH := st.pickWinnerAndRival(i, gTotal+gCurTotal)
 			if v < 0 {
 				continue // no live cluster can score this object
 			}
-			simV := st.tables.WeightedSimLOO(i, v, st.omega[v], st.assign[i] == v)
-			if st.assign[i] != v {
-				if st.assign[i] >= 0 {
-					st.tables.Remove(i, st.assign[i])
+			if own := st.assign[i]; own != v {
+				if own >= 0 {
+					st.tables.Remove(i, own)
+					st.dirty[own] = true
 				}
 				st.tables.Add(i, v)
+				st.dirty[v] = true
 				st.assign[i] = v
 				changed = true
 			}
@@ -308,8 +339,8 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 			if st.delta[v] += st.eta; st.delta[v] > 1 {
 				st.delta[v] = 1
 			}
+			st.u[v] = sigmoidWeight(st.delta[v])
 			if h >= 0 && iter > 0 {
-				simH := st.tables.WeightedSimLOO(i, h, st.omega[h], st.assign[i] == h)
 				// The penalty strength is the rival's similarity *relative
 				// to the winner's*: it approaches the full award η exactly
 				// when the rival is redundant with the winner (s_h ≈ s_v),
@@ -331,6 +362,7 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 					if st.delta[h] < -1 {
 						st.delta[h] = -1
 					}
+					st.u[h] = sigmoidWeight(st.delta[h])
 				}
 			}
 		}
@@ -379,6 +411,7 @@ func (st *mgcplState) refreshWeights() {
 			return nil
 		}
 		st.tables.FeatureWeights(l, st.omega[l])
+		st.dirty[l] = true
 		return nil
 	}))
 }
@@ -394,8 +427,10 @@ func (st *mgcplState) resetGuidance() {
 		st.g[l] = 0
 		st.gCur[l] = 0
 		st.delta[l] = 1
+		st.u[l] = sigmoidWeight(1)
 		if st.alive[l] && st.tables.Size(l) > 0 {
 			st.tables.FeatureWeights(l, st.omega[l])
+			st.dirty[l] = true
 		}
 	}
 }
@@ -406,10 +441,15 @@ func (st *mgcplState) resetGuidance() {
 // accumulated in the current pass: purely retrospective counts leave the very
 // first pass undamped, and one early winner can then absorb the entire data
 // set before any other cluster forms.
-func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int) {
+//
+// It also returns the similarities simV and simH of the winner and the rival.
+// Object i's own cluster is scored leave-one-out; every other cluster through
+// its cached term table. After i moves out of h, h's plain similarity equals
+// this leave-one-out value, so the caller needs no second evaluation.
+func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV, simH float64) {
 	v, h = -1, -1
-	var best, second float64
-	best, second = math.Inf(-1), math.Inf(-1)
+	best, second := math.Inf(-1), math.Inf(-1)
+	own := st.assign[i]
 	for l := range st.alive {
 		if !st.alive[l] || st.tables.Size(l) == 0 {
 			continue
@@ -418,17 +458,26 @@ func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int) {
 		if gTotal > 0 {
 			rho = float64(st.g[l]+st.gCur[l]) / gTotal
 		}
-		sim := st.tables.WeightedSimLOO(i, l, st.omega[l], st.assign[i] == l)
-		score := (1 - rho) * sigmoidWeight(st.delta[l]) * sim
+		var sim float64
+		if l == own {
+			sim = st.tables.WeightedSimLOO(i, l, st.omega[l], true)
+		} else {
+			if st.dirty[l] {
+				st.terms[l] = st.tables.WeightedTerms(l, st.omega[l], st.terms[l])
+				st.dirty[l] = false
+			}
+			sim = st.tables.SumTerms(i, st.terms[l])
+		}
+		score := (1 - rho) * st.u[l] * sim
 		switch {
 		case score > best:
-			second, h = best, v
-			best, v = score, l
+			second, h, simH = best, v, simV
+			best, v, simV = score, l, sim
 		case score > second:
-			second, h = score, l
+			second, h, simH = score, l, sim
 		}
 	}
-	return v, h
+	return v, h, simV, simH
 }
 
 // compact relabels the live, non-empty clusters densely and returns the

@@ -13,7 +13,7 @@
 //   - Congressional/Vote, Chess (kr-vs-kp) and Mushroom are real-world
 //     collections, replaced by seeded generative models calibrated to the
 //     published schema (d, n, k*, per-feature cardinalities) and to the
-//     clustering-difficulty regime the paper reports (see DESIGN.md §3).
+//     clustering-difficulty regime the paper reports.
 //   - Syn_n and Syn_d are the paper's own synthetic scalability sets:
 //     well-separated clusters with configurable n and d.
 //

@@ -85,7 +85,8 @@ func TestRunAblationVersions(t *testing.T) {
 	for i := range rows {
 		rows[i] = []int{i % 3, (i % 3) ^ 1, i % 2}
 	}
-	card := []int{3, 3, 2}
+	// Feature 1 takes the codes {1, 0, 3} (2^1 = 3), so its domain is [0, 4).
+	card := []int{3, 4, 2}
 	for _, v := range AblationVersions {
 		labels, err := RunAblation(v, rows, card, 3, 7)
 		if err != nil {

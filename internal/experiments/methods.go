@@ -2,7 +2,7 @@
 // evaluation section: the clustering-performance comparison (Table III), the
 // Wilcoxon significance test (Table IV), the ablation study (Fig. 4), the
 // multi-granular learning trajectories (Fig. 5) and the scalability curves
-// (Fig. 6). See DESIGN.md §4 for the experiment index.
+// (Fig. 6).
 package experiments
 
 import (

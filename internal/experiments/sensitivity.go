@@ -14,9 +14,9 @@ import (
 
 // Sensitivity reports how the rival-penalty redundancy threshold τ (the main
 // free parameter this implementation adds while resolving the paper's
-// Eq. (13) ambiguity — see DESIGN.md §2.5) shapes the analysis: the final
-// granularity k_σ found by MGCPL and the end-to-end MCDC ARI, per data set
-// and threshold.
+// Eq. (13) ambiguity — see core.MGCPLConfig.RivalThreshold) shapes the
+// analysis: the final granularity k_σ found by MGCPL and the end-to-end MCDC
+// ARI, per data set and threshold.
 type Sensitivity struct {
 	Datasets   []string
 	Thresholds []float64

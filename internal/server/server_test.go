@@ -475,6 +475,53 @@ func TestPoisonRowDoesNotReachRelearn(t *testing.T) {
 	}
 }
 
+// TestSessionRejectsOutOfDomainRow pins the domain gate on the session
+// route: a value outside the model's domain answers 400 bad_request instead
+// of entering the session's window (where the next relearn used to panic),
+// and the session keeps answering exactly like one that never saw it.
+func TestSessionRejectsOutOfDomainRow(t *testing.T) {
+	snap, rows, _ := trainModel(t, 150, 5, 2, 17)
+	s, ts := newTestServer(t, Config{})
+	if err := s.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"clean", "poisoned"} {
+		if resp, data := post(t, ts.URL+"/v1/sessions", map[string]any{"session": id, "model": "m", "window": 20, "seed": 3}); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", id, resp.StatusCode, data)
+		}
+	}
+	assign := func(id string, row []int) assignResponse {
+		t.Helper()
+		resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"session": id, "row": row})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("assign %s %v: %d %s", id, row, resp.StatusCode, data)
+		}
+		var a assignResponse
+		if err := json.Unmarshal(data, &a); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	poison := [][]int{{99, 0, 0, 0, 0}, {0, -3, 0, 0, 0}, {0, 0, snap.Cardinalities[2], 0, 0}}
+	for i, row := range rows[:60] {
+		if i%10 == 5 {
+			bad := poison[(i/10)%len(poison)]
+			resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"session": "poisoned", "row": bad})
+			var env errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(data, &env) != nil || env.Code != codeBadRequest {
+				t.Fatalf("out-of-domain row %v: %d %s, want 400 %q", bad, resp.StatusCode, data, codeBadRequest)
+			}
+		}
+		want, got := assign("clean", row), assign("poisoned", row)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("arrival %d: poisoned session answered %+v, clean %+v", i, got, want)
+		}
+		if i == 59 && got.Epoch < 2 {
+			t.Fatalf("session relearned %d times: the rejected rows never met a relearn", got.Epoch)
+		}
+	}
+}
+
 // TestBatchDeterministicAcrossWorkers pins the /assign/batch determinism
 // contract: one server configured sequential and one parallel return
 // byte-identical assignment sequences.

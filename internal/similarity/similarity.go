@@ -68,13 +68,16 @@ func NewTables(rows [][]int, cardinalities []int, k int) (*Tables, error) {
 		t.count[l] = make([]int, d*stride)
 		t.seen[l] = make([]int, d)
 	}
-	for _, row := range rows {
+	for i, row := range rows {
 		if len(row) != d {
 			return nil, fmt.Errorf("similarity: row width %d, want %d", len(row), d)
 		}
 		for r, v := range row {
 			if v == categorical.Missing {
 				continue
+			}
+			if v < 0 || v >= cardinalities[r] {
+				return nil, fmt.Errorf("similarity: row %d feature %d value %d outside domain [0, %d)", i, r, v, cardinalities[r])
 			}
 			t.globalCount[r*stride+v]++
 			t.globalSeen[r]++
@@ -220,6 +223,47 @@ func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
 			continue
 		}
 		sum += w[r] * float64(cnt) / float64(seen)
+	}
+	return sum / float64(len(row))
+}
+
+// WeightedTerms fills dst with cluster l's per-value summands of Eq. (14),
+// dst[r*stride+v] = w[r]·count/seen, or 0 where seen or count is 0, and
+// returns it (allocated when dst is nil). Paired with SumTerms it scores
+// any non-member object in O(d) lookups, and the table stays valid until
+// cluster l's counts or w change.
+func (t *Tables) WeightedTerms(l int, w, dst []float64) []float64 {
+	if dst == nil {
+		dst = make([]float64, len(t.card)*t.stride)
+	}
+	cl, sl := t.count[l], t.seen[l]
+	for r, m := range t.card {
+		base, seen := r*t.stride, sl[r]
+		for v := 0; v < m; v++ {
+			cnt := cl[base+v]
+			if seen <= 0 || cnt <= 0 {
+				dst[base+v] = 0
+				continue
+			}
+			dst[base+v] = w[r] * float64(cnt) / float64(seen)
+		}
+	}
+	return dst
+}
+
+// SumTerms returns (1/d)·Σ_r terms[r*stride+x_ir] over object i's
+// non-missing features. With terms = WeightedTerms(l, w, …) it equals
+// WeightedSimLOO(i, l, w, false) bit for bit: the same summands are added in
+// the same order (a skipped summand there is a +0 here, which leaves a
+// non-negative sum unchanged), then divided the same way.
+func (t *Tables) SumTerms(i int, terms []float64) float64 {
+	row := t.data[i]
+	var sum float64
+	for r, v := range row {
+		if v == categorical.Missing {
+			continue
+		}
+		sum += terms[r*t.stride+v]
 	}
 	return sum / float64(len(row))
 }

@@ -197,6 +197,91 @@ func TestNewTablesErrors(t *testing.T) {
 	if _, err := NewTables([][]int{{0, 1}}, []int{2}, 1); err == nil {
 		t.Error("row wider than schema: want error")
 	}
+	// Out-of-domain codes: 2 would alias into feature 1's cells (stride 3),
+	// 99 and -3 would index outside the count tables.
+	for _, row := range [][]int{{2, 0}, {0, 99}, {-3, 0}} {
+		if _, err := NewTables([][]int{{0, 0}, row}, []int{2, 3}, 1); err == nil {
+			t.Errorf("row %v outside cardinalities [2 3]: want error", row)
+		}
+	}
+	if _, err := NewTables([][]int{{categorical.Missing, 2}}, []int{2, 3}, 1); err != nil {
+		t.Errorf("missing and in-domain codes: %v", err)
+	}
+}
+
+// TestSumTermsMatchesWeightedSimLOO pins the identity MGCPL's cached scoring
+// rests on: for every non-member object, SumTerms over WeightedTerms equals
+// WeightedSimLOO(…, false) under math.Float64bits, and after an object leaves
+// a cluster, its plain similarity to it equals its leave-one-out similarity
+// from before the move. Tables are random, with Missing cells, cardinalities
+// below the stride, empty clusters, zero and uniform weights, and random
+// Add/Remove sequences.
+func TestSumTermsMatchesWeightedSimLOO(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 200; trial++ {
+		n, d, k := 1+rng.Intn(40), 1+rng.Intn(6), 1+rng.Intn(5)
+		card := make([]int, d)
+		for r := range card {
+			card[r] = 1 + rng.Intn(6)
+		}
+		rows := packedRandomRows(rng, n, card, []float64{0, 0.2, 0.6}[trial%3])
+		tb, err := NewTables(rows, card, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weights := make([][]float64, k)
+		for l := range weights {
+			w := make([]float64, d)
+			for r := range w {
+				switch rng.Intn(4) {
+				case 0: // zero weight
+				case 1:
+					w[r] = 1 / float64(d)
+				default:
+					w[r] = rng.Float64()
+				}
+			}
+			weights[l] = w
+		}
+		assign := make([]int, n)
+		for i := range assign {
+			assign[i] = -1
+		}
+		var terms []float64
+		for step := 0; step < 3*n; step++ {
+			i := rng.Intn(n)
+			if from := assign[i]; from >= 0 {
+				before := tb.WeightedSimLOO(i, from, weights[from], true)
+				tb.Remove(i, from)
+				assign[i] = -1
+				if after := tb.WeightedSimLOO(i, from, weights[from], false); math.Float64bits(after) != math.Float64bits(before) {
+					t.Fatalf("trial %d: object %d left cluster %d: plain %v, leave-one-out before %v", trial, i, from, after, before)
+				}
+			}
+			if rng.Intn(4) > 0 {
+				assign[i] = rng.Intn(k)
+				tb.Add(i, assign[i])
+			}
+			for l := 0; l < k; l++ {
+				if rng.Intn(3) == 0 {
+					// Refresh the weights from the tables, as MGCPL does
+					// after each pass (uniform for an empty cluster).
+					tb.FeatureWeights(l, weights[l])
+				}
+				terms = tb.WeightedTerms(l, weights[l], terms)
+				for j := range rows {
+					if assign[j] == l {
+						continue
+					}
+					got, want := tb.SumTerms(j, terms), tb.WeightedSimLOO(j, l, weights[l], false)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("trial %d step %d: object %d cluster %d (size %d): SumTerms %v, WeightedSimLOO %v",
+							trial, step, j, l, tb.Size(l), got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestLOOMatchesNaive cross-checks the incremental LOO similarity against a

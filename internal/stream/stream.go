@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"mcdc/internal/categorical"
 	"mcdc/internal/core"
 	"mcdc/internal/model"
 	"mcdc/internal/similarity"
@@ -94,10 +95,26 @@ func (c *Clusterer) ModelEpoch() int { return c.epoch }
 // re-learning).
 func (c *Clusterer) K() int { return c.k }
 
+// checkRow rejects a row of the wrong width, or with a value that is neither
+// Missing nor inside its feature's domain. Such a row must never reach the
+// window: the re-learner indexes its frequency tables by value code.
+func checkRow(card, row []int) error {
+	if len(row) != len(card) {
+		return fmt.Errorf("row has %d features, schema has %d", len(row), len(card))
+	}
+	for r, v := range row {
+		if v != categorical.Missing && (v < 0 || v >= card[r]) {
+			return fmt.Errorf("feature %d value %d outside domain [0, %d)", r, v, card[r])
+		}
+	}
+	return nil
+}
+
 // Add ingests one object and returns its assignment under the current model.
+// A row checkRow rejects leaves the clusterer untouched.
 func (c *Clusterer) Add(row []int) (Assignment, error) {
-	if len(row) != len(c.cfg.Cardinalities) {
-		return Assignment{}, fmt.Errorf("stream: row has %d features, schema has %d", len(row), len(c.cfg.Cardinalities))
+	if err := checkRow(c.cfg.Cardinalities, row); err != nil {
+		return Assignment{}, fmt.Errorf("stream: %w", err)
 	}
 	own := append([]int(nil), row...)
 	if len(c.window) < c.cfg.WindowSize {
@@ -219,8 +236,8 @@ func Restore(st *model.StreamState) (*Clusterer, error) {
 	}
 	c.window = make([][]int, len(st.Window), c.cfg.WindowSize)
 	for i, row := range st.Window {
-		if len(row) != len(c.cfg.Cardinalities) {
-			return nil, fmt.Errorf("stream: checkpoint row %d has %d features, schema has %d", i, len(row), len(c.cfg.Cardinalities))
+		if err := checkRow(c.cfg.Cardinalities, row); err != nil {
+			return nil, fmt.Errorf("stream: checkpoint row %d: %w", i, err)
 		}
 		c.window[i] = append([]int(nil), row...)
 	}

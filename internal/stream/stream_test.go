@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mcdc/internal/categorical"
 	"mcdc/internal/core"
 	"mcdc/internal/datasets"
 	"mcdc/internal/model"
@@ -117,6 +118,55 @@ func TestStreamErrors(t *testing.T) {
 	}
 	if _, err := c.Add([]int{0}); err == nil {
 		t.Error("wrong row width: want error")
+	}
+}
+
+// TestAddRejectsOutOfDomain pins the domain gate on Add. Each rejected value
+// used to poison the stream once it sat in the window: 99, -3 and feature
+// 1's 3 index past the count tables and panicked the next relearn, and
+// feature 0's 2 and 5 landed in its padding or aliased into feature 1's
+// cells (stride 3). A rejected row must leave the window, the drift counters
+// and every later answer exactly as if it had never arrived.
+func TestAddRejectsOutOfDomain(t *testing.T) {
+	card := []int{2, 3}
+	clean, err := NewClusterer(streamConfig(card, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poisoned, err := NewClusterer(streamConfig(card, 8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]int{{99, 0}, {0, -3}, {0, 3}, {2, 0}, {5, 0}}
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 40; i++ {
+		if i%4 == 0 {
+			b := bad[(i/4)%len(bad)]
+			if _, err := poisoned.Add(b); err == nil {
+				t.Fatalf("row %v outside cardinalities %v accepted", b, card)
+			}
+		}
+		row := []int{rng.Intn(2), rng.Intn(3)}
+		if i%7 == 0 {
+			row[rng.Intn(2)] = categorical.Missing
+		}
+		want, err := clean.Add(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := poisoned.Add(row)
+		if err != nil {
+			t.Fatalf("arrival %d %v after a rejected row: %v", i, row, err)
+		}
+		if got != want {
+			t.Fatalf("arrival %d: answer %+v after rejected rows, want %+v", i, got, want)
+		}
+	}
+	if clean.ModelEpoch() < 2 {
+		t.Fatalf("only %d relearns: the rejected rows never met one", clean.ModelEpoch())
+	}
+	if !reflect.DeepEqual(poisoned.Snapshot(), clean.Snapshot()) {
+		t.Fatal("rejected rows changed the window, counters, or model")
 	}
 }
 
@@ -303,6 +353,11 @@ func TestRestoreRejectsMalformedState(t *testing.T) {
 	st.Window = append(st.Window, []int{0})
 	if _, err := Restore(st); err == nil {
 		t.Error("ragged window row accepted")
+	}
+	st = base()
+	st.Window[1] = []int{1, 2}
+	if _, err := Restore(st); err == nil {
+		t.Error("out-of-domain window row accepted")
 	}
 	st = base()
 	st.Window = [][]int{{0, 0}, {0, 0}, {0, 0}, {0, 0}, {0, 0}}

@@ -23,7 +23,8 @@
 //	mg, err := mcdc.Explore(ds, mcdc.WithSeed(1))
 //	fmt.Println(mg.Kappa) // e.g. [41 17 6 3]
 //
-// Both entry points run in O(d·n·k₀) time and are deterministic for a fixed
+// Both entry points run in O(d·n·k₀) time per MGCPL pass, with k₀ = ⌈√n⌉
+// by default, so O(d·n^1.5) per pass. They are deterministic for a fixed
 // seed.
 package mcdc
 
