@@ -7,11 +7,14 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mcdc/internal/model"
 	"mcdc/internal/testenv"
 )
 
@@ -77,13 +80,24 @@ func TestChaosOwnerFaultsMidStream(t *testing.T) {
 	if testenv.Nightly() {
 		cut, total = 80, 200
 	}
-	for si, kind := range []testenv.FaultKind{testenv.FaultKill, testenv.FaultHang, testenv.FaultBlackhole} {
-		t.Run(kind.String(), func(t *testing.T) {
-			id := fmt.Sprintf("chaos-%s", kind)
+	for si, tc := range []struct {
+		name string
+		kind testenv.FaultKind
+		feed func(t *testing.T, url, id string, rows [][]int, from, to int) []string
+	}{
+		{"kill", testenv.FaultKill, feedSession},
+		{"hang", testenv.FaultHang, feedSession},
+		{"blackhole", testenv.FaultBlackhole, feedSession},
+		// One-frame binary assigns climb the same recovery ladder.
+		{"kill-binary", testenv.FaultKill, feedSessionWire},
+	} {
+		kind, feed := tc.kind, tc.feed
+		t.Run(tc.name, func(t *testing.T) {
+			id := "chaos-" + tc.name
 			createSession(t, gwURL, id, 40, int64(100+si))
 			createSession(t, soloURL, id, 40, int64(100+si))
-			head := feedSession(t, gwURL, id, rows, 0, cut)
-			soloHead := feedSession(t, soloURL, id, rows, 0, cut)
+			head := feed(t, gwURL, id, rows, 0, cut)
+			soloHead := feed(t, soloURL, id, rows, 0, cut)
 			for i := range head {
 				if head[i] != soloHead[i] {
 					t.Fatalf("arrival %d diverged before the fault", i)
@@ -93,11 +107,11 @@ func TestChaosOwnerFaultsMidStream(t *testing.T) {
 			owner := sessionOwner(t, gwURL, id)
 			before := gw.failovers.Load()
 			rule := frt.Add(&testenv.FaultRule{Host: owner, Kind: kind})
-			// feedSession fails the test on any non-200: this is the
+			// Either feed fails the test on any non-200: this is the
 			// zero-failed-requests assertion.
-			tail := feedSession(t, gwURL, id, rows, cut, total)
+			tail := feed(t, gwURL, id, rows, cut, total)
 			frt.Remove(rule)
-			soloTail := feedSession(t, soloURL, id, rows, cut, total)
+			soloTail := feed(t, soloURL, id, rows, cut, total)
 			for i := range tail {
 				if tail[i] != soloTail[i] {
 					t.Fatalf("arrival %d diverged after the fault:\n fleet %q\n solo  %q", cut+i, tail[i], soloTail[i])
@@ -188,6 +202,151 @@ func TestHedgedStatelessSurvivesDownPrimary(t *testing.T) {
 	}
 	if frt.Injected(testenv.FaultKill) == 0 {
 		t.Fatal("no request ever placed against the dead primary; the test exercised nothing")
+	}
+}
+
+// TestHedgeTimerFiresOnSlowPrimary pins the hedge timer: with the placed
+// backend answering assignments 400 ms late and HedgeAfter at 20 ms, a
+// request routing one stateless item — a JSON single or a one-frame binary
+// stream — races the next backend and answers well before the slow one,
+// byte-identical to a solo daemon, counting exactly one hedge.
+func TestHedgeTimerFiresOnSlowPrimary(t *testing.T) {
+	const delay = 400 * time.Millisecond
+	snap, rows, _ := trainModel(t, 200, 6, 3, 71)
+	slow := make(map[string]*atomic.Bool)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		s, err := New(Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+		flag, inner := &atomic.Bool{}, s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/assign" && flag.Load() {
+				time.Sleep(delay)
+			}
+			inner.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() { ts.Close(); s.Close() })
+		addr := strings.TrimPrefix(ts.URL, "http://")
+		addrs = append(addrs, addr)
+		slow[addr] = flag
+	}
+	gw, err := NewGateway(GatewayConfig{Backends: addrs, HedgeAfter: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() { gts.Close(); gw.Close() })
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+
+	for i, codec := range []string{"json", "binary"} {
+		t.Run(codec, func(t *testing.T) {
+			row := rows[i]
+			placed := gw.placeStateless(rowKey("m", row))
+			slow[placed].Store(true)
+			defer slow[placed].Store(false)
+			send := func(url string) (*http.Response, []byte) {
+				if codec == "json" {
+					return post(t, url+"/v1/assign", map[string]any{"model": "m", "row": row})
+				}
+				buf := wireStream(t)
+				appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", row))
+				return postWire(t, url+"/v1/assign", buf.Bytes())
+			}
+			before := gw.hedges.Load()
+			started := time.Now()
+			gresp, gdata := send(gts.URL)
+			took := time.Since(started)
+			if gresp.StatusCode != http.StatusOK {
+				t.Fatalf("hedged assign: %d %s", gresp.StatusCode, gdata)
+			}
+			if took >= delay {
+				t.Fatalf("hedged assign took %v; the hedge did not beat the %v primary", took, delay)
+			}
+			if n := gw.hedges.Load() - before; n != 1 {
+				t.Fatalf("hedges counter rose by %d, want 1", n)
+			}
+			if _, sdata := send(soloTS.URL); !bytes.Equal(gdata, sdata) {
+				t.Fatalf("hedged answer diverged:\n fleet %q\n solo  %q", gdata, sdata)
+			}
+		})
+	}
+}
+
+// TestChaosSessionFramesInFlight pins the frame rule for a session with
+// several frames in one failed sub-stream: with the session's owner
+// blackholed, a stream carrying two of its frames among 19 stateless ones
+// answers both session frames bad_gateway in-band — a partial apply cannot
+// be ruled out, so neither is re-sent — while every stateless frame
+// re-places and matches the solo answer.
+func TestChaosSessionFramesInFlight(t *testing.T) {
+	frt, gw, gwURL, _, _, soloURL := chaosFleet(t)
+	_, rows, _ := trainModel(t, 200, 6, 3, 71)
+	createSession(t, gwURL, "inflight", 40, 7)
+	createSession(t, soloURL, "inflight", 40, 7)
+	owner := sessionOwner(t, gwURL, "inflight")
+
+	// Stateless rows, the first few of them placed on the owner too.
+	var stateless [][]int
+	onOwner := 0
+	for _, row := range rows {
+		if len(stateless) == 19 {
+			break
+		}
+		if gw.placeStateless(rowKey("m", row)) == owner {
+			if onOwner == 5 {
+				continue
+			}
+			onOwner++
+		}
+		stateless = append(stateless, row)
+	}
+	if onOwner == 0 {
+		t.Fatal("no stateless row placed on the session owner")
+	}
+	buf := wireStream(t)
+	sessionAt := map[int]bool{4: true, 13: true}
+	for i, k := 0, 0; i < 21; i++ {
+		if sessionAt[i] {
+			appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "", "inflight", rows[100+i]))
+			continue
+		}
+		appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", stateless[k]))
+		k++
+	}
+
+	rule := frt.Add(&testenv.FaultRule{Host: owner, Kind: testenv.FaultBlackhole})
+	gresp, gdata := postWire(t, gwURL+"/v1/assign", buf.Bytes())
+	frt.Remove(rule)
+	sresp, sdata := postWire(t, soloURL+"/v1/assign", buf.Bytes())
+	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("stream: gateway %d, solo %d (%s)", gresp.StatusCode, sresp.StatusCode, gdata)
+	}
+	got, want := readFrames(t, gdata), readFrames(t, sdata)
+	if len(got) != 21 || len(want) != 21 {
+		t.Fatalf("answers: gateway %d frames, solo %d, want 21", len(got), len(want))
+	}
+	for i := range got {
+		if !sessionAt[i] {
+			if got[i].kind != want[i].kind || !bytes.Equal(got[i].payload, want[i].payload) {
+				t.Fatalf("stateless frame %d diverged from solo", i)
+			}
+			continue
+		}
+		code, msg, err := model.DecodeError(got[i].payload)
+		if got[i].kind != model.FrameError || err != nil || code != codeBadGateway {
+			t.Fatalf("session frame %d: kind %q code %q (%s), want in-band %s", i, got[i].kind, code, msg, codeBadGateway)
+		}
+	}
+	if frt.Injected(testenv.FaultBlackhole) == 0 {
+		t.Fatal("no blackhole fault was injected")
 	}
 }
 

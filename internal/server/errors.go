@@ -40,6 +40,27 @@ const (
 	codeForbidden = "forbidden"
 )
 
+// codeStatus is the HTTP status the code table pairs with a stable code: the
+// status a gateway answers a JSON client with for an error a backend sent
+// in-band.
+func codeStatus(code string) int {
+	switch code {
+	case codeForbidden:
+		return http.StatusForbidden
+	case codeUnknownModel, codeUnknownSession:
+		return http.StatusNotFound
+	case codeConflict:
+		return http.StatusConflict
+	case codeVersionMismatch:
+		return http.StatusUnprocessableEntity
+	case codeOverloaded:
+		return http.StatusTooManyRequests
+	case codeBadGateway:
+		return http.StatusBadGateway
+	}
+	return http.StatusBadRequest
+}
+
 type errorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code"`

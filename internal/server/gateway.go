@@ -35,9 +35,10 @@ import (
 //	GET  /ring          placement debug: members, health, ?key= lookup
 //
 // Routes are served under /v1 with the pre-versioning paths as aliases,
-// matching the backends. The assignment routes also speak the binary frame
-// protocol (gateway_wire.go): frames are routed per row exactly like JSON
-// traffic, and the merged response is byte-identical to a solo backend's.
+// matching the backends. The assignment routes accept JSON and binary frames
+// alike: the gateway decodes either at the edge, speaks frames to every
+// backend, and encodes the merged answer back in the client's codec
+// (gateway_assign.go), byte-identical to a solo backend's.
 // A backend 429 (admission shed) relays to the caller unchanged — including
 // Retry-After — and increments a per-backend shed counter in /metrics.
 //
@@ -105,10 +106,11 @@ type GatewayConfig struct {
 	// attempt and caps at 1s (0 → 25ms).
 	RetryBackoff time.Duration
 	// HedgeAfter, when > 0, launches a hedge request against the next
-	// backend in the key's ring chain if a stateless single assignment has
-	// not answered within this duration; the first response wins. Only
-	// stateless traffic hedges — a session assignment is not idempotent
-	// until its owner has been failed over.
+	// backend in the key's ring chain if a request routing exactly one
+	// stateless assignment (a JSON single, a one-frame stream, a one-row
+	// batch) has not answered within this duration; the first response
+	// wins. Only stateless traffic hedges — a session assignment is not
+	// idempotent until its owner has been failed over.
 	HedgeAfter time.Duration
 	// FleetSecret authenticates the gateway to the backends' intra-fleet
 	// endpoints (promotion, migration, membership pushes) and must match the
@@ -209,29 +211,11 @@ func (g *Gateway) routes() {
 	handle("GET /models", g.handleListModels)
 	handle("POST /models", g.handleBroadcastModels)
 	handle("DELETE /models/{name}", g.handleDeleteModel)
-	handle("POST /assign", g.dispatchAssign)
-	handle("POST /assign/batch", g.dispatchAssignBatch)
+	handle("POST /assign", g.handleAssign)
+	handle("POST /assign/batch", g.handleAssignBatch)
 	handle("POST /sessions", g.handleCreateSession)
 	handle("DELETE /sessions/{id}", g.handleDeleteSession)
 	handle("POST /checkpoint", g.handleCheckpoint)
-}
-
-// dispatchAssign selects the binary frame path by Content-Type, like the
-// backend routes do.
-func (g *Gateway) dispatchAssign(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == WireContentType {
-		g.handleAssignWire(w, r)
-		return
-	}
-	g.handleAssign(w, r)
-}
-
-func (g *Gateway) dispatchAssignBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == WireContentType {
-		g.handleAssignBatchWire(w, r)
-		return
-	}
-	g.handleAssignBatch(w, r)
 }
 
 // ---- key derivation ----
@@ -264,10 +248,6 @@ func rowKey(model string, row []int) string {
 // and headers.
 func (g *Gateway) do(method, backend, path string, body []byte, reqID string) (status int, data []byte, hdr http.Header, err error) {
 	return g.doCT(g.client, method, backend, path, body, "application/json", reqID)
-}
-
-func (g *Gateway) doWith(client *http.Client, method, backend, path string, body []byte, reqID string) (status int, data []byte, hdr http.Header, err error) {
-	return g.doCT(client, method, backend, path, body, "application/json", reqID)
 }
 
 func (g *Gateway) doCT(client *http.Client, method, backend, path string, body []byte, ctype, reqID string) (status int, data []byte, hdr http.Header, err error) {
@@ -329,8 +309,8 @@ func relay(w http.ResponseWriter, status int, hdr http.Header, data []byte) {
 // forward proxies one request to a backend and relays the response verbatim
 // — the routed single-backend paths answer byte-identically to hitting that
 // backend directly.
-func (g *Gateway) forward(w http.ResponseWriter, method, backend, path string, body []byte, reqID string) {
-	status, data, hdr, err := g.do(method, backend, path, body, reqID)
+func (g *Gateway) forward(w http.ResponseWriter, method, backend, path string, body []byte, ctype, reqID string) {
+	status, data, hdr, err := g.doCT(g.client, method, backend, path, body, ctype, reqID)
 	if err != nil {
 		writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s: %v", backend, err)
 		return
@@ -355,31 +335,6 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 }
 
 // ---- routed endpoints ----
-
-func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req assignRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return
-	}
-	switch {
-	case req.Session != "":
-		g.forwardSession(w, http.MethodPost, req.Session, "/v1/assign", raw, reqIDOf(r))
-	case req.Model != "":
-		key := rowKey(req.Model, req.Row)
-		if g.cfg.HedgeAfter > 0 {
-			g.forwardStatelessHedged(w, key, "/v1/assign", raw, reqIDOf(r))
-			return
-		}
-		g.forwardStateless(w, http.MethodPost, key, "/v1/assign", raw, reqIDOf(r))
-	default:
-		writeError(w, http.StatusBadRequest, codeBadRequest, "request names neither a model nor a session")
-	}
-}
 
 func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	raw, ok := readBody(w, r)
@@ -420,7 +375,7 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	g.forwardSession(w, http.MethodDelete, id, "/v1/sessions/"+id, nil, reqIDOf(r))
+	g.forwardSession(w, http.MethodDelete, id, "/v1/sessions/"+id, reqIDOf(r))
 	g.clearOverride(id)
 	// Scrub stray replicas fleet-wide: after failovers and migrations, a copy
 	// may be held off the current successor chain. Best-effort.
@@ -429,137 +384,6 @@ func (g *Gateway) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 			_, _, _, _ = g.do(http.MethodDelete, b, "/v1/replica/"+id, nil, "")
 		}
 	}
-}
-
-// handleAssignBatch scatters a batch across the fleet by row key and gathers
-// the sub-responses back into the original row order. The merged response is
-// rebuilt through the same writeJSON/struct path a backend uses, so a fleet
-// answer is byte-identical to a single backend's as long as the backends
-// serve the same snapshot epoch.
-func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
-	raw, ok := readBody(w, r)
-	if !ok {
-		return
-	}
-	var req batchRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
-		return
-	}
-	reqID := reqIDOf(r)
-	merged := batchResponse{Model: req.Model, Assignments: make([]assignResponse, len(req.Rows))}
-	pending := make([]int, len(req.Rows))
-	for i := range pending {
-		pending[i] = i
-	}
-	var lastErr error
-	// Rounds of scatter/gather: rows whose backend failed transiently re-place
-	// (the failure marked it down) and retry against the rest of the fleet.
-	maxRounds := len(g.backendList()) + 1
-	for round := 0; len(pending) > 0; round++ {
-		if round >= maxRounds {
-			writeError(w, http.StatusBadGateway, codeBadGateway, "batch could not complete: %v", lastErr)
-			return
-		}
-		// Group pending row indices by placement (up-aware).
-		groups := make(map[string][]int)
-		for _, i := range pending {
-			b := g.placeStateless(rowKey(req.Model, req.Rows[i]))
-			groups[b] = append(groups[b], i)
-		}
-		if round == 0 && len(groups) == 1 {
-			// Single owner and first attempt: forward the raw request — the
-			// byte-identity fast path. A transient failure falls through to
-			// the rerouting rounds.
-			var b string
-			for gb := range groups {
-				b = gb
-			}
-			status, data, hdr, err := g.doRetry(g.client, http.MethodPost, b, "/v1/assign/batch", raw, "application/json", reqID)
-			if err == nil {
-				relay(w, status, hdr, data)
-				return
-			}
-			lastErr = fmt.Errorf("backend %s: %w", b, err)
-			if _, transient := classifyTransient(err); !transient {
-				writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s: %v", b, err)
-				return
-			}
-			continue
-		}
-		// Deterministic error precedence: scatter in sorted-backend order.
-		order := sortedKeys(groups)
-		type result struct {
-			status int
-			data   []byte
-			hdr    http.Header
-			err    error
-			resp   batchResponse
-		}
-		results := make(map[string]*result, len(order))
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for _, b := range order {
-			wg.Add(1)
-			go func(b string) {
-				defer wg.Done()
-				sub := batchRequest{Model: req.Model, Rows: make([][]int, 0, len(groups[b]))}
-				for _, i := range groups[b] {
-					sub.Rows = append(sub.Rows, req.Rows[i])
-				}
-				body, err := json.Marshal(sub)
-				res := &result{err: err}
-				if err == nil {
-					res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, "/v1/assign/batch", body, "application/json", reqID)
-				}
-				if res.err == nil && res.status == http.StatusOK {
-					res.err = json.Unmarshal(res.data, &res.resp)
-				}
-				mu.Lock()
-				results[b] = res
-				mu.Unlock()
-			}(b)
-		}
-		wg.Wait()
-
-		var retry []int
-		for _, b := range order {
-			res := results[b]
-			if res.err != nil {
-				lastErr = fmt.Errorf("backend %s: %w", b, res.err)
-				if _, transient := classifyTransient(res.err); transient {
-					retry = append(retry, groups[b]...) // re-place next round
-					continue
-				}
-				writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s: %v", b, res.err)
-				return
-			}
-			if res.status != http.StatusOK {
-				// Relay the first failing backend's verdict verbatim — including
-				// a shed's Retry-After (sorted order keeps the precedence
-				// deterministic).
-				relay(w, res.status, res.hdr, res.data)
-				return
-			}
-			if len(res.resp.Assignments) != len(groups[b]) {
-				writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s returned %d assignments for %d rows", b, len(res.resp.Assignments), len(groups[b]))
-				return
-			}
-			for j, i := range groups[b] {
-				merged.Assignments[i] = res.resp.Assignments[j]
-			}
-		}
-		sort.Ints(retry)
-		pending = retry
-	}
-	// The epoch of the backend that served row 0 (all backends agree when the
-	// fleet serves one snapshot version, the deployment contract).
-	merged.Epoch = merged.Assignments[0].Epoch
-	writeJSON(w, http.StatusOK, merged)
 }
 
 // ---- broadcast endpoints ----
@@ -632,11 +456,11 @@ func (g *Gateway) handleListModels(w http.ResponseWriter, r *http.Request) {
 	backends := g.backendList()
 	for _, b := range backends {
 		if g.isUp(b) {
-			g.forward(w, http.MethodGet, b, "/v1/models", nil, reqIDOf(r))
+			g.forward(w, http.MethodGet, b, "/v1/models", nil, "", reqIDOf(r))
 			return
 		}
 	}
-	g.forward(w, http.MethodGet, backends[0], "/v1/models", nil, reqIDOf(r))
+	g.forward(w, http.MethodGet, backends[0], "/v1/models", nil, "", reqIDOf(r))
 }
 
 // ---- health and metrics ----
@@ -657,7 +481,7 @@ func (g *Gateway) healthLoop() {
 				wg.Add(1)
 				go func(b string) {
 					defer wg.Done()
-					status, _, _, err := g.doWith(g.probe, http.MethodGet, b, "/v1/healthz", nil, "")
+					status, _, _, err := g.doCT(g.probe, http.MethodGet, b, "/v1/healthz", nil, "", "")
 					healthy := err == nil && status == http.StatusOK
 					flag := g.upFlag(b)
 					if flag == nil {
@@ -710,7 +534,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int, b string) {
 			defer wg.Done()
-			status, data, _, err := g.doWith(g.probe, http.MethodGet, b, "/v1/healthz", nil, reqIDOf(r))
+			status, data, _, err := g.doCT(g.probe, http.MethodGet, b, "/v1/healthz", nil, "", reqIDOf(r))
 			if err == nil && status == http.StatusOK {
 				probed[i].Up = true
 				var inner struct {

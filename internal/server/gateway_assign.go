@@ -1,0 +1,618 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"sort"
+	"sync"
+	"time"
+
+	"mcdc/internal/model"
+)
+
+// Assignment routing. The gateway's four assign shapes — a JSON single, a
+// JSON batch, a binary frame stream, a binary batch — run through one
+// pipeline:
+//
+//  1. Edge decode turns the client's body into a job of routed items, one per
+//     assignment: a session item (placed by placeSession) or a stateless item
+//     (placed by placeStateless over its model+row key). An item the gateway
+//     can answer itself — an undecodable frame, a request naming no target —
+//     gets the exact error a backend would have given.
+//  2. The router groups the pending items by backend and delivers each group
+//     as a binary frame sub-stream, whatever codec the client spoke: 'A'
+//     frames for singles; 'B', bounded 'R' chunks and 'E' for a batch.
+//     Retry, failover, the fleet probe and hedging live there, once.
+//  3. Edge encode writes the merged answers back in the client's codec. The
+//     frame codec is deterministic and carries floats bit-exactly, so either
+//     codec's answer is byte-identical to a solo backend's.
+
+// maxUpstreamChunk bounds the row data of one 'R' frame the gateway sends a
+// backend, counting every varint at its 10-byte maximum. It keeps upstream
+// frames far under model.MaxFramePayload however the client chunked its
+// rows — a JSON batch body alone may hold 64 MiB of them.
+const maxUpstreamChunk = 1 << 20
+
+// wireFrame is one parsed frame of a buffered stream.
+type wireFrame struct {
+	kind    byte
+	payload []byte
+}
+
+// routedItem is one assignment on its way through the gateway.
+type routedItem struct {
+	session string // owning session; "" for a stateless item
+	model   string // a stateless item's model; with row, its ring key
+	row     []int  // a stateless item's row
+	payload []byte // the 'A' frame payload (singles)
+
+	done  bool
+	reply wireFrame        // singles: the 'a' result or '!' error frame
+	asg   model.Assignment // batches: the row's assignment
+	epoch int              // batches: the epoch of the backend that served the row
+}
+
+// assignJob is one client request, decoded at the edge.
+type assignJob struct {
+	reqID string
+	batch bool   // the items are rows of one batch against model
+	model string // batches only
+	items []routedItem
+	err   string // why a batch failed: batches have no per-item errors
+}
+
+// errorItem is an item the gateway itself answers with an in-band error.
+func errorItem(code, msg string) routedItem {
+	return routedItem{done: true, reply: wireFrame{model.FrameError, model.AppendError(nil, code, msg)}}
+}
+
+// singleItem decodes one 'A' payload into an item. What needs no backend — an
+// undecodable payload, or one naming neither a model nor a session — is
+// answered here with the backend's own error text.
+func singleItem(payload []byte) routedItem {
+	modelName, session, row, err := model.DecodeAssignRequest(payload)
+	switch {
+	case err != nil:
+		return errorItem(codeBadRequest, err.Error())
+	case session != "":
+		return routedItem{session: session, payload: payload}
+	case modelName != "":
+		return routedItem{model: modelName, row: row, payload: payload}
+	}
+	return errorItem(codeBadRequest, "request names neither a model nor a session")
+}
+
+// fail answers item i with an in-band bad_gateway error. A batch has no
+// per-item errors, so there the first failure fails the whole request.
+func (job *assignJob) fail(i int, msg string) {
+	if job.batch {
+		if job.err == "" {
+			job.err = msg
+		}
+		return
+	}
+	job.items[i] = errorItem(codeBadGateway, msg)
+}
+
+// ---- edge: decode and encode ----
+
+// handleAssign serves POST /v1/assign: one JSON assignment, or a pipelined
+// frame stream answered frame for frame in request order.
+func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
+	job := &assignJob{reqID: reqIDOf(r)}
+	wire := r.Header.Get("Content-Type") == WireContentType
+	if wire {
+		_, frames, ok := readWire(w, r)
+		if !ok {
+			return
+		}
+		job.items = make([]routedItem, len(frames))
+		for i, f := range frames {
+			if f.kind != model.FrameAssign {
+				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in assign stream", f.kind)
+				return
+			}
+			job.items[i] = singleItem(f.payload)
+		}
+	} else {
+		var req assignRequest
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		job.items = []routedItem{singleItem(model.AppendAssignRequest(nil, req.Model, req.Session, req.Row))}
+	}
+	if !g.route(w, job) {
+		return
+	}
+	if !wire {
+		writeReplyJSON(w, job.items[0].reply)
+		return
+	}
+	w.Header().Set("Content-Type", WireContentType)
+	bw := bufio.NewWriter(w)
+	_ = model.WriteWireHeader(bw)
+	for _, it := range job.items {
+		_ = model.WriteFrame(bw, it.reply.kind, it.reply.payload)
+	}
+	_ = bw.Flush()
+}
+
+// writeReplyJSON answers a JSON single from its reply frame, with the bytes
+// the daemon's JSON handler writes: an error becomes the envelope with the
+// status the code table pairs with its code.
+func writeReplyJSON(w http.ResponseWriter, reply wireFrame) {
+	switch reply.kind {
+	case model.FrameResult:
+		if a, epoch, err := model.DecodeResult(reply.payload); err == nil {
+			writeJSON(w, http.StatusOK, assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
+			return
+		}
+	case model.FrameError:
+		if code, msg, err := model.DecodeError(reply.payload); err == nil {
+			//lint:mcdcvet-ignore errenvelope code decoded from an in-band error frame, which gateway and daemon draw only from the stable table
+			writeError(w, codeStatus(code), code, "%s", msg)
+			return
+		}
+	}
+	writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer (frame kind %q)", reply.kind)
+}
+
+// handleAssignBatch serves POST /v1/assign/batch in either codec. A frame
+// batch is answered on its own chunk boundaries, as a solo backend streams
+// it; in both codecs the top-level epoch is row 0's.
+func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
+	job := &assignJob{reqID: reqIDOf(r), batch: true}
+	var rows [][]int
+	var chunks []int // the client's 'R' chunk sizes
+	wire := r.Header.Get("Content-Type") == WireContentType
+	if wire {
+		raw, frames, ok := readWire(w, r)
+		if !ok {
+			return
+		}
+		if len(frames) == 0 || frames[0].kind != model.FrameBatchStart {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream must open with a batch-start frame")
+			return
+		}
+		var err error
+		if job.model, err = model.DecodeBatchStart(frames[0].payload); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+			return
+		}
+		for fi, f := range frames[1:] {
+			switch f.kind {
+			case model.FrameRows:
+				chunk, err := model.DecodeRows(f.payload)
+				if err != nil {
+					writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+					return
+				}
+				rows = append(rows, chunk...)
+				chunks = append(chunks, len(chunk))
+			case model.FrameEnd:
+				if fi != len(frames)-2 {
+					writeError(w, http.StatusBadRequest, codeBadRequest, "frames after the end frame")
+					return
+				}
+			default:
+				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in batch stream", f.kind)
+				return
+			}
+		}
+		if frames[len(frames)-1].kind != model.FrameEnd {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream ended without an end frame")
+			return
+		}
+		if len(rows) == 0 {
+			// A backend checks the model before it finds the batch empty, so
+			// one of them answers: unknown_model or "empty batch".
+			g.forward(w, http.MethodPost, g.backendList()[0], "/v1/assign/batch", raw, WireContentType, job.reqID)
+			return
+		}
+	} else {
+		var req batchRequest
+		if !decodeJSON(w, r, &req) {
+			return
+		}
+		if len(req.Rows) == 0 {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
+			return
+		}
+		job.model, rows, chunks = req.Model, req.Rows, []int{len(req.Rows)}
+	}
+	job.items = make([]routedItem, len(rows))
+	for i, row := range rows {
+		job.items[i] = routedItem{model: job.model, row: row}
+	}
+	if !g.route(w, job) {
+		return
+	}
+	epoch := job.items[0].epoch
+	if !wire {
+		resp := batchResponse{Model: job.model, Epoch: epoch, Assignments: make([]assignResponse, len(rows))}
+		for i, it := range job.items {
+			resp.Assignments[i] = assignResponse{Cluster: it.asg.Cluster, Similarity: it.asg.Similarity, Epoch: it.epoch, Encoding: it.asg.Encoding}
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	asgs := make([]model.Assignment, len(rows))
+	for i, it := range job.items {
+		asgs[i] = it.asg
+	}
+	w.Header().Set("Content-Type", WireContentType)
+	bw := bufio.NewWriter(w)
+	_ = model.WriteWireHeader(bw)
+	_ = model.WriteFrame(bw, model.FrameBatchInfo, model.AppendBatchInfo(nil, job.model, epoch))
+	var buf []byte
+	for _, n := range chunks {
+		if n == 0 {
+			continue // a solo backend skips empty chunks too
+		}
+		buf = model.AppendResults(buf[:0], asgs[:n])
+		asgs = asgs[n:]
+		_ = model.WriteFrame(bw, model.FrameResults, buf)
+	}
+	_ = model.WriteFrame(bw, model.FrameEnd, nil)
+	_ = bw.Flush()
+}
+
+// readWire reads a whole frame-stream body and splits it into frames,
+// answering a malformed stream as a backend would: version skew is 422.
+func readWire(w http.ResponseWriter, r *http.Request) (raw []byte, frames []wireFrame, ok bool) {
+	if raw, ok = readBody(w, r); !ok {
+		return nil, nil, false
+	}
+	frames, err := parseWireStream(raw)
+	if err != nil {
+		var verr *model.WireVersionError
+		if errors.As(err, &verr) {
+			writeError(w, http.StatusUnprocessableEntity, codeVersionMismatch, "%v", err)
+		} else {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+		}
+		return nil, nil, false
+	}
+	return raw, frames, true
+}
+
+// parseWireStream validates the header and splits a complete wire stream
+// into frames. The payloads alias data.
+func parseWireStream(data []byte) ([]wireFrame, error) {
+	br := bufio.NewReader(bytes.NewReader(data))
+	if err := model.ReadWireHeader(br); err != nil {
+		return nil, err
+	}
+	var frames []wireFrame
+	for {
+		kind, payload, err := model.ReadFrame(br)
+		if err == io.EOF {
+			return frames, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		frames = append(frames, wireFrame{kind: kind, payload: payload})
+	}
+}
+
+// ---- the router ----
+
+// route delivers every pending item of job in rounds, at most one more than
+// there are backends. Each round groups the pending items by backend and
+// delivers the groups concurrently; what a round could not finish is
+// re-placed for the next. It returns false when it has already answered the
+// request: a backend's non-200 verdict relayed verbatim (the first failing
+// backend in sorted order wins, so the precedence is deterministic), or a 502.
+func (g *Gateway) route(w http.ResponseWriter, job *assignJob) bool {
+	var pending []int
+	for i := range job.items {
+		if !job.items[i].done {
+			pending = append(pending, i)
+		}
+	}
+	probed := make(map[string]string) // session → owner the fleet probe found
+	var lastErr error
+	maxRounds := len(g.backendList()) + 1
+	for round := 0; len(pending) > 0 && job.err == ""; round++ {
+		if round == maxRounds {
+			for _, i := range pending {
+				job.fail(i, fmt.Sprintf("no backend could serve the request: %v", lastErr))
+			}
+			break
+		}
+		groups := make(map[string][]int)
+		for _, i := range pending {
+			b := g.place(&job.items[i])
+			groups[b] = append(groups[b], i)
+		}
+		order := make([]string, 0, len(groups))
+		for b := range groups {
+			order = append(order, b)
+		}
+		sort.Strings(order)
+		results := make([]exchange, len(order))
+		var wg sync.WaitGroup
+		for k, b := range order {
+			wg.Add(1)
+			go func(k int, b string) {
+				defer wg.Done()
+				results[k] = g.deliver(job, b, groups[b])
+			}(k, b)
+		}
+		wg.Wait()
+
+		pending = nil
+		for k, b := range order {
+			res := &results[k]
+			switch {
+			case res.err != nil:
+				if _, transient := classifyTransient(res.err); !transient {
+					writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s: %v", res.backend, res.err)
+					return false
+				}
+				lastErr = fmt.Errorf("backend %s: %w", res.backend, res.err)
+				pending = append(pending, g.replace(job, res.backend, groups[b])...)
+			case res.status != http.StatusOK:
+				relay(w, res.status, res.hdr, res.data)
+				return false
+			default:
+				pending = append(pending, g.settle(job, res, groups[b], probed)...)
+			}
+		}
+		sort.Ints(pending)
+	}
+	if job.err != "" {
+		writeError(w, http.StatusBadGateway, codeBadGateway, "batch could not complete: %s", job.err)
+		return false
+	}
+	return true
+}
+
+// place returns the backend an item routes to this round.
+func (g *Gateway) place(it *routedItem) string {
+	if it.session != "" {
+		return g.placeSession(it.session)
+	}
+	return g.placeStateless(rowKey(it.model, it.row))
+}
+
+// sessionCounts counts the items each session owns among idxs (nil when no
+// session item is among them).
+func sessionCounts(job *assignJob, idxs []int) map[string]int {
+	var counts map[string]int
+	for _, i := range idxs {
+		if s := job.items[i].session; s != "" {
+			if counts == nil {
+				counts = make(map[string]int)
+			}
+			counts[s]++
+		}
+	}
+	return counts
+}
+
+// replace re-places the items of a group whose exchange with failed broke
+// off in transit (failed is marked down by then), returning those to send
+// again. A stateless item moves to the next up backend in its ring chain. A
+// session's lone item fails over to a promoted replica and is re-sent under
+// the same request id: the backend numbers each session's frames within the
+// stream, so the redelivered frame id matches and the replay cache absorbs
+// an ambiguous first delivery. A session with several items in the group
+// cannot be re-sent anywhere — the backend applies frames as the body
+// streams, so an unknown prefix may have applied, and the one-deep replay
+// cache covers only the last frame — so its items answer bad_gateway.
+func (g *Gateway) replace(job *assignJob, failed string, idxs []int) (again []int) {
+	counts := sessionCounts(job, idxs)
+	for _, i := range idxs {
+		it := &job.items[i]
+		switch {
+		case it.session == "":
+			if nb := g.placeStateless(rowKey(it.model, it.row)); nb == "" || !g.isUp(nb) {
+				job.fail(i, fmt.Sprintf("backend %s unreachable and no other backend is up", failed))
+				continue
+			}
+		case counts[it.session] > 1:
+			job.fail(i, fmt.Sprintf("backend %s failed mid-stream with multiple frames for session %q in flight; resend", failed, it.session))
+			continue
+		default:
+			if _, ok := g.failoverSession(it.session, job.reqID, failed); !ok {
+				job.fail(i, fmt.Sprintf("session %q: owner %s unreachable and no replica could be promoted", it.session, failed))
+				continue
+			}
+		}
+		again = append(again, i)
+	}
+	return again
+}
+
+// settle records a group's answers and returns the items to send again: a
+// session item the backend answered unknown_session for, once the fleet
+// probe has found where the session really lives (after a gateway restart
+// lost its placement overrides). Each session is probed for at most once.
+func (g *Gateway) settle(job *assignJob, res *exchange, idxs []int, probed map[string]string) (again []int) {
+	for j, i := range idxs {
+		it := &job.items[i]
+		if job.batch {
+			it.asg, it.epoch, it.done = res.asgs[j], res.epoch, true
+			continue
+		}
+		f := res.frames[j]
+		if it.session != "" && f.kind == model.FrameError {
+			if code, _, _ := model.DecodeError(f.payload); code == codeUnknownSession {
+				owner, seen := probed[it.session]
+				if !seen {
+					owner, _ = g.probeSessionOwner(it.session, res.backend)
+					probed[it.session] = owner
+				}
+				if owner != "" && owner != res.backend {
+					again = append(again, i)
+					continue
+				}
+			}
+		}
+		it.reply, it.done = f, true
+	}
+	return again
+}
+
+// exchange is one group's round trip to a backend.
+type exchange struct {
+	backend string // who answered: a hedge answers for the placed backend
+	status  int
+	data    []byte
+	hdr     http.Header
+	err     error
+	frames  []wireFrame        // singles: one answer per item
+	epoch   int                // batches: the serving backend's epoch
+	asgs    []model.Assignment // batches: one assignment per item
+}
+
+// deliver sends the items idxs to backend b as one frame sub-stream and
+// parses the answer. A transport failure is retried in place, except for a
+// group holding several items of one session, which gets a single attempt
+// (see replace); a request routing one stateless item hedges.
+func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
+	path, body := job.subStream(idxs)
+	res := exchange{backend: b}
+	multi := false
+	for _, n := range sessionCounts(job, idxs) {
+		multi = multi || n > 1
+	}
+	switch {
+	case g.cfg.HedgeAfter > 0 && len(job.items) == 1 && job.items[0].session == "":
+		res = g.hedged(b, rowKey(job.items[0].model, job.items[0].row), path, body, job.reqID)
+	case multi:
+		res.status, res.data, res.hdr, res.err = g.doCT(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
+		if _, transient := classifyTransient(res.err); transient {
+			g.markDown(b)
+		}
+	default:
+		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
+	}
+	if res.err != nil || res.status != http.StatusOK {
+		return res
+	}
+	if job.batch {
+		res.epoch, res.asgs, res.err = parseBatchReply(res.data, len(idxs))
+	} else if res.frames, res.err = parseWireStream(res.data); res.err == nil && len(res.frames) != len(idxs) {
+		res.err = fmt.Errorf("%d response frames for %d assigns", len(res.frames), len(idxs))
+	}
+	return res
+}
+
+// hedged exchanges body with b, the first up backend of key's ring chain,
+// and, if b has not answered within HedgeAfter, races the same request
+// against the next up backend; the first answer wins. The race also starts
+// at once if b fails first, so hedging is never less available than the
+// plain chain walk. Only a lone stateless item hedges — a pure read of the
+// shared snapshot, idempotent anywhere. When both racers fail transiently,
+// the last failure returns and the router re-places the item.
+func (g *Gateway) hedged(b, key, path string, body []byte, reqID string) exchange {
+	send := func(b string) exchange {
+		res := exchange{backend: b}
+		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, reqID)
+		return res
+	}
+	first, second := g.statelessPair(key)
+	if first != b || second == "" {
+		return send(b)
+	}
+	ch := make(chan exchange, 2)
+	launch := func(b string) { go func() { ch <- send(b) }() }
+	launch(first)
+	launched, failed := 1, 0
+	timer := time.NewTimer(g.cfg.HedgeAfter)
+	defer timer.Stop()
+	for {
+		select {
+		case res := <-ch:
+			if _, transient := classifyTransient(res.err); !transient {
+				return res
+			}
+			if failed++; failed == 2 {
+				return res
+			}
+			if launched == 1 {
+				launch(second)
+				launched = 2
+			}
+		case <-timer.C:
+			if launched == 1 {
+				g.hedges.Add(1)
+				launch(second)
+				launched = 2
+			}
+		}
+	}
+}
+
+// subStream encodes the items idxs as the upstream frame stream: 'A' frames
+// for singles; for a batch 'B', 'R' chunks of at most maxUpstreamChunk bytes
+// of row data, and 'E'.
+func (job *assignJob) subStream(idxs []int) (path string, body []byte) {
+	var buf bytes.Buffer
+	_ = model.WriteWireHeader(&buf)
+	if !job.batch {
+		for _, i := range idxs {
+			_ = model.WriteFrame(&buf, model.FrameAssign, job.items[i].payload)
+		}
+		return "/v1/assign", buf.Bytes()
+	}
+	_ = model.WriteFrame(&buf, model.FrameBatchStart, model.AppendBatchStart(nil, job.model))
+	var chunk [][]int
+	var payload []byte
+	size := binary.MaxVarintLen64 // the chunk's row count
+	flush := func() {
+		payload = model.AppendRows(payload[:0], chunk)
+		_ = model.WriteFrame(&buf, model.FrameRows, payload)
+		chunk, size = chunk[:0], binary.MaxVarintLen64
+	}
+	for _, i := range idxs {
+		row := job.items[i].row
+		n := (len(row) + 1) * binary.MaxVarintLen64 // the row's length and values
+		if len(chunk) > 0 && size+n > maxUpstreamChunk {
+			flush()
+		}
+		chunk = append(chunk, row)
+		size += n
+	}
+	flush()
+	_ = model.WriteFrame(&buf, model.FrameEnd, nil)
+	return "/v1/assign/batch", buf.Bytes()
+}
+
+// parseBatchReply decodes a backend's binary batch response — 'b' info,
+// 'r' result frames, 'E' — expecting want results in total.
+func parseBatchReply(data []byte, want int) (epoch int, results []model.Assignment, err error) {
+	frames, err := parseWireStream(data)
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(frames) == 0 || frames[0].kind != model.FrameBatchInfo {
+		return 0, nil, fmt.Errorf("batch reply missing info frame")
+	}
+	if _, epoch, err = model.DecodeBatchInfo(frames[0].payload); err != nil {
+		return 0, nil, err
+	}
+	for _, f := range frames[1:] {
+		switch f.kind {
+		case model.FrameResults:
+			if results, err = model.DecodeResults(f.payload, results); err != nil {
+				return 0, nil, err
+			}
+		case model.FrameEnd:
+		default:
+			return 0, nil, fmt.Errorf("unexpected frame kind %q in batch reply", f.kind)
+		}
+	}
+	if len(results) != want {
+		return 0, nil, fmt.Errorf("%d results for %d rows", len(results), want)
+	}
+	return epoch, results, nil
+}

@@ -1,0 +1,518 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
+	"testing"
+
+	"mcdc/internal/model"
+	"mcdc/internal/testenv"
+)
+
+// TestGatewayWireByteIdenticalToSingleBackend extends the byte-identity
+// acceptance criterion to the binary frame protocol: a 2-backend gateway's
+// wire responses for pipelined assigns and a streamed batch are the exact
+// bytes a single backend produces.
+func TestGatewayWireByteIdenticalToSingleBackend(t *testing.T) {
+	snap, rows, _ := trainModel(t, 300, 8, 3, 51)
+	_, gts, backends, _ := gatewayFleet(t, 2, Config{})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+
+	// Pipelined assigns, with an undecipherable request in the middle — the
+	// gateway answers that slot locally with the backend's exact error text,
+	// so the merged stream still matches the solo bytes.
+	buf := wireStream(t)
+	for _, row := range rows[:40] {
+		appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", row))
+	}
+	appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "", "", rows[40]))
+	for _, row := range rows[41:60] {
+		appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", row))
+	}
+
+	gresp, gdata := postWire(t, gts.URL+"/v1/assign", buf.Bytes())
+	sresp, sdata := postWire(t, soloTS.URL+"/v1/assign", buf.Bytes())
+	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("wire assign: gateway %d, solo %d", gresp.StatusCode, sresp.StatusCode)
+	}
+	if !bytes.Equal(gdata, sdata) {
+		t.Fatalf("gateway wire assign stream is not byte-identical to the single backend:\ngateway %d bytes, solo %d bytes", len(gdata), len(sdata))
+	}
+
+	// Streamed batch across several chunks: scattered by row key, merged
+	// back on the original chunk boundaries.
+	buf = wireStream(t)
+	appendFrame(t, buf, model.FrameBatchStart, model.AppendBatchStart(nil, "m"))
+	for _, c := range [][][]int{rows[:100], rows[100:110], rows[110:]} {
+		appendFrame(t, buf, model.FrameRows, model.AppendRows(nil, c))
+	}
+	appendFrame(t, buf, model.FrameEnd, nil)
+
+	gresp, gdata = postWire(t, gts.URL+"/v1/assign/batch", buf.Bytes())
+	sresp, sdata = postWire(t, soloTS.URL+"/v1/assign/batch", buf.Bytes())
+	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("wire batch: gateway %d, solo %d (%s | %s)", gresp.StatusCode, sresp.StatusCode, gdata, sdata)
+	}
+	if !bytes.Equal(gdata, sdata) {
+		t.Fatal("gateway wire batch response is not byte-identical to the single backend")
+	}
+
+	// The scatter really split the work; otherwise this checked only one
+	// backend's answer.
+	spread := 0
+	for _, b := range backends {
+		if sm, ok := b.registry.get("m"); ok && sm.buf.len() > 0 {
+			spread++
+		}
+	}
+	if spread != 2 {
+		t.Fatalf("wire batch traffic reached %d/2 backends", spread)
+	}
+}
+
+// TestGatewayWireVersionMismatch: the gateway enforces the version byte
+// itself and answers 422 without consulting any backend.
+func TestGatewayWireVersionMismatch(t *testing.T) {
+	_, gts, _, _ := gatewayFleet(t, 2, Config{})
+	var buf bytes.Buffer
+	if err := model.WriteWireHeader(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	raw[len(raw)-1] = model.WireVersion + 1
+	for _, path := range []string{"/v1/assign", "/v1/assign/batch"} {
+		resp, data := postWire(t, gts.URL+path, raw)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422 (%s)", path, resp.StatusCode, data)
+		}
+		if !strings.Contains(string(data), codeVersionMismatch) {
+			t.Fatalf("%s: envelope %s, want code %q", path, data, codeVersionMismatch)
+		}
+	}
+}
+
+// TestGatewayPropagatesShed pins the overload relay: a backend's 429 passes
+// through the gateway with status, Retry-After, and body unchanged, and the
+// gateway counts the shed per backend in its /metrics.
+func TestGatewayPropagatesShed(t *testing.T) {
+	const retryAfter = "7"
+	shedBody := `{"error":"server at capacity","code":"overloaded"}` + "\n"
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		// Like a real mcdcd, only assignment routes shed; health and
+		// metrics probes answer normally.
+		if r.Method == http.MethodGet {
+			if strings.HasSuffix(r.URL.Path, "/healthz") {
+				fmt.Fprintln(w, `{"status":"ok"}`)
+			}
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Retry-After", retryAfter)
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(shedBody))
+	}))
+	defer backend.Close()
+
+	gw, err := NewGateway(GatewayConfig{Backends: []string{strings.TrimPrefix(backend.URL, "http://")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw.Handler())
+	defer func() { gts.Close(); gw.Close() }()
+
+	for i, path := range []string{"/v1/assign", "/v1/assign/batch"} {
+		body := map[string]any{"model": "m", "row": []int{1}}
+		if strings.HasSuffix(path, "batch") {
+			body = map[string]any{"model": "m", "rows": [][]int{{1}}}
+		}
+		resp, data := post(t, gts.URL+path, body)
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d, want 429 (%s)", path, resp.StatusCode, data)
+		}
+		if ra := resp.Header.Get("Retry-After"); ra != retryAfter {
+			t.Fatalf("%s: Retry-After %q, want %q", path, ra, retryAfter)
+		}
+		if string(data) != shedBody {
+			t.Fatalf("%s: body altered in transit:\n%q\nwant\n%q", path, data, shedBody)
+		}
+
+		_, mdata := get(t, gts.URL+"/v1/metrics")
+		want := fmt.Sprintf("mcdcd_gateway_backend_sheds_total{backend=%q} %d",
+			strings.TrimPrefix(backend.URL, "http://"), i+1)
+		if !strings.Contains(string(mdata), want) {
+			t.Fatalf("gateway metrics missing %q:\n%s", want, mdata)
+		}
+	}
+}
+
+// recordingTransport records every gateway → backend request (path,
+// Content-Type, body) before passing it on.
+type recordingTransport struct {
+	mu   sync.Mutex
+	reqs []recordedRequest
+}
+
+type recordedRequest struct {
+	path, ctype string
+	body        []byte
+}
+
+func (rt *recordingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := recordedRequest{path: req.URL.Path, ctype: req.Header.Get("Content-Type")}
+	if req.Body != nil {
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		rec.body = body
+		req = req.Clone(req.Context())
+		req.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	rt.mu.Lock()
+	rt.reqs = append(rt.reqs, rec)
+	rt.mu.Unlock()
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// assigns returns the recorded requests on the assignment routes and clears
+// the record.
+func (rt *recordingTransport) assigns() []recordedRequest {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	var out []recordedRequest
+	for _, rec := range rt.reqs {
+		if rec.path == "/v1/assign" || rec.path == "/v1/assign/batch" {
+			out = append(out, rec)
+		}
+	}
+	rt.reqs = nil
+	return out
+}
+
+// postJSONRaw POSTs a raw JSON body (which post cannot express when it is
+// malformed or carries unknown fields).
+func postJSONRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// TestGatewaySpeaksFramesUpstream pins the gateway's one upstream protocol:
+// whatever codec and shape the client uses — JSON or frames, singles or
+// batches, stateless or session — every gateway → backend assignment request
+// is a binary frame stream, and the client still gets the solo bytes.
+func TestGatewaySpeaksFramesUpstream(t *testing.T) {
+	snap, rows, _ := trainModel(t, 300, 8, 3, 51)
+	rec := &recordingTransport{}
+	_, gts, backends, _ := gatewayFleetCfg(t, 2, Config{}, GatewayConfig{Transport: rec})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, gts.URL, "up", 40, 5)
+	createSession(t, soloTS.URL, "up", 40, 5)
+
+	stream := wireStream(t)
+	for i, row := range rows[:30] {
+		session, name := "", "m"
+		if i%3 == 0 {
+			session, name = "up", ""
+		}
+		appendFrame(t, stream, model.FrameAssign, model.AppendAssignRequest(nil, name, session, row))
+	}
+	batch := wireStream(t)
+	appendFrame(t, batch, model.FrameBatchStart, model.AppendBatchStart(nil, "m"))
+	appendFrame(t, batch, model.FrameRows, model.AppendRows(nil, rows[:70]))
+	appendFrame(t, batch, model.FrameEnd, nil)
+	send := func(url, path, ctype string, body []byte) []byte {
+		t.Helper()
+		resp, err := http.Post(url+path, ctype, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d (%s)", path, ctype, resp.StatusCode, data)
+		}
+		return data
+	}
+	jsonBody := func(v any) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	for _, tc := range []struct {
+		name, path, ctype string
+		body              []byte
+	}{
+		{"json single", "/v1/assign", "application/json", jsonBody(map[string]any{"model": "m", "row": rows[0]})},
+		{"json session single", "/v1/assign", "application/json", jsonBody(map[string]any{"session": "up", "row": rows[1]})},
+		{"json batch", "/v1/assign/batch", "application/json", jsonBody(map[string]any{"model": "m", "rows": rows[:70]})},
+		{"frame stream", "/v1/assign", WireContentType, stream.Bytes()},
+		{"frame batch", "/v1/assign/batch", WireContentType, batch.Bytes()},
+	} {
+		got := send(gts.URL, tc.path, tc.ctype, tc.body)
+		if want := send(soloTS.URL, tc.path, tc.ctype, tc.body); !bytes.Equal(got, want) {
+			t.Fatalf("%s: gateway answer is not byte-identical to the solo backend", tc.name)
+		}
+		upstream := rec.assigns()
+		if len(upstream) == 0 {
+			t.Fatalf("%s: no upstream assignment request recorded", tc.name)
+		}
+		for _, u := range upstream {
+			if u.ctype != WireContentType || u.path != tc.path {
+				t.Fatalf("%s: upstream %s with Content-Type %q, want %s frames", tc.name, u.path, u.ctype, tc.path)
+			}
+		}
+	}
+}
+
+// TestGatewayAssignErrorsMatchSolo pins the edge decoder: a JSON request a
+// backend would reject gets the same status and envelope from the gateway,
+// whether the gateway rejects it itself (bad JSON, unknown fields, no
+// target, an empty batch) or a backend answers it in-band.
+func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 3)
+	_, gts, backends, _ := gatewayFleet(t, 2, Config{})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, gts.URL, "s1", 40, 3)
+	createSession(t, soloTS.URL, "s1", 40, 3)
+	row, _ := json.Marshal(rows[0])
+	for _, tc := range []struct{ name, path, body string }{
+		{"malformed json", "/v1/assign", `{"model":`},
+		{"unknown field", "/v1/assign", `{"model":"m","row":` + string(row) + `,"extra":1}`},
+		{"row schema", "/v1/assign", `{"model":"m","row":[1]}`},
+		{"model and session", "/v1/assign", `{"model":"m","session":"s1","row":` + string(row) + `}`},
+		{"neither model nor session", "/v1/assign", `{"row":` + string(row) + `}`},
+		{"unknown model", "/v1/assign", `{"model":"ghost","row":` + string(row) + `}`},
+		{"unknown session", "/v1/assign", `{"session":"ghost","row":` + string(row) + `}`},
+		{"batch unknown model", "/v1/assign/batch", `{"model":"ghost","rows":[` + string(row) + `]}`},
+		{"batch empty", "/v1/assign/batch", `{"model":"m","rows":[]}`},
+		{"batch unknown field", "/v1/assign/batch", `{"model":"m","rows":[],"extra":1}`},
+	} {
+		gresp, gdata := postJSONRaw(t, gts.URL+tc.path, tc.body)
+		sresp, sdata := postJSONRaw(t, soloTS.URL+tc.path, tc.body)
+		if gresp.StatusCode != sresp.StatusCode || !bytes.Equal(gdata, sdata) {
+			t.Errorf("%s: gateway %d %q, solo %d %q", tc.name, gresp.StatusCode, gdata, sresp.StatusCode, sdata)
+		}
+		if gresp.StatusCode < 400 {
+			t.Errorf("%s: status %d, want an error", tc.name, gresp.StatusCode)
+		}
+	}
+}
+
+// wideRows builds n rows for a 200-feature model: four in-domain training
+// values, then out-of-domain codes that each take a 10-byte varint on the
+// wire (assign tolerates them; they score zero similarity).
+func wideRows(train [][]int, n int) [][]int {
+	rows := make([][]int, n)
+	for i := range rows {
+		src := train[i%len(train)]
+		row := make([]int, len(src))
+		for f := range row {
+			if f < 4 {
+				row[f] = src[f]
+				continue
+			}
+			row[f] = 1<<62 + i*len(src) + f
+			if (i+f)%2 == 1 {
+				row[f] = -row[f]
+			}
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// TestGatewayLargeBatchChunked sends a batch whose per-backend share is far
+// beyond one frame's worth of rows. The gateway must cut each backend's
+// share into bounded 'R' chunks — a single chunk past model.MaxFramePayload
+// is refused by the backend — and still answer byte-identically to a solo
+// backend, for frame and JSON clients alike. The PR-time size proves the
+// bound on every upstream frame; MCDC_NIGHTLY=1 adds the full 18,000-row
+// (36 MB) frame batch, whose shares would each overflow a single frame.
+func TestGatewayLargeBatchChunked(t *testing.T) {
+	snap, train, _ := trainModel(t, 60, 200, 3, 81)
+	rec := &recordingTransport{}
+	_, gts, backends, _ := gatewayFleetCfg(t, 2, Config{}, GatewayConfig{Transport: rec})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	checkUpstream := func(name string) {
+		t.Helper()
+		chunks := 0
+		for _, u := range rec.assigns() {
+			frames, err := parseWireStream(u.body)
+			if err != nil {
+				t.Fatalf("%s: upstream body: %v", name, err)
+			}
+			for _, f := range frames {
+				if f.kind != model.FrameRows {
+					continue
+				}
+				chunks++
+				if len(f.payload) > maxUpstreamChunk {
+					t.Fatalf("%s: upstream 'R' frame of %d bytes exceeds the %d-byte chunk bound", name, len(f.payload), maxUpstreamChunk)
+				}
+			}
+		}
+		if chunks < 3 {
+			t.Fatalf("%s: %d upstream row chunks; the batch did not need chunking", name, chunks)
+		}
+	}
+
+	n := 2000
+	if testenv.Nightly() {
+		n = 18000
+	}
+	rows := wideRows(train, n)
+	buf := wireStream(t)
+	appendFrame(t, buf, model.FrameBatchStart, model.AppendBatchStart(nil, "m"))
+	for lo := 0; lo < len(rows); lo += 1024 {
+		appendFrame(t, buf, model.FrameRows, model.AppendRows(nil, rows[lo:min(lo+1024, len(rows))]))
+	}
+	appendFrame(t, buf, model.FrameEnd, nil)
+	gresp, gdata := postWire(t, gts.URL+"/v1/assign/batch", buf.Bytes())
+	sresp, sdata := postWire(t, soloTS.URL+"/v1/assign/batch", buf.Bytes())
+	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("frame batch of %d rows: gateway %d, solo %d (%.200s)", n, gresp.StatusCode, sresp.StatusCode, gdata)
+	}
+	if !bytes.Equal(gdata, sdata) {
+		t.Fatalf("frame batch of %d rows: gateway answer is not byte-identical to the solo backend", n)
+	}
+	checkUpstream("frame batch")
+
+	// A JSON body holds the same rows in one piece; the gateway chunks its
+	// translation just the same.
+	rows = rows[:2000]
+	gresp, gdata = post(t, gts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows})
+	sresp, sdata = post(t, soloTS.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows})
+	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
+		t.Fatalf("json batch: gateway %d, solo %d (%.200s)", gresp.StatusCode, sresp.StatusCode, gdata)
+	}
+	if !bytes.Equal(gdata, sdata) {
+		t.Fatal("json batch: gateway answer is not byte-identical to the solo backend")
+	}
+	checkUpstream("json batch")
+}
+
+// feedSessionWire is feedSession over the binary protocol: one single-frame
+// request per row, returning the raw response streams.
+func feedSessionWire(t *testing.T, url, id string, rows [][]int, from, to int) []string {
+	t.Helper()
+	out := make([]string, 0, to-from)
+	for i := from; i < to; i++ {
+		buf := wireStream(t)
+		appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "", id, rows[i%len(rows)]))
+		resp, data := postWire(t, url+"/v1/assign", buf.Bytes())
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("binary assign row %d: %d %s", i, resp.StatusCode, data)
+		}
+		out = append(out, string(data))
+	}
+	return out
+}
+
+// TestGatewayRestartProbesOffRingSession pins the fleet probe for both
+// codecs: a session born off its ring owner (the owner refused at create
+// time) is known only to this gateway's overrides. A restarted gateway has
+// lost them, so its first assign lands on the ring owner, which answers
+// unknown_session; the gateway must find the session on the fleet and answer
+// exactly as a solo daemon does.
+func TestGatewayRestartProbesOffRingSession(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 83)
+	frt := testenv.NewFaultRoundTripper(nil)
+	gw, gts, backends, _ := gatewayFleetCfg(t, 3, Config{}, GatewayConfig{Transport: frt, Retries: -1})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solo, soloTS := newTestServer(t, Config{})
+	if err := solo.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	restart := func() string {
+		next, err := NewGateway(GatewayConfig{Backends: gw.Backends()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(next.Handler())
+		t.Cleanup(func() { ts.Close(); next.Close() })
+		return ts.URL
+	}
+	for i, codec := range []string{"binary", "json"} {
+		t.Run(codec, func(t *testing.T) {
+			id := "offring-" + codec
+			owner := sessionOwner(t, gts.URL, id)
+			rule := frt.Add(&testenv.FaultRule{Host: owner, Kind: testenv.FaultKill})
+			createSession(t, gts.URL, id, 40, int64(11+i))
+			frt.Remove(rule)
+			if got := sessionOwner(t, gts.URL, id); got == owner {
+				t.Fatalf("session %s was created on its ring owner despite the fault", id)
+			}
+			createSession(t, soloTS.URL, id, 40, int64(11+i))
+
+			url := restart()
+			var got, want []string
+			if codec == "binary" {
+				got, want = feedSessionWire(t, url, id, rows, 0, 5), feedSessionWire(t, soloTS.URL, id, rows, 0, 5)
+			} else {
+				got, want = feedSession(t, url, id, rows, 0, 5), feedSession(t, soloTS.URL, id, rows, 0, 5)
+			}
+			for k := range got {
+				if got[k] != want[k] {
+					t.Fatalf("arrival %d through the restarted gateway:\n got  %q\n want %q", k, got[k], want[k])
+				}
+			}
+		})
+	}
+}

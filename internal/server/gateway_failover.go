@@ -30,7 +30,8 @@ import (
 //     the zombie primary), records a placement override, and redelivers the
 //     request — with the same request id, so the backend's replay cache
 //     absorbs an ambiguous first delivery. Stateless traffic just reroutes
-//     to the next up backend in the chain.
+//     to the next up backend in the chain. For assignments these steps run
+//     in the router of gateway_assign.go, whatever codec the client spoke.
 //  3. Live membership: POST /v1/ring/{join,leave} migrate moving sessions'
 //     checkpoints under the exclusive placement lock, then cut the ring
 //     over — no request ever places against a half-updated ring.
@@ -340,17 +341,17 @@ func bodyHasCode(data []byte, code string) bool {
 	return strings.Contains(string(data), `"`+code+`"`)
 }
 
-// forwardSession delivers one session-routed request with the full recovery
+// forwardSession delivers a session-routed request other than an assignment
+// (assignments take the router in gateway_assign.go) with the same recovery
 // ladder: retry in place, then failover to a promoted replica, then a fleet
-// probe for a relocated session — redelivering with the same request id so
-// the replay cache keeps an ambiguously delivered assignment exactly-once.
-func (g *Gateway) forwardSession(w http.ResponseWriter, method, id, path string, body []byte, reqID string) {
+// probe for a relocated session.
+func (g *Gateway) forwardSession(w http.ResponseWriter, method, id, path, reqID string) {
 	backend := g.placeSession(id)
-	status, data, hdr, err := g.doRetry(g.client, method, backend, path, body, "application/json", reqID)
+	status, data, hdr, err := g.doRetry(g.client, method, backend, path, nil, "", reqID)
 	if err != nil {
 		if _, transient := classifyTransient(err); transient {
 			if next, ok := g.failoverSession(id, reqID, backend); ok {
-				status, data, hdr, err = g.doRetry(g.client, method, next, path, body, "application/json", reqID)
+				status, data, hdr, err = g.doRetry(g.client, method, next, path, nil, "", reqID)
 			}
 		}
 		if err != nil {
@@ -364,105 +365,13 @@ func (g *Gateway) forwardSession(w http.ResponseWriter, method, id, path string,
 		// The placed backend does not know the session. It may live elsewhere
 		// under an override this gateway no longer remembers; ask the fleet.
 		if owner, ok := g.probeSessionOwner(id, backend); ok {
-			if s2, d2, h2, err2 := g.doRetry(g.client, method, owner, path, body, "application/json", reqID); err2 == nil {
+			if s2, d2, h2, err2 := g.doRetry(g.client, method, owner, path, nil, "", reqID); err2 == nil {
 				relay(w, s2, h2, d2)
 				return
 			}
 		}
 	}
 	relay(w, status, hdr, data)
-}
-
-// forwardStateless delivers one stateless request, re-placing along the ring
-// chain as backends prove unreachable (doRetry marks them down). Stateless
-// assignments are pure reads of the shared snapshot, so redelivery anywhere
-// is always safe.
-func (g *Gateway) forwardStateless(w http.ResponseWriter, method, key, path string, body []byte, reqID string) {
-	tried := make(map[string]bool)
-	var lastErr error
-	for range g.backendList() {
-		b := g.placeStateless(key)
-		if b == "" || tried[b] {
-			break
-		}
-		tried[b] = true
-		status, data, hdr, err := g.doRetry(g.client, method, b, path, body, "application/json", reqID)
-		if err == nil {
-			relay(w, status, hdr, data)
-			return
-		}
-		lastErr = fmt.Errorf("backend %s: %w", b, err)
-		if _, transient := classifyTransient(err); !transient {
-			break
-		}
-	}
-	writeError(w, http.StatusBadGateway, codeBadGateway, "no backend could serve the request: %v", lastErr)
-}
-
-// forwardStatelessHedged races a hedge request against a slow primary: if
-// the placed backend has not answered within HedgeAfter, the same request
-// launches against the next up backend in the chain and the first answer
-// wins. Only stateless traffic hedges — it is idempotent by construction.
-func (g *Gateway) forwardStatelessHedged(w http.ResponseWriter, key, path string, body []byte, reqID string) {
-	first, second := g.statelessPair(key)
-	if first == "" || second == "" {
-		g.forwardStateless(w, http.MethodPost, key, path, body, reqID)
-		return
-	}
-	type hres struct {
-		backend string
-		status  int
-		data    []byte
-		hdr     http.Header
-		err     error
-	}
-	ch := make(chan hres, 2)
-	launch := func(b string) {
-		go func() {
-			status, data, hdr, err := g.doRetry(g.client, http.MethodPost, b, path, body, "application/json", reqID)
-			ch <- hres{b, status, data, hdr, err}
-		}()
-	}
-	launch(first)
-	launched := 1
-	timer := time.NewTimer(g.cfg.HedgeAfter)
-	defer timer.Stop()
-	failed := 0
-	for {
-		select {
-		case res := <-ch:
-			if res.err == nil {
-				relay(w, res.status, res.hdr, res.data)
-				return
-			}
-			if _, transient := classifyTransient(res.err); !transient {
-				writeError(w, http.StatusBadGateway, codeBadGateway, "backend %s: %v", res.backend, res.err)
-				return
-			}
-			failed++
-			if launched == 1 {
-				// The primary died before the hedge timer fired. Launch the
-				// second backend immediately — hedged mode must never be less
-				// available than the plain chain walk.
-				launch(second)
-				launched = 2
-				continue
-			}
-			if failed == launched {
-				// Both the primary and the hedge failed transiently; fall back
-				// to the chain walk over whatever is still up (doRetry marked
-				// the failures down, so placement skips them).
-				g.forwardStateless(w, http.MethodPost, key, path, body, reqID)
-				return
-			}
-		case <-timer.C:
-			if launched == 1 {
-				g.hedges.Add(1)
-				launch(second)
-				launched = 2
-			}
-		}
-	}
 }
 
 // ---- ring membership ----

@@ -167,9 +167,14 @@ func (s *Server) handleAssignBatchWire(w http.ResponseWriter, r *http.Request) {
 	for {
 		kind, payload, err := model.ReadFrame(br)
 		if err != nil {
-			// io.EOF without a closing 'E' is a truncated request.
+			// Only io.EOF without a closing 'E' is a truncated request; any
+			// other read error (an oversized frame, a stream cut mid-frame)
+			// explains itself.
 			s.metrics.assignErrors.Add(1)
-			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream ended without an end frame")
+			if err == io.EOF {
+				err = errors.New("batch stream ended without an end frame")
+			}
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 			return
 		}
 		if kind == model.FrameEnd {

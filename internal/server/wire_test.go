@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"testing"
@@ -256,6 +258,48 @@ func TestWireBatchUnknownModel(t *testing.T) {
 	var env errorResponse
 	if err := json.Unmarshal(data, &env); err != nil || env.Code != codeUnknownModel {
 		t.Fatalf("envelope %s, want code %q", data, codeUnknownModel)
+	}
+}
+
+// TestWireBatchReadErrors pins how a daemon reports a broken batch stream:
+// only a clean end before 'E' is a truncated request; any other read error
+// answers with its own text. All stay 400 bad_request.
+func TestWireBatchReadErrors(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 5)
+	s, ts := newTestServer(t, Config{})
+	if err := s.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *bytes.Buffer {
+		buf := wireStream(t)
+		appendFrame(t, buf, model.FrameBatchStart, model.AppendBatchStart(nil, "m"))
+		appendFrame(t, buf, model.FrameRows, model.AppendRows(nil, rows[:10]))
+		return buf
+	}
+	oversized := open()
+	oversized.WriteByte(model.FrameRows)
+	oversized.Write(binary.AppendUvarint(nil, model.MaxFramePayload+1))
+	cut := open()
+	cut.WriteByte(model.FrameRows)
+	cut.Write(binary.AppendUvarint(nil, 100))
+	cut.Write(make([]byte, 10))
+	for _, tc := range []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"oversized frame", oversized.Bytes(), fmt.Sprintf("model: frame payload of %d bytes exceeds the %d limit", model.MaxFramePayload+1, model.MaxFramePayload)},
+		{"cut mid-frame", cut.Bytes(), "model: read frame payload: unexpected EOF"},
+		{"no end frame", open().Bytes(), "batch stream ended without an end frame"},
+	} {
+		resp, data := postWire(t, ts.URL+"/v1/assign/batch", tc.body)
+		var env errorResponse
+		if err := json.Unmarshal(data, &env); err != nil || resp.StatusCode != http.StatusBadRequest || env.Code != codeBadRequest {
+			t.Fatalf("%s: %d %s, want 400 %s", tc.name, resp.StatusCode, data, codeBadRequest)
+		}
+		if env.Error != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, env.Error, tc.want)
+		}
 	}
 }
 
