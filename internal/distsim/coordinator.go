@@ -17,12 +17,6 @@ type Coordinator struct {
 	rows [][]int
 	card []int
 
-	// ProtoMin/ProtoMax override the advertised protocol-version range
-	// (0 → the build's ProtoMin/ProtoMax). Set before Start; tests use them
-	// to pin mixed-fleet handshakes.
-	ProtoMin int
-	ProtoMax int
-
 	listener net.Listener
 	queue    chan Shard
 	results  chan ShardStats
@@ -128,24 +122,14 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 	}()
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	cMin, cMax := c.protoRange()
-	// Proto carries the range's floor: a v2-only worker strict-compares it,
-	// so it accepts exactly when v2 is still inside the coordinator's range.
-	if err := enc.Encode(message{Kind: kindHello, Proto: cMin, ProtoMin: cMin, ProtoMax: cMax}); err != nil {
+	if err := enc.Encode(message{Kind: kindHello, Proto: ProtocolVersion}); err != nil {
 		return
 	}
 	var hello message
-	if err := dec.Decode(&hello); err != nil || hello.Kind != kindHello {
-		// An unversioned (v1) or broken worker build: drop the connection
-		// without handing it work.
-		return
-	}
-	wMin, wMax := helloRange(hello)
-	ver, err := negotiate(cMin, cMax, wMin, wMax)
-	if err != nil {
-		// Disjoint ranges: drop the worker before any shard reaches it. The
-		// worker derives the same verdict from our hello and reports the
-		// ranges on its side.
+	if err := dec.Decode(&hello); err != nil || hello.Kind != kindHello || hello.Proto != ProtocolVersion {
+		// An unversioned (v1), mismatched, or broken worker build: drop the
+		// connection before any shard reaches it. A mismatched worker reports
+		// both versions on its side.
 		return
 	}
 	sentCard := false
@@ -161,9 +145,9 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 			return
 		}
 		task := message{Kind: kindTask, ShardID: shard.ID}
-		if ver < 3 || !sentCard {
-			// v3 trims repeat tasks: the schema rides only the connection's
-			// first frame and the worker caches it.
+		if !sentCard {
+			// The schema rides only the connection's first task; the worker
+			// caches it.
 			task.Cardinalities = c.card
 			sentCard = true
 		}
@@ -187,15 +171,6 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 			return
 		}
 	}
-}
-
-// protoRange resolves the advertised version range (test overrides or the
-// build's defaults).
-func (c *Coordinator) protoRange() (int, int) {
-	if c.ProtoMax != 0 {
-		return c.ProtoMin, c.ProtoMax
-	}
-	return ProtoMin, ProtoMax
 }
 
 func (c *Coordinator) requeue(s Shard) {

@@ -1,71 +1,23 @@
 package distsim
 
-import (
-	"fmt"
-
-	"mcdc/internal/similarity"
-)
+import "mcdc/internal/similarity"
 
 // Wire protocol between the coordinator and its workers. Every frame is one
 // gob-encoded message; Kind discriminates the payload. A connection opens
-// with a version handshake: each side's hello advertises the closed range
-// [ProtoMin, ProtoMax] of protocol versions it speaks, and both sides settle
-// independently on the highest version common to the two ranges. Mixed
-// fleets therefore interoperate across a rolling upgrade — a v2-only worker
-// and a v2–v3 coordinator run the job at v2 — and only genuinely disjoint
-// ranges fail, fast and by name, instead of a decode panic (or silently
+// with a version handshake: each side's hello carries its ProtocolVersion
+// and each side requires an exact match, so a peer built for another version
+// fails fast and by name instead of with a decode panic (or silently
 // mis-interpreted statistics) mid-job.
 //
 // Version history:
 //
 //	v1  handshake-less; such a peer fails the handshake with an
 //	    "unversioned build" error rather than a gob mismatch.
-//	v2  the hello handshake (single-version, Proto field).
+//	v2  the hello handshake.
 //	v3  per-connection cardinality caching: the coordinator sends
 //	    Cardinalities on the first task only and the worker reuses them,
 //	    trimming every subsequent task frame.
-const (
-	ProtoMin = 2
-	ProtoMax = 3
-)
-
-// ProtocolVersion is the compatibility version put in the hello's legacy
-// Proto field. v2-only builds compare it with strict equality, so it must
-// stay ProtoMin for as long as v2 is in the supported range.
-const ProtocolVersion = ProtoMin
-
-// helloRange reads a peer's advertised range. A v2-only build predates the
-// range fields and sends only Proto — its range is the single version.
-func helloRange(h message) (lo, hi int) {
-	if h.ProtoMax == 0 {
-		return h.Proto, h.Proto
-	}
-	return h.ProtoMin, h.ProtoMax
-}
-
-// negotiate settles two ranges on their highest common version, or reports
-// the incompatibility naming both ranges.
-func negotiate(aMin, aMax, bMin, bMax int) (int, error) {
-	v := aMax
-	if bMax < v {
-		v = bMax
-	}
-	lo := aMin
-	if bMin > lo {
-		lo = bMin
-	}
-	if v < lo {
-		return 0, fmt.Errorf("no common protocol version between %s and %s", rangeString(aMin, aMax), rangeString(bMin, bMax))
-	}
-	return v, nil
-}
-
-func rangeString(lo, hi int) string {
-	if lo == hi {
-		return fmt.Sprintf("v%d", lo)
-	}
-	return fmt.Sprintf("v%d–v%d", lo, hi)
-}
+const ProtocolVersion = 3
 
 // messageKind discriminates protocol frames.
 type messageKind int
@@ -85,19 +37,11 @@ const (
 type message struct {
 	Kind messageKind
 
-	// Proto is the legacy single-version field (hello frames only): the
-	// compatibility version for v2-only peers, which check it with strict
-	// equality. Range-aware builds read ProtoMin/ProtoMax instead.
+	// Proto is the sender's protocol version (hello frames only).
 	Proto int
-	// ProtoMin and ProtoMax advertise the sender's supported version range
-	// (hello frames only). Zero ProtoMax marks a pre-range (v2-only) peer;
-	// gob omits zero fields, so old and new builds decode each other.
-	ProtoMin int
-	ProtoMax int
 
 	// Task fields (coordinator → worker). Cardinalities is nil on follow-up
-	// tasks when the negotiated version is ≥ 3 (the worker caches them from
-	// the connection's first task).
+	// tasks (the worker caches them from the connection's first task).
 	ShardID       int
 	Rows          [][]int
 	Cardinalities []int

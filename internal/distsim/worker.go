@@ -2,6 +2,7 @@ package distsim
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 )
@@ -12,19 +13,6 @@ type Worker struct {
 	// processing that many shards — used by tests to exercise the
 	// coordinator's failure-recovery path.
 	MaxShards int
-
-	// ProtoMin/ProtoMax override the advertised protocol-version range
-	// (0 → the build's ProtoMin/ProtoMax); tests use them to pin
-	// mixed-fleet handshakes.
-	ProtoMin int
-	ProtoMax int
-}
-
-func (w *Worker) protoRange() (int, int) {
-	if w.ProtoMax != 0 {
-		return w.ProtoMin, w.ProtoMax
-	}
-	return ProtoMin, ProtoMax
 }
 
 // Run connects to the coordinator at addr and processes tasks until the
@@ -37,9 +25,8 @@ func (w *Worker) Run(addr string) (int, error) {
 	defer conn.Close()
 	enc := gob.NewEncoder(conn)
 	dec := gob.NewDecoder(conn)
-	// Version handshake: the coordinator speaks first; both sides settle on
-	// the highest version their advertised ranges share before any shard
-	// moves.
+	// Version handshake: the coordinator speaks first, and both sides must
+	// speak the same version before any shard moves.
 	var hello message
 	if err := dec.Decode(&hello); err != nil {
 		return 0, fmt.Errorf("distsim: handshake: %w", err)
@@ -47,19 +34,14 @@ func (w *Worker) Run(addr string) (int, error) {
 	if hello.Kind != kindHello {
 		return 0, fmt.Errorf("distsim: coordinator opened with frame kind %d, not a version handshake (unversioned v1 build?)", hello.Kind)
 	}
-	wMin, wMax := w.protoRange()
-	cMin, cMax := helloRange(hello)
-	ver, err := negotiate(cMin, cMax, wMin, wMax)
-	if err != nil {
-		return 0, fmt.Errorf("distsim: protocol version mismatch: coordinator speaks %s, this worker speaks %s — rebuild one side so the ranges overlap", rangeString(cMin, cMax), rangeString(wMin, wMax))
+	if hello.Proto != ProtocolVersion {
+		return 0, fmt.Errorf("distsim: protocol version mismatch: coordinator speaks v%d, this worker speaks v%d — rebuild one side", hello.Proto, ProtocolVersion)
 	}
-	// Proto carries the settled version so a v2-only coordinator (which
-	// strict-compares it) accepts exactly when the settlement is v2.
-	if err := enc.Encode(message{Kind: kindHello, Proto: ver, ProtoMin: wMin, ProtoMax: wMax}); err != nil {
+	if err := enc.Encode(message{Kind: kindHello, Proto: ProtocolVersion}); err != nil {
 		return 0, fmt.Errorf("distsim: handshake reply: %w", err)
 	}
 	processed := 0
-	var card []int // schema cache; v3 coordinators send it on the first task only
+	var card []int // schema cache; the coordinator sends it on the first task only
 	for {
 		var task message
 		if err := dec.Decode(&task); err != nil {
@@ -73,7 +55,7 @@ func (w *Worker) Run(addr string) (int, error) {
 				card = task.Cardinalities
 			}
 			if card == nil {
-				return processed, fmt.Errorf("distsim: v%d task frame arrived before any cardinalities", ver)
+				return processed, errors.New("distsim: task frame arrived before any cardinalities")
 			}
 			stats := computeStats(task.ShardID, task.Rows, card)
 			if err := enc.Encode(message{Kind: kindResult, Stats: stats}); err != nil {

@@ -37,8 +37,11 @@ import (
 // re-train or convert with a build that speaks both versions.
 //
 // History: v1 — initial envelope; v2 — StreamState gained the ownership
-// epoch (replica-promotion fencing) and the idempotent-replay cache.
-const FormatVersion = 2
+// epoch (replica-promotion fencing) and the idempotent-replay cache; v3 —
+// StreamState.RandSeed became the stream's fixed seed, from which every
+// re-learning derives its random stream, so a v2 checkpoint would resume on
+// a different stream.
+const FormatVersion = 3
 
 // magic identifies MCDC snapshot files; it is followed by a kind byte and
 // the format version byte.

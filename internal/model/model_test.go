@@ -133,15 +133,18 @@ func TestLoadRejectsGarbageAndVersions(t *testing.T) {
 		t.Fatal("wrong kind accepted")
 	}
 
-	// A pre-epoch checkpoint (format version 1, before OwnerEpoch and the
-	// replay cache) must be refused with a VersionError, never handed to gob.
-	bad = append([]byte(nil), raw...)
-	bad[len(magic)+1] = 1
-	verr = nil
-	if _, err := Load(bytes.NewReader(bad)); !errors.As(err, &verr) {
-		t.Fatalf("v1 snapshot: got %v, want *VersionError", err)
-	} else if verr.Got != 1 || verr.Want != FormatVersion {
-		t.Fatalf("v1 version error carries %+v", verr)
+	// Older formats must be refused with a VersionError, never handed to
+	// gob: v1 predates OwnerEpoch and the replay cache, and a v2 stream
+	// checkpoint's RandSeed would resume on a different random stream.
+	for _, old := range []byte{1, 2} {
+		bad = append([]byte(nil), raw...)
+		bad[len(magic)+1] = old
+		verr = nil
+		if _, err := Load(bytes.NewReader(bad)); !errors.As(err, &verr) {
+			t.Fatalf("v%d snapshot: got %v, want *VersionError", old, err)
+		} else if verr.Got != int(old) || verr.Want != FormatVersion {
+			t.Fatalf("v%d version error carries %+v", old, verr)
+		}
 	}
 }
 

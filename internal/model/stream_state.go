@@ -13,11 +13,6 @@ import (
 // drift/refresh counters, and the current model tables. Restoring it resumes
 // the stream exactly where it left off — the warm window survives a restart
 // instead of being re-absorbed into a provisional single cluster.
-//
-// Determinism: Snapshot rotates the clusterer's random stream onto a fresh
-// sub-seed recorded in RandSeed, so the snapshotted original and any restore
-// continue on identical random streams — subsequent assignments (including
-// across re-learnings) are bit-for-bit identical between them.
 type StreamState struct {
 	// Cardinalities fixes the stream's feature schema.
 	Cardinalities []int
@@ -29,7 +24,7 @@ type StreamState struct {
 	DriftFraction  float64
 
 	// MGCPL configuration (the numeric knobs of core.MGCPLConfig; the random
-	// source is reconstructed from RandSeed).
+	// streams derive from RandSeed).
 	LearningRate   float64
 	InitialK       int
 	MaxInnerIters  int
@@ -54,7 +49,9 @@ type StreamState struct {
 	// first re-learning.
 	Tables *similarity.TableState
 
-	// RandSeed seeds the random stream both sides continue on.
+	// RandSeed is the stream's fixed seed (format version 3): the
+	// re-learning that produces epoch e+1 seeds its random stream from
+	// (RandSeed, e), so a restore continues on the original's stream.
 	RandSeed int64
 
 	// OwnerEpoch is the session's ownership fencing token (format version 2).

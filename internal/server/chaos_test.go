@@ -26,7 +26,8 @@ import (
 // specific way without owning its process, and the suite runs under -race.
 
 // chaosFleet boots a replicated 3-backend fleet fronted by a gateway whose
-// transport is fault-injectable, plus a solo replicated reference daemon.
+// transport is fault-injectable, plus a solo in-memory reference daemon that
+// never checkpoints.
 func chaosFleet(t *testing.T) (*testenv.FaultRoundTripper, *Gateway, string, []*Server, []string, string) {
 	t.Helper()
 	frt := testenv.NewFaultRoundTripper(nil)
@@ -44,7 +45,7 @@ func chaosFleet(t *testing.T) (*testenv.FaultRoundTripper, *Gateway, string, []*
 			t.Fatal(err)
 		}
 	}
-	solo, soloTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	solo, soloTS := newTestServer(t, Config{})
 	if err := solo.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +360,7 @@ func TestAdoptReplacesStaleResident(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 77)
 	a, ats := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
 	b, bts := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
-	solo, soloTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	solo, soloTS := newTestServer(t, Config{})
 	for _, s := range []*Server{a, b, solo} {
 		if err := s.AddModel("m", snap); err != nil {
 			t.Fatal(err)
@@ -438,8 +439,9 @@ func TestAdoptReplacesStaleResident(t *testing.T) {
 // replication layer itself, no gateway involved: a session is cut at a
 // seeded-random request index by promoting its replica on the standby, the
 // stream resumes there, and the tail is bit-identical to an uninterrupted
-// run — at Workers 1, 2, and GOMAXPROCS (the WithParallelism determinism
-// contract extends through checkpoint shipping and promotion).
+// in-memory run that never checkpoints — at Workers 1, 2, and GOMAXPROCS
+// (the WithParallelism determinism contract extends through checkpoint
+// shipping and promotion).
 func TestReplicaPromotionBitIdenticalTail(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 73)
 	total := 80
@@ -459,7 +461,7 @@ func TestReplicaPromotionBitIdenticalTail(t *testing.T) {
 			sAddr := strings.TrimPrefix(sts.URL, "http://")
 			primary.ConfigureReplication(pAddr, []string{pAddr, sAddr}, "")
 			standby.ConfigureReplication(sAddr, []string{pAddr, sAddr}, "")
-			solo, soloTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir(), Workers: workers})
+			solo, soloTS := newTestServer(t, Config{Workers: workers})
 			for _, s := range []*Server{primary, standby, solo} {
 				if err := s.AddModel("m", snap); err != nil {
 					t.Fatal(err)

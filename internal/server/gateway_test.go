@@ -253,7 +253,7 @@ func TestGatewayBroadcastAndAggregation(t *testing.T) {
 // property: in a replicated fleet, killing a session's owner mid-stream
 // loses nothing — the gateway promotes the replica, reroutes, and the
 // session's full answer stream is byte-identical to an uninterrupted
-// single-daemon run with the same checkpoint cadence. The fleet also reports
+// in-memory daemon that never checkpoints. The fleet also reports
 // "degraded" (not "down", not 503) while the dead backend is covered.
 func TestGatewaySessionFailoverByteIdentical(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 61)
@@ -264,10 +264,8 @@ func TestGatewaySessionFailoverByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The reference run: one daemon, replicate mode (same per-assignment
-	// checkpoint cadence — checkpointing rotates the session's random
-	// stream, so cadence is part of the deterministic contract), no peers.
-	solo, soloTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	// The reference run: one in-memory daemon that never checkpoints.
+	solo, soloTS := newTestServer(t, Config{})
 	if err := solo.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +337,7 @@ func TestGatewayRingLeaveJoinMigratesSessions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	solo, soloTS := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	solo, soloTS := newTestServer(t, Config{})
 	if err := solo.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}

@@ -24,19 +24,16 @@ import (
 // every session and a dead backend's sessions can be promoted elsewhere
 // without losing a single admitted request.
 //
-// The ordering invariant that makes failover byte-identical is
+// The ordering invariant that makes failover lossless is
 // checkpoint-before-respond: an assignment's response is not written until
 // its post-apply checkpoint is durable locally and shipped (best-effort) to
-// the successor. Because stream.Clusterer.Snapshot rotates the session's
-// random stream, checkpoint cadence is part of the deterministic contract —
-// a replicated daemon therefore checkpoints after *every* assignment, which
-// means the replica always resumes from the exact rotation state that
-// produced the last delivered response. The reference run a failover is
-// compared against must also run replicated (a solo daemon with -replicate
-// performs the same rotations without shipping anywhere).
+// the successor, so the replica always holds the state that produced the
+// last delivered response. A checkpoint has no effect on the session's
+// answers, so the promoted replica continues exactly as the owner would
+// have, and as a daemon that never checkpoints does.
 //
 // Zombie fencing: checkpoints carry an ownership epoch (model.StreamState,
-// format v2). Promotion bumps the epoch; a replica receiver rejects any
+// format v2 onward). Promotion bumps the epoch; a replica receiver rejects any
 // shipped checkpoint whose epoch is lower than what it already holds, so a
 // partitioned old primary cannot overwrite the promoted state.
 
@@ -390,11 +387,6 @@ func (s *Server) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 // session is already resident here at the same or a newer epoch, the current
 // epoch is returned; a stale resident copy (this daemon rejoined with an old
 // state dir after losing the session) is replaced by the newer replica.
-//
-// No new snapshot is taken during promotion: the replica's StreamState is
-// re-encoded with only the epoch changed, so the promoted session resumes on
-// exactly the rotation state that produced the owner's last response —
-// byte-identity across failover follows.
 func (s *Server) handlePromoteSession(w http.ResponseWriter, r *http.Request) {
 	if !s.checkFleetSecret(w, r) {
 		return
@@ -419,9 +411,9 @@ func (s *Server) handlePromoteSession(w http.ResponseWriter, r *http.Request) {
 
 // handleAdoptSession installs a migrated session from checkpoint bytes in
 // the request body — the ring join/leave migration path. Like promotion it
-// bumps the ownership epoch (fencing the previous owner), never takes a
-// fresh snapshot, and replaces a stale resident copy while keeping a
-// resident copy that is already at the same or a newer epoch.
+// bumps the ownership epoch (fencing the previous owner) and replaces a
+// stale resident copy while keeping a resident copy that is already at the
+// same or a newer epoch.
 func (s *Server) handleAdoptSession(w http.ResponseWriter, r *http.Request) {
 	if !s.checkFleetSecret(w, r) {
 		return
@@ -454,10 +446,7 @@ func (s *Server) handleAdoptSession(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSessionCheckpoint serves a session's current checkpoint bytes — the
-// migration source. In replicated mode the on-disk file is already current
-// after every assignment, and serving it as-is (instead of snapshotting
-// again) avoids a random-stream rotation that would break byte-identity
-// across the migration. Without replication the session is flushed first.
+// migration source. A session with unsaved state is flushed first.
 func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !s.checkFleetSecret(w, r) {
 		return

@@ -82,17 +82,14 @@ type Config struct {
 	StateDir string
 	// CheckpointEvery is the periodic session-checkpoint interval when
 	// StateDir is set (0 = checkpoint only on demand, eviction, and
-	// shutdown). Each checkpoint rotates the session's random stream (see
-	// stream.Clusterer.Snapshot), which never perturbs the live session's
-	// subsequent output relative to a restore of that checkpoint.
+	// shutdown). Each flush writes only sessions with unsaved state. A
+	// checkpoint never changes a session's answers.
 	CheckpointEvery time.Duration
 	// Replicate enables fleet replication (requires StateDir): every session
 	// assignment checkpoints before its response is written, and — once
 	// ConfigureReplication names the fleet — the checkpoint bytes ship to the
 	// session's ring successor so a warm standby can be promoted if this
-	// daemon dies. Checkpointing per assignment makes the random-stream
-	// rotation cadence deterministic, which is what keeps failover (and any
-	// reference run, which must also set Replicate) byte-identical.
+	// daemon dies without losing an answered assignment.
 	Replicate bool
 	// SessionTTL evicts streaming sessions idle longer than this (0 = never).
 	// With StateDir the eviction spills the session to disk and the next
@@ -221,8 +218,8 @@ func (s *Server) Close() {
 	})
 }
 
-// CheckpointSessions writes a checkpoint of every live session and returns
-// how many were written (0 without a StateDir).
+// CheckpointSessions writes a checkpoint of every live session with unsaved
+// state and returns how many were written (0 without a StateDir).
 func (s *Server) CheckpointSessions() int { return s.sessions.checkpointAll() }
 
 // SweepSessions evicts sessions idle longer than ttl (see Config.SessionTTL)
@@ -711,9 +708,9 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleCheckpoint flushes every session checkpoint on demand — the lever a
-// deployment (or the CI resume test) pulls to pin a durable cut point
-// without waiting for the periodic sweep or a shutdown.
+// handleCheckpoint checkpoints every session with unsaved state on demand —
+// the lever a deployment pulls to pin a durable cut point without waiting
+// for the periodic sweep or a shutdown.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.StateDir == "" {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "daemon runs without -state-dir; nothing to checkpoint to")

@@ -46,10 +46,8 @@ type session struct {
 	// pool (which pages a checkpointed session back in) instead of mutating
 	// an orphan whose state would silently vanish.
 	gone bool // guarded by mu
-	// dirty marks state not yet checkpointed. In replicated mode (where every
-	// assignment checkpoints before responding) a clean session is skipped by
-	// the periodic/shutdown flush — re-snapshotting it would rotate its random
-	// stream off the replicated reference trajectory.
+	// dirty marks state not yet checkpointed; flushes and evictions skip
+	// clean sessions, whose checkpoint file is already current.
 	dirty bool // guarded by mu
 
 	// Replication state (guarded by mu, persisted in the checkpoint):
@@ -89,7 +87,7 @@ type sessionPool struct {
 
 	evicted      atomic.Int64 // sessions evicted by the TTL sweeper
 	restored     atomic.Int64 // sessions paged in from checkpoints
-	checkpoints  atomic.Int64 // checkpoint files written
+	checkpoints  atomic.Int64 // checkpoint files written (every saveLocked)
 	lowSimRetire atomic.Int64 // drift counts of evicted/deleted sessions
 
 	shipped      atomic.Int64 // checkpoints shipped to a replica holder
@@ -223,10 +221,10 @@ func (p *sessionPool) create(id string, cardinalities []int, window int, seed in
 			return fmt.Errorf("server: session %q already exists (checkpointed on disk)", id)
 		}
 	}
-	s := &session{c: c, lastUse: time.Now()}
+	s := &session{c: c, lastUse: time.Now(), dirty: true}
 	sh.m[id] = s
 	sh.mu.Unlock()
-	if p.replicate && p.dir != "" {
+	if p.replicate {
 		// Checkpoint (and ship) the newborn session immediately, so a replica
 		// exists before the first assignment and a create survives an owner
 		// loss with zero arrivals.
@@ -351,7 +349,7 @@ func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold fl
 	s.lastRow = append(s.lastRow[:0], row...)
 	s.lastA = a
 	s.dirty = true
-	if p.replicate && p.dir != "" {
+	if p.replicate {
 		// Checkpoint-before-respond. A local write failure is fatal for the
 		// request: answering without a durable checkpoint would let a later
 		// failover replay this row and diverge.
@@ -363,9 +361,7 @@ func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold fl
 }
 
 // stateLocked snapshots a session into its persistable StreamState,
-// stamping the replication fields; the caller holds s.mu. Note Snapshot
-// rotates the session's random stream — in replicated mode this runs once
-// per assignment, making the rotation cadence itself deterministic.
+// stamping the replication fields; the caller holds s.mu.
 func (p *sessionPool) stateLocked(s *session) *model.StreamState {
 	st := s.c.Snapshot()
 	st.OwnerEpoch = s.ownerEpoch
@@ -395,6 +391,7 @@ func (p *sessionPool) saveLocked(id string, s *session) error {
 		return err
 	}
 	s.dirty = false
+	p.checkpoints.Add(1)
 	if p.ckpt != nil {
 		p.ckpt.observe(time.Since(started))
 	}
@@ -409,9 +406,9 @@ func (p *sessionPool) saveLocked(id string, s *session) error {
 	return nil
 }
 
-// checkpointAll flushes every live session to disk and returns how many
-// checkpoints were written. It is the periodic sweep, the graceful-shutdown
-// flush, and the POST /checkpoint handler.
+// checkpointAll flushes every live session with unsaved state to disk and
+// returns how many checkpoints were written. It is the periodic sweep, the
+// graceful-shutdown flush, and the POST /checkpoint handler.
 func (p *sessionPool) checkpointAll() int {
 	if p.dir == "" {
 		return 0
@@ -428,10 +425,7 @@ func (p *sessionPool) checkpointAll() int {
 		sh.mu.RUnlock()
 		for i, s := range ss {
 			s.mu.Lock()
-			// In replicated mode every assignment already checkpointed, so a
-			// clean session is skipped: re-snapshotting would rotate its
-			// random stream off the replicated reference trajectory.
-			if !s.gone && !(p.replicate && !s.dirty) {
+			if !s.gone && s.dirty {
 				if err := p.saveLocked(ids[i], s); err != nil {
 					p.log.Warn("session checkpoint failed", "session", ids[i], "err", err)
 				} else {
@@ -441,7 +435,6 @@ func (p *sessionPool) checkpointAll() int {
 			s.mu.Unlock()
 		}
 	}
-	p.checkpoints.Add(int64(n))
 	return n
 }
 
@@ -473,7 +466,7 @@ func (p *sessionPool) sweep(ttl time.Duration) int {
 				s.mu.Unlock()
 				continue
 			}
-			if p.dir != "" && !(p.replicate && !s.dirty) {
+			if p.dir != "" && s.dirty {
 				if err := p.saveLocked(ids[i], s); err != nil {
 					p.log.Warn("eviction checkpoint failed; keeping session in memory", "session", ids[i], "err", err)
 					s.mu.Unlock()
@@ -571,18 +564,14 @@ func (p *sessionPool) residentEpoch(id string) (int64, bool) {
 }
 
 // checkpointBytes returns the session's current checkpoint file contents —
-// the migration source. In replicated mode the file is already current after
-// every assignment and is served as-is (a fresh snapshot would rotate the
-// random stream and break byte-identity across the migration); otherwise the
-// session is flushed first.
+// the migration source. A session with unsaved state is flushed first.
 func (p *sessionPool) checkpointBytes(id string) ([]byte, error) {
 	if p.dir == "" {
 		return nil, fmt.Errorf("server: no state dir; sessions are not persistable")
 	}
-	s, ok := p.get(id)
-	if ok && !p.replicate {
+	if s, ok := p.get(id); ok {
 		s.mu.Lock()
-		if !s.gone {
+		if !s.gone && s.dirty {
 			if err := p.saveLocked(id, s); err != nil {
 				s.mu.Unlock()
 				return nil, err
@@ -598,10 +587,7 @@ func (p *sessionPool) checkpointBytes(id string) ([]byte, error) {
 
 // promote turns this pool's replica of id into the live, owned session with
 // a bumped ownership epoch. Idempotent when the session is already resident
-// at the same or a newer epoch. No new snapshot is taken — the replica's
-// StreamState is re-encoded with only the epoch changed, so the promoted
-// session resumes on exactly the rotation state that produced the previous
-// owner's last response.
+// at the same or a newer epoch.
 func (p *sessionPool) promote(id string) (int64, error) {
 	var data []byte
 	if p.replicas != nil {
@@ -643,7 +629,8 @@ func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
 
 // install decodes checkpoint bytes, optionally bumps the ownership epoch,
 // persists the state, and registers the live session. The persisted bytes
-// are the incoming state re-encoded (never re-snapshotted).
+// are the decoded state re-encoded under the shard lock; the replica ship
+// then re-reads the file outside it.
 //
 // Installation is epoch-fenced in both directions: a resident copy — live in
 // memory or checkpointed on disk — whose ownership epoch is at or above the

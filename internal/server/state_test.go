@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,14 +41,10 @@ func createSession(t *testing.T, url, id string, window int, seed int64) {
 
 // TestCheckpointRestartResumesBitIdentical is the durability acceptance
 // property: a daemon killed after flushing its sessions and restarted from
-// -state-dir continues every stream bit-for-bit with an uninterrupted run.
-//
-// Checkpointing rotates the session's random stream (see stream.Snapshot),
-// so the uninterrupted reference performs an explicit checkpoint at the same
-// stream position the killed daemon flushed at — exactly the cut-point
-// parity a deployment gets from its periodic checkpoint cadence. The tail
-// covers several re-learnings (window 40, 140 tail rows), so the property
-// holds across model refreshes, not just between them.
+// -state-dir continues every stream bit-for-bit with an uninterrupted
+// in-memory daemon that never checkpoints. The tail covers several
+// re-learnings (window 40, 140 tail rows), so the property holds across
+// model refreshes, not just between them.
 func TestCheckpointRestartResumesBitIdentical(t *testing.T) {
 	snap, rows, _ := trainModel(t, 300, 6, 3, 23)
 	const cut, total, window = 60, 200, 40
@@ -61,11 +58,8 @@ func TestCheckpointRestartResumesBitIdentical(t *testing.T) {
 		return s, ts
 	}
 
-	// Uninterrupted reference: checkpoint at the cut, keep feeding.
-	refDir := t.TempDir()
-	refSrv, refTS := run(refDir)
-	defer refTS.Close()
-	defer refSrv.Close()
+	// Uninterrupted reference: in memory, never checkpoints.
+	refSrv, refTS := newTestServer(t, Config{})
 	if err := refSrv.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}
@@ -73,15 +67,11 @@ func TestCheckpointRestartResumesBitIdentical(t *testing.T) {
 	createSession(t, refTS.URL, "beta", window, 11)
 	feedSession(t, refTS.URL, "alpha", rows, 0, cut)
 	feedSession(t, refTS.URL, "beta", rows, 0, cut)
-	resp, data := post(t, refTS.URL+"/checkpoint", nil)
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"checkpointed":2`) {
-		t.Fatalf("checkpoint: %d %s", resp.StatusCode, data)
-	}
 	refTailA := feedSession(t, refTS.URL, "alpha", rows, cut, total)
 	refTailB := feedSession(t, refTS.URL, "beta", rows, cut, total)
 
-	// Killed run: same prefix, graceful shutdown (flushes the same cut), a
-	// fresh daemon restores from the state dir and serves the tail.
+	// Killed run: same prefix, graceful shutdown (flushes the cut), a fresh
+	// daemon restores from the state dir and serves the tail.
 	killDir := t.TempDir()
 	srv1, ts1 := run(killDir)
 	if err := srv1.AddModel("m", snap); err != nil {
@@ -254,55 +244,70 @@ func TestSessionTTLBoundsPool(t *testing.T) {
 	feedSession(t, ts.URL, "s000", rows, 4, 6)
 }
 
-// TestEvictionSpillsAndPagesBackIn pins the durable-pool eviction contract:
-// an idle session spills to disk, a later touch pages it back in, and the
-// combined stream is bit-identical to one that was never evicted.
+// TestEvictionSpillsAndPagesBackIn pins the durable-pool eviction contract
+// and that a checkpoint has no observable effect: a session evicted after
+// every 7 arrivals spills to disk, pages back in on the next touch, and
+// answers byte-identically to an in-memory daemon that never checkpoints —
+// with and without Replicate, at Workers 1, 2 and GOMAXPROCS. Every
+// checkpoint write is counted, whichever path made it: evictions of the
+// dirty session in a plain pool, create and every assignment in a
+// replicated one (whose evictions find the session clean).
 func TestEvictionSpillsAndPagesBackIn(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 41)
-	const cut, total, window = 50, 130, 40
+	const total, window, every = 130, 40, 7
+	for _, replicate := range []bool{false, true} {
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			t.Run(fmt.Sprintf("replicate=%v/workers=%d", replicate, workers), func(t *testing.T) {
+				ref, refTS := newTestServer(t, Config{Workers: workers})
+				ev, evTS := newTestServer(t, Config{StateDir: t.TempDir(), Replicate: replicate, Workers: workers})
+				for _, s := range []*Server{ref, ev} {
+					if err := s.AddModel("m", snap); err != nil {
+						t.Fatal(err)
+					}
+				}
+				createSession(t, refTS.URL, "s", window, 13)
+				createSession(t, evTS.URL, "s", window, 13)
+				want := feedSession(t, refTS.URL, "s", rows, 0, total)
 
-	run := func(dir string) (*Server, *httptest.Server) {
-		s, err := New(Config{StateDir: dir, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
+				var got []string
+				evictions := int64(0)
+				for from := 0; from < total; from += every {
+					got = append(got, feedSession(t, evTS.URL, "s", rows, from, min(from+every, total))...)
+					time.Sleep(2 * time.Millisecond)
+					if n := ev.SweepSessions(time.Millisecond); n != 1 {
+						t.Fatalf("sweep after arrival %d evicted %d, want 1", len(got), n)
+					}
+					if n := ev.sessions.count(); n != 0 {
+						t.Fatalf("session still resident after eviction: count=%d", n)
+					}
+					evictions++
+				}
+				if n := ev.sessions.restored.Load(); n != evictions-1 {
+					t.Fatalf("restored counter = %d, want %d (one page-in per eviction but the last)", n, evictions-1)
+				}
+				differ := 0
+				for i := range want {
+					if got[i] != want[i] {
+						differ++
+					}
+				}
+				if differ > 0 {
+					t.Errorf("%d of %d answers differ from the in-memory reference", differ, total)
+				}
+
+				body := scrape(t, evTS.URL)
+				wantCkpts := evictions
+				if replicate {
+					wantCkpts = 1 + total
+				}
+				if n := seriesValue(t, body, "mcdcd_session_checkpoints_total"); n != wantCkpts {
+					t.Errorf("mcdcd_session_checkpoints_total = %d, want %d", n, wantCkpts)
+				}
+				if n := seriesValue(t, body, `mcdcd_stage_duration_seconds_count{stage="checkpoint"}`); n != wantCkpts {
+					t.Errorf("checkpoint stage count = %d, want %d", n, wantCkpts)
+				}
+			})
 		}
-		ts := httptest.NewServer(s.Handler())
-		t.Cleanup(func() { ts.Close(); s.Close() })
-		return s, ts
-	}
-
-	// Reference: checkpoint (= the rotation the eviction performs) at the
-	// cut, no eviction.
-	refSrv, refTS := run(t.TempDir())
-	if err := refSrv.AddModel("m", snap); err != nil {
-		t.Fatal(err)
-	}
-	createSession(t, refTS.URL, "s", window, 13)
-	feedSession(t, refTS.URL, "s", rows, 0, cut)
-	refSrv.CheckpointSessions()
-	refTail := feedSession(t, refTS.URL, "s", rows, cut, total)
-
-	// Evicted: same prefix, sweep with zero-tolerance TTL, then keep going —
-	// the first post-eviction assign pages the session back in.
-	evSrv, evTS := run(t.TempDir())
-	if err := evSrv.AddModel("m", snap); err != nil {
-		t.Fatal(err)
-	}
-	createSession(t, evTS.URL, "s", window, 13)
-	feedSession(t, evTS.URL, "s", rows, 0, cut)
-	time.Sleep(2 * time.Millisecond)
-	if n := evSrv.SweepSessions(time.Millisecond); n != 1 {
-		t.Fatalf("sweep evicted %d, want 1", n)
-	}
-	if got := evSrv.sessions.count(); got != 0 {
-		t.Fatalf("session still resident after eviction: count=%d", got)
-	}
-	tail := feedSession(t, evTS.URL, "s", rows, cut, total)
-	if evSrv.sessions.restored.Load() != 1 {
-		t.Fatalf("restored counter = %d, want 1 (page-in)", evSrv.sessions.restored.Load())
-	}
-	if !reflect.DeepEqual(tail, refTail) {
-		t.Error("evict + page-in diverged from the uninterrupted stream")
 	}
 }
 

@@ -33,7 +33,8 @@ type Config struct {
 	// re-learning (default 0.3).
 	DriftThreshold float64
 	DriftFraction  float64
-	// MGCPL configures the underlying analysis; its Rand is required.
+	// MGCPL configures the underlying analysis. Its Rand is required:
+	// NewClusterer draws the clusterer's seed from it once.
 	MGCPL core.MGCPLConfig
 }
 
@@ -44,10 +45,13 @@ type Assignment struct {
 	ModelEpoch int     // increments every time the model is re-learned
 }
 
+var errNoCardinalities = errors.New("stream: cardinalities required")
+
 // Clusterer is an online multi-granular clusterer over a categorical stream.
 // It is not safe for concurrent use; wrap it if multiple goroutines feed it.
 type Clusterer struct {
 	cfg    Config
+	seed   int64   // fixed at construction; see relearnRand
 	window [][]int // ring buffer of recent objects
 	next   int     // ring cursor
 
@@ -64,11 +68,18 @@ type Clusterer struct {
 // until the first re-learning happens.
 func NewClusterer(cfg Config) (*Clusterer, error) {
 	if len(cfg.Cardinalities) == 0 {
-		return nil, errors.New("stream: cardinalities required")
+		return nil, errNoCardinalities
 	}
 	if cfg.MGCPL.Rand == nil {
 		return nil, core.ErrNoRand
 	}
+	return newClusterer(cfg, cfg.MGCPL.Rand.Int63()), nil
+}
+
+// newClusterer applies the defaults and fixes the seed every re-learning
+// derives its random stream from.
+func newClusterer(cfg Config, seed int64) *Clusterer {
+	cfg.MGCPL.Rand = nil // each re-learning builds its own; see relearnRand
 	if cfg.WindowSize <= 0 {
 		cfg.WindowSize = 1000
 	}
@@ -81,7 +92,7 @@ func NewClusterer(cfg Config) (*Clusterer, error) {
 	if cfg.DriftFraction <= 0 {
 		cfg.DriftFraction = 0.3
 	}
-	return &Clusterer{cfg: cfg, window: make([][]int, 0, cfg.WindowSize)}, nil
+	return &Clusterer{cfg: cfg, seed: seed, window: make([][]int, 0, cfg.WindowSize)}
 }
 
 // Kappa returns the granularity series of the current model (nil before the
@@ -159,18 +170,11 @@ func (c *Clusterer) Add(row []int) (Assignment, error) {
 }
 
 // Snapshot checkpoints the clusterer into a serializable StreamState: the
-// configuration, the window ring in physical slot order, the drift counters,
-// and the current model tables.
-//
-// Determinism contract: Snapshot rotates the clusterer's random stream — it
-// draws one sub-seed from the live source, re-seeds the clusterer with it,
-// and records the same sub-seed in the state. The snapshotted original and
-// any Restore of the state therefore continue on identical random streams,
-// so their subsequent assignments (including across re-learnings) are
-// bit-for-bit identical. The rotation is the only observable side effect.
+// configuration, the seed, the window ring in physical slot order, the drift
+// counters, and the current model tables. It only reads: the clusterer
+// continues exactly as if it had never been snapshotted, and so does any
+// Restore of the state.
 func (c *Clusterer) Snapshot() *model.StreamState {
-	sub := c.cfg.MGCPL.Rand.Int63()
-	c.cfg.MGCPL.Rand = rand.New(rand.NewSource(sub))
 	st := &model.StreamState{
 		Cardinalities:  append([]int(nil), c.cfg.Cardinalities...),
 		WindowSize:     c.cfg.WindowSize,
@@ -190,7 +194,7 @@ func (c *Clusterer) Snapshot() *model.StreamState {
 		SinceFresh:     c.sinceFresh,
 		Drifted:        c.drifted,
 		Kappa:          append([]int(nil), c.kappa...),
-		RandSeed:       sub,
+		RandSeed:       c.seed,
 	}
 	for i, row := range c.window {
 		st.Window[i] = append([]int(nil), row...)
@@ -202,13 +206,15 @@ func (c *Clusterer) Snapshot() *model.StreamState {
 }
 
 // Restore rebuilds a clusterer from a checkpoint. The restored clusterer's
-// subsequent behavior is bit-for-bit identical to the snapshotted original's
-// (see Snapshot for the random-stream contract).
+// subsequent behavior is bit-for-bit identical to the snapshotted original's.
 func Restore(st *model.StreamState) (*Clusterer, error) {
 	if st == nil {
 		return nil, errors.New("stream: nil checkpoint")
 	}
-	cfg := Config{
+	if len(st.Cardinalities) == 0 {
+		return nil, errNoCardinalities
+	}
+	c := newClusterer(Config{
 		Cardinalities:  append([]int(nil), st.Cardinalities...),
 		WindowSize:     st.WindowSize,
 		RefreshEvery:   st.RefreshEvery,
@@ -221,13 +227,8 @@ func Restore(st *model.StreamState) (*Clusterer, error) {
 			MaxEpochs:      st.MaxEpochs,
 			RivalThreshold: st.RivalThreshold,
 			Workers:        st.Workers,
-			Rand:           rand.New(rand.NewSource(st.RandSeed)),
 		},
-	}
-	c, err := NewClusterer(cfg)
-	if err != nil {
-		return nil, err
-	}
+	}, st.RandSeed)
 	if len(st.Window) > c.cfg.WindowSize {
 		return nil, fmt.Errorf("stream: checkpoint window holds %d objects, capacity is %d", len(st.Window), c.cfg.WindowSize)
 	}
@@ -263,10 +264,23 @@ func Restore(st *model.StreamState) (*Clusterer, error) {
 	return c, nil
 }
 
+// relearnRand returns the random stream of the re-learning that produces
+// model epoch+1: a pure function of the clusterer's seed and the epoch, both
+// of which the checkpoint holds. The splitmix64 finalizer spreads
+// consecutive epochs over unrelated seeds.
+func relearnRand(seed int64, epoch int) *rand.Rand {
+	z := uint64(seed) + uint64(epoch+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return rand.New(rand.NewSource(int64(z ^ (z >> 31))))
+}
+
 // relearn runs MGCPL over the current window and rebuilds the model tables
 // from the coarsest partition.
 func (c *Clusterer) relearn() error {
-	res, err := core.RunMGCPL(c.window, c.cfg.Cardinalities, c.cfg.MGCPL)
+	cfg := c.cfg.MGCPL
+	cfg.Rand = relearnRand(c.seed, c.epoch)
+	res, err := core.RunMGCPL(c.window, c.cfg.Cardinalities, cfg)
 	if err != nil {
 		return fmt.Errorf("stream: relearn: %w", err)
 	}

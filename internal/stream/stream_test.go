@@ -253,24 +253,53 @@ func (c *Clusterer) probeSimBest(row []int) float64 {
 	return best
 }
 
-// TestSnapshotRestoreBitIdentical pins the checkpoint contract: after
-// Snapshot (which rotates the rng onto a recorded sub-seed), the original
-// and a Restore of the serialized state produce bit-for-bit identical
-// assignments on any subsequent input — including across re-learnings,
-// which consume the (now aligned) random streams.
+// TestSnapshotRestoreBitIdentical pins the checkpoint contract: Snapshot
+// only reads. A clusterer snapshotted every 50 rows answers exactly like a
+// twin that is never snapshotted, two consecutive snapshots are equal, and a
+// Restore of the serialized state continues bit-for-bit with both — across
+// re-learnings, which draw on the random stream.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	ds := datasets.Synthetic("t", 900, 8, 3, 0.9, rand.New(rand.NewSource(77)))
 	c, err := NewClusterer(streamConfig(ds.Cardinalities(), 200, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range ds.Rows[:600] {
-		if _, err := c.Add(row); err != nil {
+	twin, err := NewClusterer(streamConfig(ds.Cardinalities(), 200, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(c *Clusterer, row []int) Assignment {
+		t.Helper()
+		a, err := c.Add(row)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return a
 	}
+	differ := 0
+	feed := func(rows [][]int, from int, restored *Clusterer) {
+		t.Helper()
+		for i, row := range rows {
+			if (from+i)%50 == 0 {
+				c.Snapshot()
+			}
+			ao, at := add(c, row), add(twin, row)
+			if ao != at {
+				differ++
+			}
+			if restored != nil {
+				if ar := add(restored, row); ar != ao {
+					t.Fatalf("tail row %d: original %+v, restored %+v", i, ao, ar)
+				}
+			}
+		}
+	}
+	feed(ds.Rows[:600], 0, nil)
 	if c.ModelEpoch() == 0 {
 		t.Fatal("no model learned before the checkpoint")
+	}
+	if a, b := c.Snapshot(), c.Snapshot(); !reflect.DeepEqual(a, b) {
+		t.Fatal("two consecutive snapshots differ")
 	}
 
 	// Serialize through the real envelope, not just the in-memory state.
@@ -291,24 +320,15 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	}
 
 	epochBefore := c.ModelEpoch()
-	for i, row := range ds.Rows[600:] {
-		ao, err := c.Add(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ar, err := r.Add(row)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ao != ar {
-			t.Fatalf("tail row %d: original %+v, restored %+v", i, ao, ar)
-		}
-	}
+	feed(ds.Rows[600:], 600, r)
 	if c.ModelEpoch() == epochBefore {
 		t.Fatal("tail did not cross a re-learning; the test lost its teeth")
 	}
 	if r.ModelEpoch() != c.ModelEpoch() || r.K() != c.K() || !reflect.DeepEqual(r.Kappa(), c.Kappa()) {
 		t.Fatal("original and restored clusterers diverged after the tail")
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d answers differ from a twin that was never snapshotted", differ, len(ds.Rows))
 	}
 }
 

@@ -69,9 +69,8 @@ func (s *StreamClusterer) ModelEpoch() int { return s.inner.ModelEpoch() }
 
 // Save checkpoints the clusterer to w as a versioned snapshot: the recent
 // window, drift counters, and current model survive a restart. Saving
-// rotates the clusterer's random stream onto a recorded sub-seed, so this
-// clusterer and any ResumeStreamClusterer of the checkpoint continue with
-// bit-for-bit identical behavior.
+// changes nothing: this clusterer and any ResumeStreamClusterer of the
+// checkpoint continue bit-for-bit as if it had never been saved.
 func (s *StreamClusterer) Save(w io.Writer) error { return s.inner.Snapshot().Save(w) }
 
 // ResumeStreamClusterer restores a streaming clusterer from a checkpoint
