@@ -361,6 +361,54 @@ func BenchmarkServerAssign(b *testing.B) {
 	})
 }
 
+// BenchmarkStreamCheckpoint measures one session checkpoint of a warm
+// StreamClusterer (16 features, window 256, after 600 rows): save is the
+// snapshot and envelope encode a replicated mcdcd session runs under its
+// mutex after every assignment, resume is the decode and restore of a
+// promotion or page-in. Both report the checkpoint size in B/ckpt. Part of
+// the benchmark-regression CI gate, and the only gate on the session write
+// path: no gated bench/ workload runs it.
+func BenchmarkStreamCheckpoint(b *testing.B) {
+	ds := mcdc.SyntheticDataset("syn", 2600, 16, 4, 1)
+	sc, err := mcdc.NewStreamClusterer(mcdc.StreamConfig{
+		Cardinalities: ds.Cardinalities(),
+		WindowSize:    256,
+		Seed:          1,
+		Parallelism:   1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range ds.Rows[:600] {
+		if _, err := sc.Add(row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var ckpt bytes.Buffer
+	if err := sc.Save(&ckpt); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("save", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer // fresh, as each session checkpoint is
+			if err := sc.Save(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(ckpt.Len()), "B/ckpt")
+	})
+	b.Run("resume", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := mcdc.ResumeStreamClusterer(bytes.NewReader(ckpt.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(ckpt.Len()), "B/ckpt")
+	})
+}
+
 // BenchmarkLinkageScale measures the two linkage engines on the same
 // condensed Hamming matrix as n grows: the O(n³) per-step nearest-pair scan
 // (the PR-2 baseline, kept as the cross-check oracle) against the O(n²)

@@ -96,6 +96,26 @@ func TestSaveFileAtomicAndLoadFile(t *testing.T) {
 	if _, err := LoadFile(path); err != nil {
 		t.Fatal(err)
 	}
+	// Every proper prefix of the file — a torn write that escaped the rename
+	// discipline, or a truncated copy — fails with an error, never a panic or
+	// a partial model.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 0; n < len(raw); n++ {
+		if got, err := Load(bytes.NewReader(raw[:n])); err == nil || got != nil {
+			t.Fatalf("%d-byte prefix of a %d-byte snapshot loaded (err %v)", n, len(raw), err)
+		}
+	}
+	// A failed rename (the target is a directory) removes the temp file.
+	dir := t.TempDir()
+	if err := snap.SaveFile(dir); err == nil {
+		t.Fatal("save over a directory succeeded")
+	}
+	if _, err := os.Stat(dir + ".tmp"); !os.IsNotExist(err) {
+		t.Fatal("temp file left behind after a failed rename")
+	}
 }
 
 func TestLoadRejectsGarbageAndVersions(t *testing.T) {
@@ -134,9 +154,10 @@ func TestLoadRejectsGarbageAndVersions(t *testing.T) {
 	}
 
 	// Older formats must be refused with a VersionError, never handed to
-	// gob: v1 predates OwnerEpoch and the replay cache, and a v2 stream
-	// checkpoint's RandSeed would resume on a different random stream.
-	for _, old := range []byte{1, 2} {
+	// gob: v1 predates OwnerEpoch and the replay cache, a v2 stream
+	// checkpoint's RandSeed would resume on a different random stream, and a
+	// v3 payload is gzip-compressed.
+	for _, old := range []byte{1, 2, 3} {
 		bad = append([]byte(nil), raw...)
 		bad[len(magic)+1] = old
 		verr = nil
@@ -256,6 +277,14 @@ func TestStreamStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(st, got) {
 		t.Fatalf("stream state changed across round-trip:\n%+v\n%+v", st, got)
+	}
+	// Every proper prefix fails to load: a truncated checkpoint must never
+	// resume a session from partial state.
+	raw := buf.Bytes()
+	for n := 0; n < len(raw); n++ {
+		if got, err := LoadStream(bytes.NewReader(raw[:n])); err == nil || got != nil {
+			t.Fatalf("%d-byte prefix of a %d-byte checkpoint loaded (err %v)", n, len(raw), err)
+		}
 	}
 	// A model file is not a stream checkpoint.
 	snap, _, _ := trainSnapshot(t, 100, 4, 2, 5)

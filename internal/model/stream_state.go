@@ -78,11 +78,6 @@ func (st *StreamState) Save(w io.Writer) error {
 	return writeEnvelope(w, kindStream, st)
 }
 
-// SaveFile atomically writes the checkpoint to path.
-func (st *StreamState) SaveFile(path string) error {
-	return saveFile(path, func(w io.Writer) error { return st.Save(w) })
-}
-
 // LoadStream reads a stream checkpoint from r, verifying magic, kind, and
 // format version.
 func LoadStream(r io.Reader) (*StreamState, error) {

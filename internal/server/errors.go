@@ -25,8 +25,8 @@ const (
 	codeUnknownSession = "unknown_session"
 	// codeConflict: the resource exists already (session id taken).
 	codeConflict = "conflict"
-	// codeVersionMismatch: a snapshot file or wire stream carries an
-	// incompatible format-version byte.
+	// codeVersionMismatch: a snapshot file, session checkpoint or wire
+	// stream carries an incompatible format-version byte.
 	codeVersionMismatch = "version_mismatch"
 	// codeOverloaded: admission control shed the request; retry after the
 	// Retry-After header's delay.

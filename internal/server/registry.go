@@ -92,11 +92,10 @@ func (r *registry) all() []*servedModel {
 // trafficBuffer is a bounded ring of recently assigned rows — the window a
 // background re-learn trains on. Rows are copied in; the buffer owns them.
 type trafficBuffer struct {
-	mu    sync.Mutex
-	rows  [][]int
-	next  int
-	cap   int
-	total int64
+	mu   sync.Mutex
+	rows [][]int
+	next int
+	cap  int
 }
 
 func newTrafficBuffer(capacity int) *trafficBuffer {
@@ -115,7 +114,6 @@ func (b *trafficBuffer) add(row []int) {
 		b.rows[b.next] = own
 		b.next = (b.next + 1) % b.cap
 	}
-	b.total++
 	b.mu.Unlock()
 }
 
@@ -155,12 +153,6 @@ func (b *trafficBuffer) restore(rows [][]int) {
 		rows = rows[len(rows)-room:] // keep the newest of the restored window
 	}
 	b.rows = append(append([][]int{}, rows...), b.rows...)
-}
-
-func (b *trafficBuffer) totalSeen() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
 }
 
 func sameSchema(a, b []int) bool {

@@ -56,7 +56,7 @@ type replicator struct {
 }
 
 // shipTimeout bounds one replica ship. Ships run synchronously under the
-// session mutex (checkpoint-before-respond keeps per-session ship order, so
+// session mutex, install's included (this keeps per-session ship order, so
 // a stale checkpoint can never overwrite a newer one at the receiver), which
 // makes this timeout part of every assignment's latency on that session — it
 // must stay far below the general 5s client default. A slow successor then
@@ -246,7 +246,7 @@ func (rs *replicaStore) accept(id string, data []byte, epoch int64) error {
 	if cur, ok := rs.epochLocked(id); ok && epoch < cur {
 		return errStaleOwner
 	}
-	if err := writeFileAtomic(rs.path(id), data); err != nil {
+	if err := model.WriteFileAtomic(rs.path(id), data); err != nil {
 		return err
 	}
 	rs.epochs[id] = epoch
@@ -279,20 +279,6 @@ func (rs *replicaStore) drop(id string) bool {
 		}
 	}
 	return ok
-}
-
-// writeFileAtomic writes data via tmp+rename so readers (and a crash) only
-// ever observe complete checkpoints — same discipline as model.saveFile.
-func writeFileAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 // ---- server integration ----

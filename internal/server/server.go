@@ -574,11 +574,15 @@ func (s *Server) assignOne(modelName, session string, row []int, reqID string, e
 		return 0, "", nil
 	case session != "":
 		a, found, err := s.sessions.assign(session, row, driftThreshold, reqID)
-		if !found {
+		var verr *model.VersionError
+		switch {
+		case !found:
 			s.metrics.assignErrors.Add(1)
 			return http.StatusNotFound, codeUnknownSession, fmt.Errorf("no session %q", session)
-		}
-		if err != nil {
+		case errors.As(err, &verr):
+			s.metrics.assignErrors.Add(1)
+			return http.StatusUnprocessableEntity, codeVersionMismatch, verr
+		case err != nil:
 			s.metrics.assignErrors.Add(1)
 			return http.StatusBadRequest, codeBadRequest, err
 		}

@@ -129,27 +129,31 @@ func (p *sessionPool) path(id string) string {
 }
 
 // get returns the live session for id, paging it in from its checkpoint
-// when the pool is durable and the session was evicted to disk.
-func (p *sessionPool) get(id string) (*session, bool) {
+// when the pool is durable and the session was evicted to disk. A nil
+// session means there is no such session. The error is non-nil only for a
+// checkpoint written under another format version (*model.VersionError):
+// that session exists but cannot be served by this build, and its file is
+// left in place.
+func (p *sessionPool) get(id string) (*session, error) {
 	sh := p.shard(id)
 	sh.mu.RLock()
 	s, ok := sh.m[id]
 	sh.mu.RUnlock()
 	if ok || p.dir == "" {
-		return s, ok
+		return s, nil
 	}
 	// Resident ids all passed validateName at create/restore time, so only
 	// the disk path below needs the guard — it keeps a crafted id
 	// ("../../x") from escaping the state dir, and it must run before any
 	// path is formed.
 	if validateName(id) != nil {
-		return nil, false
+		return nil, nil
 	}
 	// Cheap negative lookup outside the write lock: the common miss — a
 	// request naming a session that simply does not exist — must not pay
 	// file I/O while blocking the whole shard.
 	if _, err := os.Stat(p.path(id)); err != nil {
-		return nil, false
+		return nil, nil
 	}
 	// A checkpoint exists: page it in. The shard write lock makes the
 	// check-load-insert atomic, so two concurrent misses for the same id
@@ -157,24 +161,28 @@ func (p *sessionPool) get(id string) (*session, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if s, ok := sh.m[id]; ok {
-		return s, true
+		return s, nil
 	}
 	st, err := model.LoadStreamFile(p.path(id))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			p.log.Warn("unreadable session checkpoint", "session", id, "path", p.path(id), "err", err)
 		}
-		return nil, false
+		var verr *model.VersionError
+		if errors.As(err, &verr) {
+			return nil, verr
+		}
+		return nil, nil
 	}
 	c, err := stream.Restore(st)
 	if err != nil {
 		p.log.Warn("corrupt session checkpoint", "session", id, "path", p.path(id), "err", err)
-		return nil, false
+		return nil, nil
 	}
 	s = sessionFromState(c, st)
 	sh.m[id] = s
 	p.restored.Add(1)
-	return s, true
+	return s, nil
 }
 
 // sessionFromState builds the in-memory session for a restored checkpoint,
@@ -288,16 +296,18 @@ func (p *sessionPool) dropIfSame(id string, s *session) {
 }
 
 // assign feeds one row to the session, reporting found=false when no such
-// session exists (in memory or on disk). It retries past an eviction that
-// lands between lookup and lock: the evictor checkpointed the session before
-// marking it gone, so the retry pages the up-to-date state back in and no
-// arrival is lost. A non-empty reqID makes the call idempotent: retrying the
-// same request id with the same row replays the cached response.
+// session exists (in memory or on disk); a checkpoint of another format
+// version counts as found and returns get's *model.VersionError. It retries
+// past an eviction that lands between lookup and lock: the evictor
+// checkpointed the session before marking it gone, so the retry pages the
+// up-to-date state back in and no arrival is lost. A non-empty reqID makes
+// the call idempotent: retrying the same request id with the same row
+// replays the cached response.
 func (p *sessionPool) assign(id string, row []int, driftThreshold float64, reqID string) (stream.Assignment, bool, error) {
 	for try := 0; try < 3; try++ {
-		s, ok := p.get(id)
-		if !ok {
-			return stream.Assignment{}, false, nil
+		s, err := p.get(id)
+		if s == nil {
+			return stream.Assignment{}, err != nil, err
 		}
 		a, gone, err := p.addRow(id, s, row, driftThreshold, reqID)
 		if !gone {
@@ -387,7 +397,7 @@ func (p *sessionPool) saveLocked(id string, s *session) error {
 	if err := st.Save(&buf); err != nil {
 		return err
 	}
-	if err := writeFileAtomic(p.path(id), buf.Bytes()); err != nil {
+	if err := model.WriteFileAtomic(p.path(id), buf.Bytes()); err != nil {
 		return err
 	}
 	s.dirty = false
@@ -505,7 +515,7 @@ func (p *sessionPool) restoreAll() int {
 		if validateName(id) != nil {
 			continue
 		}
-		if _, ok := p.get(id); ok { // get performs the page-in
+		if s, _ := p.get(id); s != nil { // get performs the page-in
 			n++
 		}
 	}
@@ -551,8 +561,8 @@ func (p *sessionPool) ids() []string {
 // residentEpoch reports the ownership epoch of a session held by this pool
 // (in memory or on disk), for fencing incoming replica ships.
 func (p *sessionPool) residentEpoch(id string) (int64, bool) {
-	s, ok := p.get(id)
-	if !ok {
+	s, _ := p.get(id)
+	if s == nil {
 		return 0, false
 	}
 	s.mu.Lock()
@@ -569,7 +579,7 @@ func (p *sessionPool) checkpointBytes(id string) ([]byte, error) {
 	if p.dir == "" {
 		return nil, fmt.Errorf("server: no state dir; sessions are not persistable")
 	}
-	if s, ok := p.get(id); ok {
+	if s, _ := p.get(id); s != nil {
 		s.mu.Lock()
 		if !s.gone && s.dirty {
 			if err := p.saveLocked(id, s); err != nil {
@@ -630,7 +640,11 @@ func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
 // install decodes checkpoint bytes, optionally bumps the ownership epoch,
 // persists the state, and registers the live session. The persisted bytes
 // are the decoded state re-encoded under the shard lock; the replica ship
-// then re-reads the file outside it.
+// then sends those same bytes outside it. The new session is locked before
+// it is published (shard → session order) and stays locked through the
+// ship, so ships for one session leave in order: an assignment that finds
+// the session waits behind install's ship instead of racing a newer
+// checkpoint past it to the replica holder.
 //
 // Installation is epoch-fenced in both directions: a resident copy — live in
 // memory or checkpointed on disk — whose ownership epoch is at or above the
@@ -671,6 +685,7 @@ func (p *sessionPool) install(id string, data []byte, bumpEpoch bool) (int64, er
 		cur.mu.Unlock()
 		delete(sh.m, id)
 	}
+	var buf bytes.Buffer
 	if p.dir != "" {
 		// An evicted or pre-restart checkpoint may also hold a newer epoch
 		// than the incoming state; compare before overwriting the file (lazy
@@ -679,28 +694,27 @@ func (p *sessionPool) install(id string, data []byte, bumpEpoch bool) (int64, er
 			sh.mu.Unlock()
 			return old.OwnerEpoch, nil
 		}
-		var buf bytes.Buffer
 		if err := st.Save(&buf); err != nil {
 			sh.mu.Unlock()
 			return 0, err
 		}
-		if err := writeFileAtomic(p.path(id), buf.Bytes()); err != nil {
+		if err := model.WriteFileAtomic(p.path(id), buf.Bytes()); err != nil {
 			sh.mu.Unlock()
 			return 0, err
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	sh.m[id] = s
 	sh.mu.Unlock()
 	// Give the promoted/adopted session a replica of its own right away: ship
 	// the epoch-bumped state to this node's successor.
 	if repl := p.repl.Load(); repl != nil && p.dir != "" {
-		if fileData, err := os.ReadFile(p.path(id)); err == nil {
-			if target, err := repl.ship(id, fileData); err != nil {
-				p.shipFailures.Add(1)
-				p.log.Warn("replica ship failed after install", "session", id, "target", target, "err", err)
-			} else if target != "" {
-				p.shipped.Add(1)
-			}
+		if target, err := repl.ship(id, buf.Bytes()); err != nil {
+			p.shipFailures.Add(1)
+			p.log.Warn("replica ship failed after install", "session", id, "target", target, "err", err)
+		} else if target != "" {
+			p.shipped.Add(1)
 		}
 	}
 	return st.OwnerEpoch, nil

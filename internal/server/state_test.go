@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,8 +13,11 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"mcdc/internal/model"
 )
 
 // feedSession posts rows[from:to] to the session and returns the raw
@@ -392,4 +397,176 @@ func TestConcurrentSessionLifecycleRace(t *testing.T) {
 	if _, data := get(t, ts.URL+"/metrics"); !strings.Contains(string(data), "mcdcd_sessions_evicted_total") {
 		t.Errorf("metrics incoherent after hammer: %s", data)
 	}
+}
+
+// TestStaleFormatCheckpointAnswersVersionMismatch: a session checkpoint
+// written under another format version is refused loudly. After a restart
+// over it, JSON and frame assigns answer version_mismatch instead of
+// unknown_session, the file stays on disk, and DELETE still removes it.
+func TestStaleFormatCheckpointAnswersVersionMismatch(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 31)
+	dir := t.TempDir()
+	first, firstTS := newTestServer(t, Config{StateDir: dir})
+	if err := first.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, firstTS.URL, "old", 30, 7)
+	feedSession(t, firstTS.URL, "old", rows, 0, 5)
+	firstTS.Close()
+	first.Close() // flushes the checkpoint
+
+	path := filepath.Join(dir, "sessions", "old"+checkpointExt)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len("MCDCSNAP")+1] = model.FormatVersion - 1 // the version byte
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts := newTestServer(t, Config{StateDir: dir})
+	resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"session": "old", "row": rows[5]})
+	var env errorResponse
+	if err := json.Unmarshal(data, &env); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || env.Code != codeVersionMismatch {
+		t.Fatalf("JSON assign: %d %s, want 422 %s", resp.StatusCode, data, codeVersionMismatch)
+	}
+	req := wireStream(t)
+	appendFrame(t, req, model.FrameAssign, model.AppendAssignRequest(nil, "", "old", rows[5]))
+	resp, data = postWire(t, ts.URL+"/v1/assign", req.Bytes())
+	frames := readFrames(t, data)
+	if resp.StatusCode != http.StatusOK || len(frames) != 1 || frames[0].kind != model.FrameError {
+		t.Fatalf("frame assign: %d, frames %v, want one in-band error", resp.StatusCode, frames)
+	}
+	if code, msg, err := model.DecodeError(frames[0].payload); err != nil || code != codeVersionMismatch {
+		t.Fatalf("frame assign: code %q (%s), want %s", code, msg, codeVersionMismatch)
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Fatalf("stale checkpoint was not kept: %v", err)
+	}
+	del, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/old", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp, err := http.DefaultClient.Do(del)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delResp.Body.Close()
+	if delResp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete: %d, want 204", delResp.StatusCode)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("delete left the stale checkpoint behind: %v", err)
+	}
+}
+
+// TestInstallShipPrecedesNextAssignment pins per-session ship order across
+// an install: the replica ship of an adopted or promoted session reaches the
+// holder before the ship of any assignment that follows it. Otherwise the
+// holder keeps the older installed state, and the next failover silently
+// drops that assignment.
+func TestInstallShipPrecedesNextAssignment(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 61)
+	for _, via := range []string{"adopt", "promote"} {
+		t.Run(via, func(t *testing.T) {
+			src, srcTS := newTestServer(t, Config{StateDir: t.TempDir()})
+			if err := src.AddModel("m", snap); err != nil {
+				t.Fatal(err)
+			}
+			createSession(t, srcTS.URL, "mv", 30, 11)
+			feedSession(t, srcTS.URL, "mv", rows, 0, 5)
+			resp, ckpt := get(t, srcTS.URL+"/v1/sessions/mv/checkpoint")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("checkpoint fetch: %d %s", resp.StatusCode, ckpt)
+			}
+
+			// The holder parks the first replica ship it receives — install's
+			// — until released.
+			holderDir := t.TempDir()
+			holder, err := New(Config{Replicate: true, StateDir: holderDir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held, release := make(chan struct{}), make(chan struct{})
+			var parked atomic.Bool
+			h := holder.Handler()
+			hts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/replica/checkpoint" && parked.CompareAndSwap(false, true) {
+					close(held)
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			}))
+			t.Cleanup(func() { hts.Close(); holder.Close() })
+			releaseOnce := sync.OnceFunc(func() { close(release) })
+			t.Cleanup(releaseOnce) // runs first: a failing test must not hang hts.Close
+
+			owner, ots := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+			oAddr := strings.TrimPrefix(ots.URL, "http://")
+			hAddr := strings.TrimPrefix(hts.URL, "http://")
+			owner.ConfigureReplication(oAddr, []string{oAddr, hAddr}, "")
+			holder.ConfigureReplication(hAddr, []string{oAddr, hAddr}, "")
+			if via == "promote" {
+				if msg := postRaw(ots.URL+"/v1/replica/checkpoint?session=mv", ckpt, ""); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+
+			installed := make(chan string, 1)
+			go func() { installed <- postRaw(ots.URL+"/v1/sessions/mv/"+via, ckpt, "") }()
+			<-held // the session is published and its install ship is parked
+			body, err := json.Marshal(map[string]any{"session": "mv", "row": rows[5]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assigned := make(chan string, 1)
+			go func() { assigned <- postRaw(ots.URL+"/v1/assign", body, "r-after-install") }()
+			// An assignment able to overtake the parked ship finishes within
+			// this wait; a correct one waits behind the ship. Either way the
+			// release comes well inside shipTimeout, so the parked ship lands.
+			select {
+			case msg := <-assigned:
+				assigned <- msg
+			case <-time.After(200 * time.Millisecond):
+			}
+			releaseOnce()
+			for _, ch := range []chan string{installed, assigned} {
+				if msg := <-ch; msg != "" {
+					t.Fatal(msg)
+				}
+			}
+
+			st, err := model.LoadStreamFile(filepath.Join(holderDir, "replicas", "mv"+checkpointExt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.LastReqID != "r-after-install" {
+				t.Fatalf("holder's replica carries request %q, want r-after-install: a newer ship overtook install's", st.LastReqID)
+			}
+		})
+	}
+}
+
+// postRaw posts body, with a request id header when reqID is non-empty,
+// and returns "" on a 2xx answer or else what went wrong. Unlike post it is
+// safe to call off the test goroutine.
+func postRaw(url string, body []byte, reqID string) string {
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		return err.Error()
+	}
+	if reqID != "" {
+		req.Header.Set(RequestIDHeader, reqID)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err.Error()
+	}
+	defer resp.Body.Close()
+	data, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode/100 != 2 {
+		return fmt.Sprintf("POST %s: %d %s", url, resp.StatusCode, data)
+	}
+	return ""
 }
