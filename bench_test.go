@@ -22,6 +22,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -313,12 +314,9 @@ func BenchmarkServerAssign(b *testing.B) {
 			}
 		})
 	})
-	// The v1 fast path: binary frames pipelined 64 per request over a
-	// persistent connection. One op is still one assigned row, so sec/op
-	// compares directly against http/serial — the PR-6 acceptance bar is
-	// ≥2× the per-request JSON throughput.
-	b.Run("binary/pipelined", func(b *testing.B) {
-		c := client.New(ts.URL, client.WithBinary())
+	// pipelined sends b.N rows through c as 64-frame AssignMany requests.
+	// One op is one assigned row.
+	pipelined := func(b *testing.B, c *client.Client) {
 		ctx := context.Background()
 		for done := 0; done < b.N; {
 			size := 64
@@ -338,6 +336,42 @@ func BenchmarkServerAssign(b *testing.B) {
 			}
 			done += size
 		}
+	}
+	// The v1 fast path: binary frames pipelined 64 per request over a
+	// persistent connection. One op is still one assigned row, so sec/op
+	// compares directly against http/serial — the PR-6 acceptance bar is
+	// ≥2× the per-request JSON throughput.
+	b.Run("binary/pipelined", func(b *testing.B) {
+		pipelined(b, client.New(ts.URL, client.WithBinary()))
+	})
+	// The same stream through a gateway over two backends: the stateless
+	// frame path of a fleet, every hop in process. allocs/op counts all of
+	// it — client, gateway, both backends, and net/http on each hop.
+	b.Run("gateway/pipelined", func(b *testing.B) {
+		var addrs []string
+		for i := 0; i < 2; i++ {
+			be, err := server.New(server.Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer be.Close()
+			if _, _, err := be.LoadModelFile("m", path); err != nil {
+				b.Fatal(err)
+			}
+			bts := httptest.NewServer(be.Handler())
+			defer bts.Close()
+			addrs = append(addrs, strings.TrimPrefix(bts.URL, "http://"))
+		}
+		gw, err := server.NewGateway(server.GatewayConfig{Backends: addrs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer gw.Close()
+		gts := httptest.NewServer(gw.Handler())
+		defer gts.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		pipelined(b, client.New(gts.URL, client.WithBinary()))
 	})
 	b.Run("inprocess", func(b *testing.B) {
 		b.ReportAllocs()

@@ -327,9 +327,12 @@ func (c *Client) assignWire(ctx context.Context, reqs []wireAssignReq) ([]Assign
 	if err := model.ReadWireHeader(br); err != nil {
 		return nil, err
 	}
+	// The reply's frames are read through payload's storage, and their
+	// encodings are carved from one shared slice.
 	out := make([]Assignment, 0, len(reqs))
+	var enc []int
 	for {
-		kind, payload, err := model.ReadFrame(br)
+		kind, p, err := model.ReadFrame(br, payload)
 		if err == io.EOF {
 			if len(out) != len(reqs) {
 				return out, io.ErrUnexpectedEOF
@@ -339,10 +342,12 @@ func (c *Client) assignWire(ctx context.Context, reqs []wireAssignReq) ([]Assign
 		if err != nil {
 			return out, err
 		}
+		payload = p
 		switch kind {
 		case model.FrameResult:
-			a, epoch, err := model.DecodeResult(payload)
-			if err != nil {
+			var a model.Assignment
+			var epoch int
+			if a, epoch, enc, err = model.DecodeResultAppend(payload, enc); err != nil {
 				return out, err
 			}
 			out = append(out, Assignment{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
@@ -426,11 +431,13 @@ func (c *Client) assignBatchWire(ctx context.Context, modelName string, rows [][
 	epoch := 0
 	var results []model.Assignment
 	sawEnd := false
+	var payload []byte // one buffer for every frame of the reply
 	for !sawEnd {
-		kind, payload, err := model.ReadFrame(br)
+		kind, p, err := model.ReadFrame(br, payload)
 		if err != nil {
 			return nil, fmt.Errorf("client: batch stream: %w", err)
 		}
+		payload = p
 		switch kind {
 		case model.FrameBatchInfo:
 			if _, epoch, err = model.DecodeBatchInfo(payload); err != nil {

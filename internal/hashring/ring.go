@@ -8,7 +8,7 @@
 package hashring
 
 import (
-	"hash/fnv"
+	"slices"
 	"sort"
 	"strconv"
 )
@@ -45,10 +45,45 @@ func New(replicas int) *Ring {
 // reproduce placements. The finalizer matters: raw FNV over short,
 // near-identical strings ("host#1", "host#2", …) leaves the low bits too
 // correlated for an even spread of virtual points around the ring.
-func Hash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	z := h.Sum64()
+func Hash(key string) uint64 { return NewHasher().AddString(key).Sum() }
+
+// Hasher computes Hash incrementally: feeding it a key's bytes in any pieces
+// and calling Sum gives Hash(key), so a caller can place a key it never
+// builds. It is a value; each Add returns the advanced state.
+type Hasher uint64
+
+// FNV-1a's 64-bit parameters (hash/fnv's, spelled out so the state can live
+// in a register instead of behind a hash.Hash64).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// NewHasher returns the state of a hash that has consumed no bytes.
+func NewHasher() Hasher { return fnvOffset64 }
+
+// AddByte feeds one byte.
+func (h Hasher) AddByte(c byte) Hasher { return (h ^ Hasher(c)) * fnvPrime64 }
+
+// AddBytes feeds b.
+func (h Hasher) AddBytes(b []byte) Hasher {
+	for _, c := range b {
+		h = (h ^ Hasher(c)) * fnvPrime64
+	}
+	return h
+}
+
+// AddString feeds s.
+func (h Hasher) AddString(s string) Hasher {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ Hasher(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+// Sum finalizes the hash of the bytes fed so far.
+func (h Hasher) Sum() uint64 {
+	z := uint64(h)
 	z ^= z >> 30
 	z *= 0xbf58476d1ce4e5b9
 	z ^= z >> 27
@@ -102,16 +137,12 @@ func (r *Ring) Remove(node string) {
 // Get returns the node owning key: the first virtual point at or clockwise
 // of the key's hash (wrapping past the top of the space). It returns "" on
 // an empty ring.
-func (r *Ring) Get(key string) string {
-	if len(r.points) == 0 {
-		return ""
-	}
-	h := Hash(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].node
+func (r *Ring) Get(key string) (owner string) {
+	r.Walk(Hash(key), func(node string) bool {
+		owner = node
+		return false
+	})
+	return owner
 }
 
 // GetN returns the first n distinct nodes at or clockwise of key's hash —
@@ -123,28 +154,33 @@ func (r *Ring) GetN(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
-	h := Hash(key)
+	out := make([]string, 0, min(n, len(r.nodes)))
+	r.Walk(Hash(key), func(node string) bool {
+		if !slices.Contains(out, node) {
+			out = append(out, node)
+		}
+		return len(out) < cap(out)
+	})
+	return out
+}
+
+// Walk visits the node of every virtual point once, starting at the first
+// point at or clockwise of hash h (the owner's) and going clockwise, until
+// visit returns false. A node recurs once per virtual point it holds, so
+// the first node visit accepts is also the first acceptable one of the
+// successor chain GetN returns; callers that want "the first up node" need
+// no chain and no allocation.
+func (r *Ring) Walk(h uint64, visit func(node string) bool) {
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
 	for range r.points {
 		if i == len(r.points) {
 			i = 0
 		}
-		node := r.points[i].node
-		if _, ok := seen[node]; !ok {
-			seen[node] = struct{}{}
-			out = append(out, node)
-			if len(out) == n {
-				break
-			}
+		if !visit(r.points[i].node) {
+			return
 		}
 		i++
 	}
-	return out
 }
 
 // Nodes returns the ring's members, sorted.

@@ -2,7 +2,9 @@ package hashring
 
 import (
 	"fmt"
+	"hash/fnv"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -166,4 +168,67 @@ func TestGetNSuccessorChain(t *testing.T) {
 	if got := r.GetN("x", 0); got != nil {
 		t.Fatalf("n=0: GetN = %v, want nil", got)
 	}
+}
+
+// TestHasherIncremental pins the key hash and its incremental form: Hash is
+// FNV-1a 64 (hash/fnv's) finalized with splitmix64, and feeding a Hasher
+// the key's bytes in any split, as a string or as bytes, gives that sum.
+func TestHasherIncremental(t *testing.T) {
+	for _, k := range append(keys(300), "", "r|m|1|-2|9223372036854775807", "模型|é|-1") {
+		f := fnv.New64a()
+		f.Write([]byte(k))
+		z := f.Sum64()
+		z ^= z >> 30
+		z *= 0xbf58476d1ce4e5b9
+		z ^= z >> 27
+		z *= 0x94d049bb133111eb
+		z ^= z >> 31
+		if got := Hash(k); got != z {
+			t.Fatalf("Hash(%q) = %x, FNV-1a + splitmix64 gives %x", k, got, z)
+		}
+		for cut := 0; cut <= len(k); cut++ {
+			if got := NewHasher().AddString(k[:cut]).AddBytes([]byte(k[cut:])).Sum(); got != z {
+				t.Fatalf("key %q split at %d: %x, want %x", k, cut, got, z)
+			}
+		}
+		h := NewHasher()
+		for i := 0; i < len(k); i++ {
+			h = h.AddByte(k[i])
+		}
+		if h.Sum() != z {
+			t.Fatalf("key %q fed byte by byte: %x, want %x", k, h.Sum(), z)
+		}
+	}
+}
+
+// TestWalkFollowsTheChain pins Walk against GetN: the distinct nodes it
+// visits, in first-visit order, are the key's successor chain; it starts at
+// the owner, visits every virtual point once, and stops when told to.
+func TestWalkFollowsTheChain(t *testing.T) {
+	r := New(32)
+	r.Add("a", "b", "c", "d")
+	for _, k := range keys(1000) {
+		var order []string
+		visits := 0
+		r.Walk(Hash(k), func(node string) bool {
+			visits++
+			if !slices.Contains(order, node) {
+				order = append(order, node)
+			}
+			return true
+		})
+		if visits != 4*32 {
+			t.Fatalf("key %q: %d visits, want one per virtual point (%d)", k, visits, 4*32)
+		}
+		if want := r.GetN(k, 4); !reflect.DeepEqual(order, want) {
+			t.Fatalf("key %q: walk order %v, GetN %v", k, order, want)
+		}
+		first := ""
+		visits = 0
+		r.Walk(Hash(k), func(node string) bool { first = node; visits++; return false })
+		if visits != 1 || first != r.Get(k) {
+			t.Fatalf("key %q: stopped walk made %d visits starting at %q, owner %q", k, visits, first, r.Get(k))
+		}
+	}
+	New(8).Walk(1, func(string) bool { t.Fatal("empty ring visited a node"); return false })
 }

@@ -48,6 +48,17 @@ func main() {
 	write("internal/model/testdata/fuzz/FuzzWireFrames/bad-version", b(badVersion))
 	write("internal/model/testdata/fuzz/FuzzWireFrames/bad-magic", b(badMagic))
 	write("internal/model/testdata/fuzz/FuzzWireFrames/huge-length", b(hugeLength))
+	// Malformed frame headers the in-place splitter must explain exactly as
+	// ReadFrame does: a kind byte with no length, a length cut mid-varint, a
+	// length that overflows 64 bits, a payload running past the end, and a
+	// header cut short.
+	header := []byte("MCDCWIRE\x01")
+	write("internal/model/testdata/fuzz/FuzzWireFrames/no-length", b(append(header, model.FrameAssign)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/length-cut", b(append(header, model.FrameAssign, 0x80)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/length-overflow",
+		b(append(header, model.FrameAssign, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/payload-past-end", b(append(header, model.FrameRows, 0x05, 0x01, 0x00)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/short-header", b([]byte("MCDCWI")))
 
 	write("internal/model/testdata/fuzz/FuzzAssignRoundTrip/basic",
 		s("m"), s(""), b([]byte{1, 2, 3}), i(2), fl(0.75), i(7))

@@ -26,11 +26,13 @@ package model
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // WireVersion is the binary frame protocol version this build speaks. Policy
@@ -40,8 +42,11 @@ import (
 const WireVersion = 1
 
 // wireMagic opens every binary wire stream (one per HTTP request/response
-// body, not one per frame).
-var wireMagic = []byte("MCDCWIRE")
+// body, not one per frame); wireHeader is the magic plus the version byte.
+var (
+	wireMagic  = []byte("MCDCWIRE")
+	wireHeader = append(append([]byte(nil), wireMagic...), WireVersion)
+)
 
 // MaxFramePayload bounds a single frame's payload. Large batches are carried
 // as many row-chunk frames, so no legitimate frame approaches this; a length
@@ -92,10 +97,7 @@ func (e *WireVersionError) Error() string {
 
 // WriteWireHeader begins a wire stream: magic plus version byte.
 func WriteWireHeader(w io.Writer) error {
-	if _, err := w.Write(wireMagic); err != nil {
-		return fmt.Errorf("model: write wire header: %w", err)
-	}
-	if _, err := w.Write([]byte{WireVersion}); err != nil {
+	if _, err := w.Write(wireHeader); err != nil {
 		return fmt.Errorf("model: write wire header: %w", err)
 	}
 	return nil
@@ -122,23 +124,39 @@ func ReadWireHeader(r io.Reader) error {
 	return nil
 }
 
-// WriteFrame emits one frame: kind, uvarint payload length, payload.
+// WriteFrame emits one frame: kind, uvarint payload length, payload. It
+// allocates nothing when w is an io.ByteWriter, as a *bufio.Writer and a
+// *bytes.Buffer are: the header then goes out byte by byte, so the array
+// holding it never escapes through an io.Writer call.
 func WriteFrame(w io.Writer, kind byte, payload []byte) error {
 	var hdr [1 + binary.MaxVarintLen64]byte
 	hdr[0] = kind
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
-		return fmt.Errorf("model: write frame: %w", err)
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	var err error
+	if bw, ok := w.(io.ByteWriter); ok {
+		for i := 0; i < n && err == nil; i++ {
+			err = bw.WriteByte(hdr[i])
+		}
+	} else {
+		_, err = w.Write(append([]byte(nil), hdr[:n]...))
 	}
-	if _, err := w.Write(payload); err != nil {
+	if err == nil {
+		_, err = w.Write(payload)
+	}
+	if err != nil {
 		return fmt.Errorf("model: write frame: %w", err)
 	}
 	return nil
 }
 
-// ReadFrame reads one frame. A clean end of stream returns io.EOF; a stream
-// truncated mid-frame returns io.ErrUnexpectedEOF.
-func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
+// ReadFrame reads one frame. The payload is read into buf's storage when it
+// fits and into a new slice otherwise, so a reader that hands each payload
+// back as the next buf allocates only for a payload longer than every
+// earlier one, not once per frame; a payload is valid until its storage is
+// passed to ReadFrame again. A clean
+// end of stream returns io.EOF; a stream truncated mid-frame returns
+// io.ErrUnexpectedEOF.
+func ReadFrame(br *bufio.Reader, buf []byte) (kind byte, payload []byte, err error) {
 	kind, err = br.ReadByte()
 	if err != nil {
 		return 0, nil, err // io.EOF = clean stream end
@@ -153,7 +171,11 @@ func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
 	if size > MaxFramePayload {
 		return 0, nil, fmt.Errorf("model: frame payload of %d bytes exceeds the %d limit", size, MaxFramePayload)
 	}
-	payload = make([]byte, size)
+	if uint64(cap(buf)) >= size {
+		payload = buf[:size]
+	} else {
+		payload = make([]byte, size)
+	}
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -161,6 +183,35 @@ func ReadFrame(br *bufio.Reader) (kind byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("model: read frame payload: %w", err)
 	}
 	return kind, payload, nil
+}
+
+// Frame is one frame of a wire stream held whole in memory.
+type Frame struct {
+	Kind    byte
+	Payload []byte
+}
+
+// SplitFrames checks the wire header of a whole stream held in memory and
+// appends the frames after it to dst. Each payload aliases data, capped so
+// that appending to it cannot overwrite the next frame: nothing is copied.
+// A malformed stream fails with the very error ReadWireHeader or ReadFrame
+// gives for it, because the bad header or frame is handed to them to
+// explain.
+func SplitFrames(data []byte, dst []Frame) ([]Frame, error) {
+	if !bytes.HasPrefix(data, wireHeader) {
+		return dst, ReadWireHeader(bytes.NewReader(data))
+	}
+	for rest := data[len(wireHeader):]; len(rest) > 0; {
+		size, n := binary.Uvarint(rest[1:])
+		if n <= 0 || size > MaxFramePayload || size > uint64(len(rest)-1-n) {
+			_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(rest)), nil)
+			return dst, err
+		}
+		end := 1 + n + int(size)
+		dst = append(dst, Frame{Kind: rest[0], Payload: rest[1+n : end : end]})
+		rest = rest[end:]
+	}
+	return dst, nil
 }
 
 // ---- payload scalar encoding ----
@@ -224,19 +275,22 @@ func (c *wireCursor) int(what string) int {
 	return int(v)
 }
 
-func (c *wireCursor) str(what string) string {
+// bytes decodes a length-prefixed string as a subslice of the payload.
+func (c *wireCursor) bytes(what string) []byte {
 	n := c.uint(what)
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(c.b)) < n {
 		c.fail(what)
-		return ""
+		return nil
 	}
-	s := string(c.b[:n])
+	s := c.b[:n:n]
 	c.b = c.b[n:]
 	return s
 }
+
+func (c *wireCursor) str(what string) string { return string(c.bytes(what)) }
 
 func (c *wireCursor) float(what string) float64 {
 	if c.err != nil {
@@ -251,26 +305,28 @@ func (c *wireCursor) float(what string) float64 {
 	return f
 }
 
-func (c *wireCursor) ints(what string) []int {
+func (c *wireCursor) ints(what string) []int { return c.appendInts(nil, what) }
+
+// appendInts decodes a length-prefixed int list onto dst, growing it only
+// when the list does not fit; on failure dst comes back as it was.
+func (c *wireCursor) appendInts(dst []int, what string) []int {
 	n := c.uint(what)
-	if c.err != nil {
-		return nil
-	}
-	if n == 0 {
-		return nil
+	if c.err != nil || n == 0 {
+		return dst
 	}
 	if n > uint64(len(c.b)) { // each int takes ≥ 1 byte — cheap pre-guard
 		c.fail(what)
-		return nil
+		return dst
 	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = c.int(what)
+	start := len(dst)
+	dst = slices.Grow(dst, int(n))
+	for i := uint64(0); i < n; i++ {
+		dst = append(dst, c.int(what))
 	}
 	if c.err != nil {
-		return nil
+		return dst[:start]
 	}
-	return out
+	return dst
 }
 
 // done returns the latched error, also flagging trailing garbage — a frame
@@ -295,11 +351,29 @@ func AppendAssignRequest(b []byte, modelName, session string, row []int) []byte 
 
 // DecodeAssignRequest decodes a FrameAssign payload.
 func DecodeAssignRequest(payload []byte) (modelName, session string, row []int, err error) {
+	var req AssignRequest
+	err = req.Decode(payload)
+	return string(req.Model), string(req.Session), req.Row, err
+}
+
+// AssignRequest is a FrameAssign payload decoded in place, for readers that
+// decode frame after frame and must not allocate per frame: Model and
+// Session alias the payload and Row keeps its storage from one Decode to the
+// next. All three are valid only until the next Decode or until the
+// payload's buffer is reused, so a consumer that keeps one copies it.
+type AssignRequest struct {
+	Model, Session []byte
+	Row            []int
+}
+
+// Decode decodes a FrameAssign payload into req, failing exactly as
+// DecodeAssignRequest does.
+func (req *AssignRequest) Decode(payload []byte) error {
 	c := wireCursor{b: payload}
-	modelName = c.str("assign model")
-	session = c.str("assign session")
-	row = c.ints("assign row")
-	return modelName, session, row, c.done()
+	req.Model = c.bytes("assign model")
+	req.Session = c.bytes("assign session")
+	req.Row = c.appendInts(req.Row[:0], "assign row")
+	return c.done()
 }
 
 // AppendResult encodes a FrameResult payload: one assignment plus the
@@ -314,12 +388,25 @@ func AppendResult(b []byte, a Assignment, epoch int) []byte {
 
 // DecodeResult decodes a FrameResult payload.
 func DecodeResult(payload []byte) (a Assignment, epoch int, err error) {
+	a, epoch, _, err = DecodeResultAppend(payload, nil)
+	return a, epoch, err
+}
+
+// DecodeResultAppend is DecodeResult for a reader that decodes many results
+// and keeps them all: the encoding is appended to enc, which comes back
+// extended, and a.Encoding is the appended stretch — capped, so appending to
+// it cannot reach a neighbour — or nil when empty. The results then share
+// enc's storage instead of allocating a slice each.
+func DecodeResultAppend(payload []byte, enc []int) (a Assignment, epoch int, _ []int, err error) {
 	c := wireCursor{b: payload}
 	a.Cluster = c.int("result cluster")
 	a.Similarity = c.float("result similarity")
 	epoch = c.int("result epoch")
-	a.Encoding = c.ints("result encoding")
-	return a, epoch, c.done()
+	start := len(enc)
+	if enc = c.appendInts(enc, "result encoding"); len(enc) > start {
+		a.Encoding = enc[start:len(enc):len(enc)]
+	}
+	return a, epoch, enc, c.done()
 }
 
 // AppendBatchStart encodes a FrameBatchStart payload: the model name.

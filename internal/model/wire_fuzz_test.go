@@ -3,8 +3,10 @@ package model
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -34,6 +36,14 @@ func fuzzSeedStream() []byte {
 	return buf.Bytes()
 }
 
+// errText is err's message, "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
 // sameAssignment compares assignments with NaN-safe float identity (the wire
 // codec promises the IEEE bit pattern survives, which DeepEqual can't check).
 func sameAssignment(a, b Assignment) bool {
@@ -42,9 +52,11 @@ func sameAssignment(a, b Assignment) bool {
 		reflect.DeepEqual(a.Encoding, b.Encoding)
 }
 
-// FuzzWireFrames throws arbitrary bytes at the stream reader and every
-// payload decoder. Invariants: no panics, no runaway allocations (the
-// MaxFramePayload guard), and — whenever a payload decodes cleanly — the
+// FuzzWireFrames throws arbitrary bytes at the stream reader, the in-place
+// splitter, and every payload decoder. Invariants: no panics, no runaway
+// allocations (the MaxFramePayload guard), SplitFrames agrees with
+// ReadWireHeader+ReadFrame frame for frame — same kinds, same payload
+// bytes, same error text — and, whenever a payload decodes cleanly, the
 // decode→re-encode→re-decode round trip is lossless. (Byte-level
 // canonicality is NOT an invariant: uvarints accept non-minimal encodings,
 // so the second decode is compared, not the re-encoded bytes.)
@@ -56,18 +68,49 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add([]byte("NOTAWIRE\x01"))
 	f.Add(append(append([]byte("MCDCWIRE\x01"), FrameAssign), 0xff, 0xff, 0xff, 0xff, 0x7f))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var read []Frame
 		br := bufio.NewReader(bytes.NewReader(data))
-		if err := ReadWireHeader(br); err != nil {
-			return
-		}
-		for frames := 0; frames < 1<<10; frames++ {
-			kind, payload, err := ReadFrame(br)
-			if err != nil {
-				return
+		readErr := ReadWireHeader(br)
+		var buf []byte // reused, as a streaming reader does: read keeps copies
+		for readErr == nil {
+			kind, payload, err := ReadFrame(br, buf)
+			if err == io.EOF {
+				break
 			}
+			if err != nil {
+				readErr = err
+				break
+			}
+			buf = payload
+			read = append(read, Frame{Kind: kind, Payload: append([]byte(nil), payload...)})
+		}
+		split, splitErr := SplitFrames(data, nil)
+		if errText(splitErr) != errText(readErr) {
+			t.Fatalf("SplitFrames error %q, ReadFrame error %q", errText(splitErr), errText(readErr))
+		}
+		if len(split) != len(read) {
+			t.Fatalf("SplitFrames found %d frames, ReadFrame %d", len(split), len(read))
+		}
+		for i := range read {
+			if split[i].Kind != read[i].Kind || !bytes.Equal(split[i].Payload, read[i].Payload) {
+				t.Fatalf("frame %d: SplitFrames (%q, %x), ReadFrame (%q, %x)", i, split[i].Kind, split[i].Payload, read[i].Kind, read[i].Payload)
+			}
+		}
+		if len(read) > 1<<10 {
+			read = read[:1<<10]
+		}
+		var scratch AssignRequest // reused across frames, as the backend does
+		for _, fr := range read {
+			kind, payload := fr.Kind, fr.Payload
 			switch kind {
 			case FrameAssign:
-				if m, s, row, err := DecodeAssignRequest(payload); err == nil {
+				m, s, row, err := DecodeAssignRequest(payload)
+				if errIn := scratch.Decode(payload); errText(errIn) != errText(err) ||
+					err == nil && (string(scratch.Model) != m || string(scratch.Session) != s || !slices.Equal(scratch.Row, row)) {
+					t.Fatalf("in-place decode: (%q,%q,%v) err %v, DecodeAssignRequest (%q,%q,%v) err %v",
+						scratch.Model, scratch.Session, scratch.Row, errIn, m, s, row, err)
+				}
+				if err == nil {
 					m2, s2, row2, err2 := DecodeAssignRequest(AppendAssignRequest(nil, m, s, row))
 					if err2 != nil || m2 != m || s2 != s || !reflect.DeepEqual(row2, row) {
 						t.Fatalf("assign round trip: (%q,%q,%v) → (%q,%q,%v), err %v", m, s, row, m2, s2, row2, err2)

@@ -48,7 +48,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	br := bufio.NewReader(&buf)
 	for i, p := range payloads {
-		kind, got, err := ReadFrame(br)
+		kind, got, err := ReadFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -56,7 +56,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: kind %c, %d bytes", i, kind, len(got))
 		}
 	}
-	if _, _, err := ReadFrame(br); err != io.EOF {
+	if _, _, err := ReadFrame(br, nil); err != io.EOF {
 		t.Fatalf("stream end: %v", err)
 	}
 
@@ -66,14 +66,111 @@ func TestFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := tr.Bytes()[:tr.Len()-3]
-	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(cut))); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(cut)), nil); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("truncated frame: %v", err)
 	}
 
 	// A hostile length beyond MaxFramePayload is rejected before allocation.
 	hostile := []byte{FrameRows, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
-	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hostile))); err == nil {
+	if _, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(hostile)), nil); err == nil {
 		t.Fatal("oversized frame length accepted")
+	}
+}
+
+// TestFrameIOAllocations pins the allocation-free frame path: writing a
+// frame into a *bufio.Writer or a *bytes.Buffer allocates nothing, and a
+// reader that hands each payload back to ReadFrame reads a whole stream into
+// one buffer.
+func TestFrameIOAllocations(t *testing.T) {
+	payload := AppendAssignRequest(nil, "syn", "", []int{1, 0, 3, 2, 1, 0, 4, 2})
+	bw := bufio.NewWriter(io.Discard)
+	if n := testing.AllocsPerRun(200, func() { _ = WriteFrame(bw, FrameAssign, payload) }); n != 0 {
+		t.Fatalf("WriteFrame into a *bufio.Writer: %v allocs, want 0", n)
+	}
+	var buf bytes.Buffer
+	buf.Grow(1 << 16)
+	if n := testing.AllocsPerRun(200, func() { _ = WriteFrame(&buf, FrameAssign, payload) }); n != 0 {
+		t.Fatalf("WriteFrame into a *bytes.Buffer: %v allocs, want 0", n)
+	}
+
+	// Frames of growing, then shrinking size: the buffer grows to the
+	// largest and is reused from there on.
+	var stream bytes.Buffer
+	sizes := []int{3, 10, 64, 5, 64, 0, 7}
+	for i, n := range sizes {
+		if err := WriteFrame(&stream, byte('A'+i), bytes.Repeat([]byte{byte(i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	br := bufio.NewReader(&stream)
+	var last []byte
+	grew := 0
+	for i, n := range sizes {
+		kind, got, err := ReadFrame(br, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kind != byte('A'+i) || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, n)) {
+			t.Fatalf("frame %d: kind %c, payload %v", i, kind, got)
+		}
+		if cap(got) > 0 && (cap(last) == 0 || &got[:1][0] != &last[:1][0]) {
+			grew++
+		}
+		last = got
+	}
+	if grew != 3 { // 3, 10 and 64 bytes; the rest fit
+		t.Fatalf("payload buffer allocated %d times, want 3", grew)
+	}
+}
+
+// TestSplitFrames pins the in-place splitter: the frames ReadFrame reads,
+// payloads aliasing the stream and capped at their own length, and
+// ReadWireHeader's and ReadFrame's errors for a bad stream.
+func TestSplitFrames(t *testing.T) {
+	var stream bytes.Buffer
+	if err := WriteWireHeader(&stream); err != nil {
+		t.Fatal(err)
+	}
+	payloads := [][]byte{[]byte("first"), nil, []byte("third")}
+	for _, p := range payloads {
+		if err := WriteFrame(&stream, FrameAssign, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := stream.Bytes()
+	frames, err := SplitFrames(data, nil)
+	if err != nil || len(frames) != len(payloads) {
+		t.Fatalf("split: %d frames, err %v", len(frames), err)
+	}
+	for i, f := range frames {
+		if f.Kind != FrameAssign || !bytes.Equal(f.Payload, payloads[i]) || cap(f.Payload) != len(f.Payload) {
+			t.Fatalf("frame %d: kind %c, payload %q (cap %d)", i, f.Kind, f.Payload, cap(f.Payload))
+		}
+	}
+	frames[0].Payload[0] = 'F'
+	if !bytes.Contains(data, []byte("First")) {
+		t.Fatal("payload does not alias the stream")
+	}
+	if n := testing.AllocsPerRun(100, func() { frames, _ = SplitFrames(data, frames[:0]) }); n != 0 {
+		t.Fatalf("SplitFrames into a roomy dst: %v allocs, want 0", n)
+	}
+
+	for name, bad := range map[string][]byte{
+		"bad magic":   []byte("NOTAWIRE\x01"),
+		"bad version": []byte("MCDCWIRE\x07"),
+		"truncated":   data[:len(data)-2],
+		"oversize":    append(append([]byte("MCDCWIRE\x01"), FrameRows), 0xff, 0xff, 0xff, 0xff, 0x7f),
+	} {
+		var want error
+		br := bufio.NewReader(bytes.NewReader(bad))
+		if want = ReadWireHeader(br); want == nil {
+			for want == nil {
+				_, _, want = ReadFrame(br, nil)
+			}
+		}
+		if _, err := SplitFrames(bad, nil); err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: SplitFrames error %v, want %v", name, err, want)
+		}
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"mcdc/internal/hashring"
 	"mcdc/internal/model"
 	"mcdc/internal/testenv"
 )
@@ -250,7 +251,7 @@ func TestHedgeTimerFiresOnSlowPrimary(t *testing.T) {
 	for i, codec := range []string{"json", "binary"} {
 		t.Run(codec, func(t *testing.T) {
 			row := rows[i]
-			placed := gw.placeStateless(rowKey("m", row))
+			placed := gw.placement().stateless(hashring.Hash(rowKey("m", row)))
 			slow[placed].Store(true)
 			defer slow[placed].Store(false)
 			send := func(url string) (*http.Response, []byte) {
@@ -301,7 +302,7 @@ func TestChaosSessionFramesInFlight(t *testing.T) {
 		if len(stateless) == 19 {
 			break
 		}
-		if gw.placeStateless(rowKey("m", row)) == owner {
+		if gw.placement().stateless(hashring.Hash(rowKey("m", row))) == owner {
 			if onOwner == 5 {
 				continue
 			}

@@ -225,20 +225,19 @@ func (g *Gateway) routes() {
 // happens on one backend.
 func sessionKey(id string) string { return "s|" + id }
 
-// rowKey is the ring key of one stateless assignment: model plus the exact
-// row values. Identical queries always hit the same backend (warming that
-// backend's traffic window coherently); the spread across backends comes
-// from row diversity.
-func rowKey(model string, row []int) string {
-	var b strings.Builder
-	b.Grow(len(model) + 2 + len(row)*3)
-	b.WriteString("r|")
-	b.WriteString(model)
+// statelessKey is the ring hash of one stateless assignment: model plus the
+// exact row values. Identical queries always hit the same backend (warming
+// that backend's traffic window coherently); the spread across backends
+// comes from row diversity. The key is the string "r|<model>|<v1>|<v2>…",
+// hashed as it would be written but never built: prefix has consumed
+// "r|<model>", and each value's decimal digits are fed from a stack buffer.
+func statelessKey(prefix hashring.Hasher, row []int) uint64 {
+	var digits [20]byte // the longest int64, "-9223372036854775808"
+	h := prefix
 	for _, v := range row {
-		b.WriteByte('|')
-		b.WriteString(strconv.Itoa(v))
+		h = h.AddByte('|').AddBytes(strconv.AppendInt(digits[:0], int64(v), 10))
 	}
-	return b.String()
+	return h.Sum()
 }
 
 // ---- proxying ----

@@ -6,12 +6,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"mcdc/internal/hashring"
 	"mcdc/internal/model"
 )
 
@@ -21,9 +23,11 @@ import (
 //
 //  1. Edge decode turns the client's body into a job of routed items, one per
 //     assignment: a session item (placed by placeSession) or a stateless item
-//     (placed by placeStateless over its model+row key). An item the gateway
-//     can answer itself — an undecodable frame, a request naming no target —
-//     gets the exact error a backend would have given.
+//     (placed by its model+row ring hash, statelessKey). A frame body is split
+//     in place: each 'A' item keeps its payload as a slice of the body, to be
+//     forwarded as is. An item the gateway can answer itself — an
+//     undecodable frame, a request naming no target — gets the exact error a
+//     backend would have given.
 //  2. The router groups the pending items by backend and delivers each group
 //     as a binary frame sub-stream, whatever codec the client spoke: 'A'
 //     frames for singles; 'B', bounded 'R' chunks and 'E' for a batch.
@@ -38,21 +42,15 @@ import (
 // rows — a JSON batch body alone may hold 64 MiB of them.
 const maxUpstreamChunk = 1 << 20
 
-// wireFrame is one parsed frame of a buffered stream.
-type wireFrame struct {
-	kind    byte
-	payload []byte
-}
-
 // routedItem is one assignment on its way through the gateway.
 type routedItem struct {
 	session string // owning session; "" for a stateless item
-	model   string // a stateless item's model; with row, its ring key
-	row     []int  // a stateless item's row
+	key     uint64 // a stateless item's ring hash (statelessKey)
+	row     []int  // a batch row
 	payload []byte // the 'A' frame payload (singles)
 
 	done  bool
-	reply wireFrame        // singles: the 'a' result or '!' error frame
+	reply model.Frame      // singles: the 'a' result or '!' error frame
 	asg   model.Assignment // batches: the row's assignment
 	epoch int              // batches: the epoch of the backend that served the row
 }
@@ -68,21 +66,22 @@ type assignJob struct {
 
 // errorItem is an item the gateway itself answers with an in-band error.
 func errorItem(code, msg string) routedItem {
-	return routedItem{done: true, reply: wireFrame{model.FrameError, model.AppendError(nil, code, msg)}}
+	return routedItem{done: true, reply: model.Frame{Kind: model.FrameError, Payload: model.AppendError(nil, code, msg)}}
 }
 
-// singleItem decodes one 'A' payload into an item. What needs no backend — an
-// undecodable payload, or one naming neither a model nor a session — is
-// answered here with the backend's own error text.
-func singleItem(payload []byte) routedItem {
-	modelName, session, row, err := model.DecodeAssignRequest(payload)
+// singleItem decodes one 'A' payload into an item, using req as scratch. What
+// needs no backend — an undecodable payload, or one naming neither a model
+// nor a session — is answered here with the backend's own error text.
+func singleItem(payload []byte, req *model.AssignRequest) routedItem {
+	err := req.Decode(payload)
 	switch {
 	case err != nil:
 		return errorItem(codeBadRequest, err.Error())
-	case session != "":
-		return routedItem{session: session, payload: payload}
-	case modelName != "":
-		return routedItem{model: modelName, row: row, payload: payload}
+	case len(req.Session) > 0:
+		return routedItem{session: string(req.Session), payload: payload}
+	case len(req.Model) > 0:
+		prefix := hashring.NewHasher().AddString("r|").AddBytes(req.Model)
+		return routedItem{key: statelessKey(prefix, req.Row), payload: payload}
 	}
 	return errorItem(codeBadRequest, "request names neither a model nor a session")
 }
@@ -105,6 +104,7 @@ func (job *assignJob) fail(i int, msg string) {
 // frame stream answered frame for frame in request order.
 func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
 	job := &assignJob{reqID: reqIDOf(r)}
+	var scratch model.AssignRequest
 	wire := r.Header.Get("Content-Type") == WireContentType
 	if wire {
 		_, frames, ok := readWire(w, r)
@@ -113,18 +113,18 @@ func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
 		}
 		job.items = make([]routedItem, len(frames))
 		for i, f := range frames {
-			if f.kind != model.FrameAssign {
-				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in assign stream", f.kind)
+			if f.Kind != model.FrameAssign {
+				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in assign stream", f.Kind)
 				return
 			}
-			job.items[i] = singleItem(f.payload)
+			job.items[i] = singleItem(f.Payload, &scratch)
 		}
 	} else {
 		var req assignRequest
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		job.items = []routedItem{singleItem(model.AppendAssignRequest(nil, req.Model, req.Session, req.Row))}
+		job.items = []routedItem{singleItem(model.AppendAssignRequest(nil, req.Model, req.Session, req.Row), &scratch)}
 	}
 	if !g.route(w, job) {
 		return
@@ -137,7 +137,7 @@ func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
 	bw := bufio.NewWriter(w)
 	_ = model.WriteWireHeader(bw)
 	for _, it := range job.items {
-		_ = model.WriteFrame(bw, it.reply.kind, it.reply.payload)
+		_ = model.WriteFrame(bw, it.reply.Kind, it.reply.Payload)
 	}
 	_ = bw.Flush()
 }
@@ -145,21 +145,21 @@ func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
 // writeReplyJSON answers a JSON single from its reply frame, with the bytes
 // the daemon's JSON handler writes: an error becomes the envelope with the
 // status the code table pairs with its code.
-func writeReplyJSON(w http.ResponseWriter, reply wireFrame) {
-	switch reply.kind {
+func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
+	switch reply.Kind {
 	case model.FrameResult:
-		if a, epoch, err := model.DecodeResult(reply.payload); err == nil {
+		if a, epoch, err := model.DecodeResult(reply.Payload); err == nil {
 			writeJSON(w, http.StatusOK, assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
 			return
 		}
 	case model.FrameError:
-		if code, msg, err := model.DecodeError(reply.payload); err == nil {
+		if code, msg, err := model.DecodeError(reply.Payload); err == nil {
 			//lint:mcdcvet-ignore errenvelope code decoded from an in-band error frame, which gateway and daemon draw only from the stable table
 			writeError(w, codeStatus(code), code, "%s", msg)
 			return
 		}
 	}
-	writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer (frame kind %q)", reply.kind)
+	writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer (frame kind %q)", reply.Kind)
 }
 
 // handleAssignBatch serves POST /v1/assign/batch in either codec. A frame
@@ -175,19 +175,19 @@ func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 		if !ok {
 			return
 		}
-		if len(frames) == 0 || frames[0].kind != model.FrameBatchStart {
+		if len(frames) == 0 || frames[0].Kind != model.FrameBatchStart {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream must open with a batch-start frame")
 			return
 		}
 		var err error
-		if job.model, err = model.DecodeBatchStart(frames[0].payload); err != nil {
+		if job.model, err = model.DecodeBatchStart(frames[0].Payload); err != nil {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 			return
 		}
 		for fi, f := range frames[1:] {
-			switch f.kind {
+			switch f.Kind {
 			case model.FrameRows:
-				chunk, err := model.DecodeRows(f.payload)
+				chunk, err := model.DecodeRows(f.Payload)
 				if err != nil {
 					writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 					return
@@ -200,11 +200,11 @@ func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 					return
 				}
 			default:
-				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in batch stream", f.kind)
+				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in batch stream", f.Kind)
 				return
 			}
 		}
-		if frames[len(frames)-1].kind != model.FrameEnd {
+		if frames[len(frames)-1].Kind != model.FrameEnd {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream ended without an end frame")
 			return
 		}
@@ -226,8 +226,9 @@ func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 		job.model, rows, chunks = req.Model, req.Rows, []int{len(req.Rows)}
 	}
 	job.items = make([]routedItem, len(rows))
+	prefix := hashring.NewHasher().AddString("r|").AddString(job.model)
 	for i, row := range rows {
-		job.items[i] = routedItem{model: job.model, row: row}
+		job.items[i] = routedItem{key: statelessKey(prefix, row), row: row}
 	}
 	if !g.route(w, job) {
 		return
@@ -262,13 +263,14 @@ func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
 	_ = bw.Flush()
 }
 
-// readWire reads a whole frame-stream body and splits it into frames,
-// answering a malformed stream as a backend would: version skew is 422.
-func readWire(w http.ResponseWriter, r *http.Request) (raw []byte, frames []wireFrame, ok bool) {
+// readWire reads a whole frame-stream body and splits it in place into
+// frames, answering a malformed stream as a backend would: version skew is
+// 422.
+func readWire(w http.ResponseWriter, r *http.Request) (raw []byte, frames []model.Frame, ok bool) {
 	if raw, ok = readBody(w, r); !ok {
 		return nil, nil, false
 	}
-	frames, err := parseWireStream(raw)
+	frames, err := model.SplitFrames(raw, nil)
 	if err != nil {
 		var verr *model.WireVersionError
 		if errors.As(err, &verr) {
@@ -279,26 +281,6 @@ func readWire(w http.ResponseWriter, r *http.Request) (raw []byte, frames []wire
 		return nil, nil, false
 	}
 	return raw, frames, true
-}
-
-// parseWireStream validates the header and splits a complete wire stream
-// into frames. The payloads alias data.
-func parseWireStream(data []byte) ([]wireFrame, error) {
-	br := bufio.NewReader(bytes.NewReader(data))
-	if err := model.ReadWireHeader(br); err != nil {
-		return nil, err
-	}
-	var frames []wireFrame
-	for {
-		kind, payload, err := model.ReadFrame(br)
-		if err == io.EOF {
-			return frames, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, wireFrame{kind: kind, payload: payload})
-	}
 }
 
 // ---- the router ----
@@ -326,29 +308,34 @@ func (g *Gateway) route(w http.ResponseWriter, job *assignJob) bool {
 			}
 			break
 		}
-		groups := make(map[string][]int)
+		p := g.placement()
+		// An item finds its group by scanning the round's groups, one per
+		// backend in use, so grouping costs at most items × backends
+		// comparisons.
+		var groups []group
 		for _, i := range pending {
-			b := g.place(&job.items[i])
-			groups[b] = append(groups[b], i)
+			b := g.place(p, &job.items[i])
+			k := slices.IndexFunc(groups, func(gr group) bool { return gr.backend == b })
+			if k < 0 {
+				k = len(groups)
+				groups = append(groups, group{backend: b})
+			}
+			groups[k].idxs = append(groups[k].idxs, i)
 		}
-		order := make([]string, 0, len(groups))
-		for b := range groups {
-			order = append(order, b)
-		}
-		sort.Strings(order)
-		results := make([]exchange, len(order))
+		slices.SortFunc(groups, func(a, b group) int { return strings.Compare(a.backend, b.backend) })
+		results := make([]exchange, len(groups))
 		var wg sync.WaitGroup
-		for k, b := range order {
+		for k, gr := range groups {
 			wg.Add(1)
-			go func(k int, b string) {
+			go func(k int, gr group) {
 				defer wg.Done()
-				results[k] = g.deliver(job, b, groups[b])
-			}(k, b)
+				results[k] = g.deliver(job, p, gr.backend, gr.idxs)
+			}(k, gr)
 		}
 		wg.Wait()
 
 		pending = nil
-		for k, b := range order {
+		for k, gr := range groups {
 			res := &results[k]
 			switch {
 			case res.err != nil:
@@ -357,12 +344,12 @@ func (g *Gateway) route(w http.ResponseWriter, job *assignJob) bool {
 					return false
 				}
 				lastErr = fmt.Errorf("backend %s: %w", res.backend, res.err)
-				pending = append(pending, g.replace(job, res.backend, groups[b])...)
+				pending = append(pending, g.replace(job, res.backend, gr.idxs)...)
 			case res.status != http.StatusOK:
 				relay(w, res.status, res.hdr, res.data)
 				return false
 			default:
-				pending = append(pending, g.settle(job, res, groups[b], probed)...)
+				pending = append(pending, g.settle(job, res, gr.idxs, probed)...)
 			}
 		}
 		sort.Ints(pending)
@@ -374,12 +361,18 @@ func (g *Gateway) route(w http.ResponseWriter, job *assignJob) bool {
 	return true
 }
 
-// place returns the backend an item routes to this round.
-func (g *Gateway) place(it *routedItem) string {
+// group is the pending items one round sends one backend.
+type group struct {
+	backend string
+	idxs    []int
+}
+
+// place returns the backend an item routes to in the round placing against p.
+func (g *Gateway) place(p placement, it *routedItem) string {
 	if it.session != "" {
 		return g.placeSession(it.session)
 	}
-	return g.placeStateless(rowKey(it.model, it.row))
+	return p.stateless(it.key)
 }
 
 // sessionCounts counts the items each session owns among idxs (nil when no
@@ -409,11 +402,12 @@ func sessionCounts(job *assignJob, idxs []int) map[string]int {
 // cache covers only the last frame — so its items answer bad_gateway.
 func (g *Gateway) replace(job *assignJob, failed string, idxs []int) (again []int) {
 	counts := sessionCounts(job, idxs)
+	p := g.placement()
 	for _, i := range idxs {
 		it := &job.items[i]
 		switch {
 		case it.session == "":
-			if nb := g.placeStateless(rowKey(it.model, it.row)); nb == "" || !g.isUp(nb) {
+			if !p.isUp(p.stateless(it.key)) {
 				job.fail(i, fmt.Sprintf("backend %s unreachable and no other backend is up", failed))
 				continue
 			}
@@ -443,8 +437,8 @@ func (g *Gateway) settle(job *assignJob, res *exchange, idxs []int, probed map[s
 			continue
 		}
 		f := res.frames[j]
-		if it.session != "" && f.kind == model.FrameError {
-			if code, _, _ := model.DecodeError(f.payload); code == codeUnknownSession {
+		if it.session != "" && f.Kind == model.FrameError {
+			if code, _, _ := model.DecodeError(f.Payload); code == codeUnknownSession {
 				owner, seen := probed[it.session]
 				if !seen {
 					owner, _ = g.probeSessionOwner(it.session, res.backend)
@@ -468,7 +462,7 @@ type exchange struct {
 	data    []byte
 	hdr     http.Header
 	err     error
-	frames  []wireFrame        // singles: one answer per item
+	frames  []model.Frame      // singles: one answer per item, aliasing data
 	epoch   int                // batches: the serving backend's epoch
 	asgs    []model.Assignment // batches: one assignment per item
 }
@@ -476,8 +470,9 @@ type exchange struct {
 // deliver sends the items idxs to backend b as one frame sub-stream and
 // parses the answer. A transport failure is retried in place, except for a
 // group holding several items of one session, which gets a single attempt
-// (see replace); a request routing one stateless item hedges.
-func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
+// (see replace); a request routing one stateless item hedges along the
+// chain of p, the placement the round put it on b with.
+func (g *Gateway) deliver(job *assignJob, p placement, b string, idxs []int) exchange {
 	path, body := job.subStream(idxs)
 	res := exchange{backend: b}
 	multi := false
@@ -486,7 +481,7 @@ func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
 	}
 	switch {
 	case g.cfg.HedgeAfter > 0 && len(job.items) == 1 && job.items[0].session == "":
-		res = g.hedged(b, rowKey(job.items[0].model, job.items[0].row), path, body, job.reqID)
+		res = g.hedged(b, p.hedgeTarget(job.items[0].key, b), path, body, job.reqID)
 	case multi:
 		res.status, res.data, res.hdr, res.err = g.doCT(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
 		if _, transient := classifyTransient(res.err); transient {
@@ -500,32 +495,32 @@ func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
 	}
 	if job.batch {
 		res.epoch, res.asgs, res.err = parseBatchReply(res.data, len(idxs))
-	} else if res.frames, res.err = parseWireStream(res.data); res.err == nil && len(res.frames) != len(idxs) {
+	} else if res.frames, res.err = model.SplitFrames(res.data, make([]model.Frame, 0, len(idxs))); res.err == nil && len(res.frames) != len(idxs) {
 		res.err = fmt.Errorf("%d response frames for %d assigns", len(res.frames), len(idxs))
 	}
 	return res
 }
 
-// hedged exchanges body with b, the first up backend of key's ring chain,
-// and, if b has not answered within HedgeAfter, races the same request
-// against the next up backend; the first answer wins. The race also starts
-// at once if b fails first, so hedging is never less available than the
-// plain chain walk. Only a lone stateless item hedges — a pure read of the
-// shared snapshot, idempotent anywhere. When both racers fail transiently,
-// the last failure returns and the router re-places the item.
-func (g *Gateway) hedged(b, key, path string, body []byte, reqID string) exchange {
+// hedged exchanges body with b, the first up backend of an item's ring
+// chain, and, if b has not answered within HedgeAfter, races the same
+// request against second, the next up backend of that chain; the first
+// answer wins. The race also starts at once if b fails first, so hedging is
+// never less available than the plain chain walk. Only a lone stateless
+// item hedges — a pure read of the shared snapshot, idempotent anywhere.
+// When both racers fail transiently, the last failure returns and the
+// router re-places the item.
+func (g *Gateway) hedged(b, second, path string, body []byte, reqID string) exchange {
 	send := func(b string) exchange {
 		res := exchange{backend: b}
 		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, reqID)
 		return res
 	}
-	first, second := g.statelessPair(key)
-	if first != b || second == "" {
+	if second == "" {
 		return send(b)
 	}
 	ch := make(chan exchange, 2)
 	launch := func(b string) { go func() { ch <- send(b) }() }
-	launch(first)
+	launch(b)
 	launched, failed := 1, 0
 	timer := time.NewTimer(g.cfg.HedgeAfter)
 	defer timer.Stop()
@@ -590,25 +585,25 @@ func (job *assignJob) subStream(idxs []int) (path string, body []byte) {
 // parseBatchReply decodes a backend's binary batch response — 'b' info,
 // 'r' result frames, 'E' — expecting want results in total.
 func parseBatchReply(data []byte, want int) (epoch int, results []model.Assignment, err error) {
-	frames, err := parseWireStream(data)
+	frames, err := model.SplitFrames(data, nil)
 	if err != nil {
 		return 0, nil, err
 	}
-	if len(frames) == 0 || frames[0].kind != model.FrameBatchInfo {
+	if len(frames) == 0 || frames[0].Kind != model.FrameBatchInfo {
 		return 0, nil, fmt.Errorf("batch reply missing info frame")
 	}
-	if _, epoch, err = model.DecodeBatchInfo(frames[0].payload); err != nil {
+	if _, epoch, err = model.DecodeBatchInfo(frames[0].Payload); err != nil {
 		return 0, nil, err
 	}
 	for _, f := range frames[1:] {
-		switch f.kind {
+		switch f.Kind {
 		case model.FrameResults:
-			if results, err = model.DecodeResults(f.payload, results); err != nil {
+			if results, err = model.DecodeResults(f.Payload, results); err != nil {
 				return 0, nil, err
 			}
 		case model.FrameEnd:
 		default:
-			return 0, nil, fmt.Errorf("unexpected frame kind %q in batch reply", f.kind)
+			return 0, nil, fmt.Errorf("unexpected frame kind %q in batch reply", f.Kind)
 		}
 	}
 	if len(results) != want {

@@ -390,17 +390,17 @@ func TestGatewayLargeBatchChunked(t *testing.T) {
 		t.Helper()
 		chunks := 0
 		for _, u := range rec.assigns() {
-			frames, err := parseWireStream(u.body)
+			frames, err := model.SplitFrames(u.body, nil)
 			if err != nil {
 				t.Fatalf("%s: upstream body: %v", name, err)
 			}
 			for _, f := range frames {
-				if f.kind != model.FrameRows {
+				if f.Kind != model.FrameRows {
 					continue
 				}
 				chunks++
-				if len(f.payload) > maxUpstreamChunk {
-					t.Fatalf("%s: upstream 'R' frame of %d bytes exceeds the %d-byte chunk bound", name, len(f.payload), maxUpstreamChunk)
+				if len(f.Payload) > maxUpstreamChunk {
+					t.Fatalf("%s: upstream 'R' frame of %d bytes exceeds the %d-byte chunk bound", name, len(f.Payload), maxUpstreamChunk)
 				}
 			}
 		}

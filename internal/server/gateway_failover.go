@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -118,43 +119,62 @@ func (g *Gateway) placeLocked(id string) string {
 	return g.ring.Get(sessionKey(id))
 }
 
-// placeStateless returns the first up backend in the key's ring-successor
-// chain. With the whole fleet up this is exactly the ring owner — the
-// deterministic placement the byte-identity contract pins — and with owners
-// down, stateless traffic (which any backend can serve) slides along the
-// chain instead of failing.
-func (g *Gateway) placeStateless(key string) string {
-	g.placeMu.RLock()
-	chain := g.ring.GetN(key, g.ring.Len())
-	g.placeMu.RUnlock()
-	for _, b := range chain {
-		if g.isUp(b) {
-			return b
-		}
-	}
-	if len(chain) > 0 {
-		return chain[0] // nothing is marked up; let the request fail honestly
-	}
-	return ""
+// placement is the view one routing round places stateless items against:
+// the ring as the round began and the backends then marked up. A published
+// ring is never mutated — join and leave build a new one and swap it in —
+// so a round walks it without holding placeMu, and reads the up flags once
+// instead of once per item.
+type placement struct {
+	ring *hashring.Ring
+	up   []string
 }
 
-// statelessPair returns the first two up backends in the key's chain — the
-// primary placement plus the hedge target.
-func (g *Gateway) statelessPair(key string) (first, second string) {
+// placement takes a routing round's snapshot.
+func (g *Gateway) placement() placement {
 	g.placeMu.RLock()
-	chain := g.ring.GetN(key, g.ring.Len())
-	g.placeMu.RUnlock()
-	for _, b := range chain {
-		if !g.isUp(b) {
-			continue
+	defer g.placeMu.RUnlock()
+	p := placement{ring: g.ring, up: make([]string, 0, len(g.backends))}
+	g.stateMu.RLock()
+	defer g.stateMu.RUnlock()
+	for _, b := range g.backends {
+		if f := g.up[b]; f != nil && f.Load() {
+			p.up = append(p.up, b)
 		}
-		if first == "" {
-			first = b
-			continue
-		}
-		return first, b
 	}
-	return first, ""
+	return p
+}
+
+func (p placement) isUp(b string) bool { return slices.Contains(p.up, b) }
+
+// stateless returns the first up backend in the successor chain of ring
+// hash key. With the whole fleet up this is exactly the ring owner — the
+// deterministic placement the byte-identity contract pins — and with owners
+// down, stateless traffic (which any backend can serve) slides along the
+// chain instead of failing. With nothing up it is the owner, so the request
+// fails honestly.
+func (p placement) stateless(key uint64) (b string) {
+	p.ring.Walk(key, func(node string) bool {
+		up := p.isUp(node)
+		if up || b == "" {
+			b = node
+		}
+		return !up
+	})
+	return b
+}
+
+// hedgeTarget returns the first up backend after primary in key's chain — the
+// hedge target when primary is the stateless placement — or "" when there is
+// none.
+func (p placement) hedgeTarget(key uint64, primary string) (b string) {
+	p.ring.Walk(key, func(node string) bool {
+		if node != primary && p.isUp(node) {
+			b = node
+			return false
+		}
+		return true
+	})
+	return b
 }
 
 // sessionCandidates returns the session's full ring-successor chain — the

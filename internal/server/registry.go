@@ -42,6 +42,19 @@ func (r *registry) get(name string) (*servedModel, bool) {
 	return sm, ok
 }
 
+// name spells a model name given as bytes, as a frame decodes it, without
+// allocating when a model is served under it: the string is the served
+// model's own name. Any other name is converted.
+func (r *registry) name(b []byte) string {
+	r.mu.RLock()
+	sm, ok := r.models[string(b)]
+	r.mu.RUnlock()
+	if !ok {
+		return string(b)
+	}
+	return sm.name
+}
+
 // set registers snap under name, hot-swapping atomically when the name is
 // already served. Counters survive the swap; the traffic buffer survives
 // only when the new snapshot keeps the old feature schema — buffered rows
@@ -105,13 +118,16 @@ func newTrafficBuffer(capacity int) *trafficBuffer {
 	return &trafficBuffer{cap: capacity}
 }
 
+// add copies row into the ring. Once the ring is full the copy overwrites
+// the evicted row's slice in place, which is safe because the ring alone
+// holds its slices: take hands a window out whole and leaves the ring
+// empty, and restore puts back copies.
 func (b *trafficBuffer) add(row []int) {
-	own := append([]int(nil), row...)
 	b.mu.Lock()
 	if len(b.rows) < b.cap {
-		b.rows = append(b.rows, own)
+		b.rows = append(b.rows, append([]int(nil), row...))
 	} else {
-		b.rows[b.next] = own
+		b.rows[b.next] = append(b.rows[b.next][:0], row...)
 		b.next = (b.next + 1) % b.cap
 	}
 	b.mu.Unlock()
@@ -152,7 +168,12 @@ func (b *trafficBuffer) restore(rows [][]int) {
 	if len(rows) > room {
 		rows = rows[len(rows)-room:] // keep the newest of the restored window
 	}
-	b.rows = append(append([][]int{}, rows...), b.rows...)
+	// Copies, so a later in-place overwrite cannot reach the caller's window.
+	restored := make([][]int, 0, len(rows)+len(b.rows))
+	for _, row := range rows {
+		restored = append(restored, append([]int(nil), row...))
+	}
+	b.rows = append(restored, b.rows...)
 }
 
 func sameSchema(a, b []int) bool {

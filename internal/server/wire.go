@@ -80,9 +80,16 @@ func (s *Server) handleAssignWire(w http.ResponseWriter, r *http.Request) {
 	// their sequence numbers differ.
 	reqID := r.Header.Get(RequestIDHeader)
 	seq := make(map[string]int)
-	var scratch []byte
+	// One payload buffer, one decoded request and one result buffer serve
+	// the whole stream. Every consumer that keeps a row copies it (the
+	// traffic window, a session's clusterer and replay cache), so the row
+	// scratch is free again once assignOne returns.
+	var (
+		payload, scratch []byte
+		req              model.AssignRequest
+	)
 	for {
-		kind, payload, err := model.ReadFrame(br)
+		kind, p, err := model.ReadFrame(br, payload)
 		if err == io.EOF {
 			break
 		}
@@ -91,23 +98,24 @@ func (s *Server) handleAssignWire(w http.ResponseWriter, r *http.Request) {
 			writeErrorFrame(&out, codeBadRequest, err.Error())
 			break
 		}
+		payload = p
 		if kind != model.FrameAssign {
 			s.metrics.assignErrors.Add(1)
 			writeErrorFrame(&out, codeBadRequest, fmt.Sprintf("unexpected frame kind %q in assign stream", kind))
 			break
 		}
-		modelName, session, row, err := model.DecodeAssignRequest(payload)
-		if err != nil {
+		if err := req.Decode(payload); err != nil {
 			s.metrics.assignErrors.Add(1)
 			writeErrorFrame(&out, codeBadRequest, err.Error())
 			continue
 		}
+		modelName, session := s.registry.name(req.Model), string(req.Session)
 		frameID := ""
 		if reqID != "" && session != "" {
 			frameID = reqID + "#" + session + "#" + strconv.Itoa(seq[session])
 			seq[session]++
 		}
-		_, code, aerr := s.assignOne(modelName, session, row, frameID, func(resp assignResponse) {
+		_, code, aerr := s.assignOne(modelName, session, req.Row, frameID, func(resp assignResponse) {
 			// Serialized inside emit: resp.Encoding aliases the pooled
 			// assigner scratch, valid only until assignOne returns.
 			scratch = model.AppendResult(scratch[:0], model.Assignment{
@@ -137,7 +145,7 @@ func (s *Server) handleAssignBatchWire(w http.ResponseWriter, r *http.Request) {
 	if !s.readWireHeader(w, br) {
 		return
 	}
-	kind, payload, err := model.ReadFrame(br)
+	kind, payload, err := model.ReadFrame(br, nil)
 	if err != nil || kind != model.FrameBatchStart {
 		s.metrics.assignErrors.Add(1)
 		writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream must open with a batch-start frame")
@@ -165,7 +173,7 @@ func (s *Server) handleAssignBatchWire(w http.ResponseWriter, r *http.Request) {
 	var results []model.Assignment
 	var chunks []int
 	for {
-		kind, payload, err := model.ReadFrame(br)
+		kind, p, err := model.ReadFrame(br, payload)
 		if err != nil {
 			// Only io.EOF without a closing 'E' is a truncated request; any
 			// other read error (an oversized frame, a stream cut mid-frame)
@@ -177,6 +185,7 @@ func (s *Server) handleAssignBatchWire(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
 			return
 		}
+		payload = p
 		if kind == model.FrameEnd {
 			break
 		}

@@ -60,7 +60,7 @@ func readFrames(t *testing.T, data []byte) []struct {
 		payload []byte
 	}
 	for {
-		kind, payload, err := model.ReadFrame(br)
+		kind, payload, err := model.ReadFrame(br, nil)
 		if err == io.EOF {
 			return out
 		}
