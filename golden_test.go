@@ -23,8 +23,9 @@ type goldenRun struct {
 
 // tableIIGolden holds Cluster(Builtin(name, 1), k*, WithSeed(1)) for every
 // Table II set. The values were recorded before MGCPL's competitive loop
-// cached its per-cluster similarity terms and sigmoid weights: the caches
-// must reproduce the uncached loop bit for bit.
+// cached its similarity terms and sigmoid weights: the caches, and the term
+// matrix that scores every cluster in one pass over an object's rows, must
+// reproduce the uncached loop bit for bit.
 var tableIIGolden = map[string]goldenRun{
 	"Car.": {[]int{21, 11, 10, 5}, "a4765df87851c214", "4eb597a74c2146a6", "8069e972c604dcd4"},
 	"Con.": {[]int{11, 5, 4, 2}, "cb2f7a4e819a17c8", "feafd9d37e3c588e", "52fad320068b27cd"},
@@ -37,7 +38,9 @@ var tableIIGolden = map[string]goldenRun{
 }
 
 // TestClusterGoldenTableII checks Cluster against tableIIGolden. Regular runs
-// cover the sets of at most 1728 rows; MCDC_NIGHTLY=1 runs all eight.
+// cover the sets of at most 1728 rows; MCDC_NIGHTLY=1 runs all eight, which
+// CI does in a step of its own, without -race, since the three large sets
+// are where MGCPL scores the most clusters per object.
 //
 // The hashes hold on amd64 only. math.Exp, which drives MGCPL's sigmoid
 // weights, has an assembly implementation there and a pure-Go one elsewhere,

@@ -159,7 +159,7 @@ type mgcplState struct {
 	delta  []float64   // δ_l driving the sigmoid weight u_l (Eq. 11)
 	u      []float64   // u[l] = sigmoidWeight(δ_l), rewritten wherever δ_l is
 	omega  [][]float64 // ω_rl feature weights per cluster (Eq. 18)
-	alive  []bool      // cluster slots still in play
+	live   []int       // cluster slots still in play, in index order
 	eta    float64
 	order  []int // presentation order, reshuffled every pass
 	rng    *rand.Rand
@@ -168,11 +168,17 @@ type mgcplState struct {
 	rivalThreshold float64
 	// workers bounds the parallelism of the per-cluster weight refresh.
 	workers int
-	// terms[l] caches WeightedTerms(l, ω_l): cluster l's score for any
-	// non-member object is then a SumTerms lookup. dirty[l] marks a table
-	// made stale by a change to l's members or to ω_l; pickWinnerAndRival
-	// rebuilds it on first use.
-	terms [][]float64
+	// terms is the value-major term matrix, one column per live slot:
+	// column c holds cluster live[c]'s summands of Eq. (14), ω_rl·count/seen
+	// for each feature r and value v (Tables.WriteTermColumn). One pass over
+	// an object's d rows of it (Tables.SumTermColumns) sums the object's
+	// similarity to every live cluster into acc[c]. dirty[l] marks cluster
+	// l's column stale after a change to l's members or to ω_l; the
+	// resetGuidance after an elimination recomputes every survivor's ω_l, so
+	// the columns an elimination moved are stale too. pickWinnerAndRival
+	// rewrites a stale column before it is read.
+	terms []float64
+	acc   []float64
 	dirty []bool
 }
 
@@ -246,8 +252,9 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 		delta:          make([]float64, k),
 		u:              make([]float64, k),
 		omega:          make([][]float64, k),
-		alive:          make([]bool, k),
-		terms:          make([][]float64, k),
+		live:           make([]int, k),
+		terms:          make([]float64, tables.TermRows()*k),
+		acc:            make([]float64, k),
 		dirty:          make([]bool, k),
 		eta:            eta,
 		rivalThreshold: rivalThreshold,
@@ -265,7 +272,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 	for l := 0; l < k; l++ {
 		st.delta[l] = 1
 		st.u[l] = sigmoidWeight(1)
-		st.alive[l] = true
+		st.live[l] = l
 		st.dirty[l] = true
 		st.omega[l] = make([]float64, d)
 		for r := range st.omega[l] {
@@ -288,13 +295,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 // skip the intermediate granularities the next (re-seeded) epochs explore.
 func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 	n := len(rows)
-	kStart := 0
-	for _, a := range st.alive {
-		if a {
-			kStart++
-		}
-	}
-	minAlive := (kStart + 1) / 2
+	minAlive := (len(st.live) + 1) / 2
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		var gTotal float64
@@ -373,21 +374,8 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 		// (g←0, δ←1, ω←1/d): the fight that killed the loser also battered
 		// bystanders, and without the reset a single redundancy can cascade
 		// a healthy configuration all the way down to one cluster.
-		eliminated := false
-		for l := range st.alive {
-			if st.alive[l] && st.tables.Size(l) == 0 {
-				st.alive[l] = false
-				eliminated = true
-			}
-		}
-		if eliminated {
-			alive := 0
-			for _, a := range st.alive {
-				if a {
-					alive++
-				}
-			}
-			if alive <= minAlive {
+		if st.eliminate() {
+			if len(st.live) <= minAlive {
 				return nil
 			}
 			st.resetGuidance()
@@ -400,6 +388,23 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 	return nil
 }
 
+// eliminate takes the clusters that are empty at the end of a pass out of
+// live, shrinks the term matrix to the survivors' columns, and reports
+// whether any cluster went. Survivors keep their index order, but their
+// columns may move: resetGuidance, which follows every elimination that
+// continues the level, marks them all stale.
+func (st *mgcplState) eliminate() bool {
+	live := st.live[:0]
+	for _, l := range st.live {
+		if st.tables.Size(l) > 0 {
+			live = append(live, l)
+		}
+	}
+	eliminated := len(live) < len(st.live)
+	st.live, st.acc = live, st.acc[:len(live)]
+	return eliminated
+}
+
 // refreshWeights recomputes the per-cluster feature weights (Eq. 15–18).
 // Each cluster's weights depend only on the (frozen) frequency tables and are
 // written to that cluster's own ω slice, so the clusters fan out across the
@@ -407,8 +412,8 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 func (st *mgcplState) refreshWeights() {
 	workers := parallel.Gate(st.workers, len(st.omega)*st.tables.D())
 	parallel.Must(parallel.ForEach(workers, len(st.omega), func(l int) error {
-		if !st.alive[l] || st.tables.Size(l) == 0 {
-			return nil
+		if st.tables.Size(l) == 0 {
+			return nil // empty, or eliminated (which leaves a slot empty)
 		}
 		st.tables.FeatureWeights(l, st.omega[l])
 		st.dirty[l] = true
@@ -428,7 +433,7 @@ func (st *mgcplState) resetGuidance() {
 		st.gCur[l] = 0
 		st.delta[l] = 1
 		st.u[l] = sigmoidWeight(1)
-		if st.alive[l] && st.tables.Size(l) > 0 {
+		if st.tables.Size(l) > 0 {
 			st.tables.FeatureWeights(l, st.omega[l])
 			st.dirty[l] = true
 		}
@@ -436,7 +441,8 @@ func (st *mgcplState) resetGuidance() {
 }
 
 // pickWinnerAndRival evaluates Eq. (6) and Eq. (9): the winner v maximizes
-// (1−ρ_l)·u_l·s(x_i,C_l) over live clusters, and the rival h is the runner-up.
+// (1−ρ_l)·u_l·s(x_i,C_l) over live clusters, and the rival h is the runner-up;
+// both are scanned in index order and ties go to the lower index.
 // The winning ratio ρ counts the previous pass's wins plus the wins already
 // accumulated in the current pass: purely retrospective counts leave the very
 // first pass undamped, and one early winner can then absorb the entire data
@@ -444,14 +450,23 @@ func (st *mgcplState) resetGuidance() {
 //
 // It also returns the similarities simV and simH of the winner and the rival.
 // Object i's own cluster is scored leave-one-out; every other cluster through
-// its cached term table. After i moves out of h, h's plain similarity equals
-// this leave-one-out value, so the caller needs no second evaluation.
+// its column of the term matrix, all of them summed in one pass over i's
+// rows of it. After i moves out of h, h's plain similarity equals this
+// leave-one-out value, so the caller needs no second evaluation.
 func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV, simH float64) {
+	own := st.assign[i]
+	for c, l := range st.live {
+		if st.dirty[l] && l != own && st.tables.Size(l) > 0 {
+			st.tables.WriteTermColumn(st.terms, len(st.live), c, l, st.omega[l])
+			st.dirty[l] = false
+		}
+	}
+	st.tables.SumTermColumns(i, st.terms, st.acc)
+	d := float64(st.tables.D())
 	v, h = -1, -1
 	best, second := math.Inf(-1), math.Inf(-1)
-	own := st.assign[i]
-	for l := range st.alive {
-		if !st.alive[l] || st.tables.Size(l) == 0 {
+	for c, l := range st.live {
+		if st.tables.Size(l) == 0 {
 			continue
 		}
 		rho := 0.0
@@ -462,11 +477,7 @@ func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV,
 		if l == own {
 			sim = st.tables.WeightedSimLOO(i, l, st.omega[l], true)
 		} else {
-			if st.dirty[l] {
-				st.terms[l] = st.tables.WeightedTerms(l, st.omega[l], st.terms[l])
-				st.dirty[l] = false
-			}
-			sim = st.tables.SumTerms(i, st.terms[l])
+			sim = st.acc[c] / d
 		}
 		score := (1 - rho) * st.u[l] * sim
 		switch {

@@ -227,45 +227,68 @@ func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
 	return sum / float64(len(row))
 }
 
-// WeightedTerms fills dst with cluster l's per-value summands of Eq. (14),
-// dst[r*stride+v] = w[r]·count/seen, or 0 where seen or count is 0, and
-// returns it (allocated when dst is nil). Paired with SumTerms it scores
-// any non-member object in O(d) lookups, and the table stays valid until
-// cluster l's counts or w change.
-func (t *Tables) WeightedTerms(l int, w, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(t.card)*t.stride)
-	}
+// TermRows returns the number of rows of a term matrix: one per feature r and
+// value slot v < stride. A matrix with cols columns has TermRows()·cols
+// entries.
+func (t *Tables) TermRows() int { return len(t.card) * t.stride }
+
+// WriteTermColumn writes cluster l's per-value summands of Eq. (14) into
+// column j of the value-major term matrix m with cols columns:
+// m[(r*stride+v)*cols+j] = w[r]·count/seen, or 0 where seen or count is 0.
+// Rows of values at or above a feature's cardinality are never read and are
+// left as they are. The column stays valid until cluster l's counts or w
+// change.
+func (t *Tables) WriteTermColumn(m []float64, cols, j, l int, w []float64) {
 	cl, sl := t.count[l], t.seen[l]
-	for r, m := range t.card {
+	for r, card := range t.card {
 		base, seen := r*t.stride, sl[r]
-		for v := 0; v < m; v++ {
-			cnt := cl[base+v]
-			if seen <= 0 || cnt <= 0 {
-				dst[base+v] = 0
-				continue
+		for v := 0; v < card; v++ {
+			term := 0.0
+			if cnt := cl[base+v]; seen > 0 && cnt > 0 {
+				term = w[r] * float64(cnt) / float64(seen)
 			}
-			dst[base+v] = w[r] * float64(cnt) / float64(seen)
+			m[(base+v)*cols+j] = term
 		}
 	}
-	return dst
 }
 
-// SumTerms returns (1/d)·Σ_r terms[r*stride+x_ir] over object i's
-// non-missing features. With terms = WeightedTerms(l, w, …) it equals
-// WeightedSimLOO(i, l, w, false) bit for bit: the same summands are added in
-// the same order (a skipped summand there is a +0 here, which leaves a
-// non-negative sum unchanged), then divided the same way.
-func (t *Tables) SumTerms(i int, terms []float64) float64 {
-	row := t.data[i]
-	var sum float64
-	for r, v := range row {
+// SumTermColumns sets acc[j] = Σ_r m[(r*stride+x_ir)*cols+j] over object i's
+// non-missing features r, for every column j of the term matrix m with
+// cols = len(acc): one pass over the object's d rows of m. For a column j
+// written by WriteTermColumn(m, cols, j, l, w), acc[j]/D() equals
+// WeightedSimLOO(i, l, w, false) bit for bit: each column adds the same
+// summands in the same order, r = 0..d−1 (a summand skipped there is a +0
+// here, which leaves a non-negative sum unchanged).
+func (t *Tables) SumTermColumns(i int, m, acc []float64) {
+	clear(acc)
+	var rows [4][]float64
+	n := 0
+	for r, v := range t.data[i] {
 		if v == categorical.Missing {
 			continue
 		}
-		sum += terms[r*t.stride+v]
+		rows[n] = m[(r*t.stride+v)*len(acc):][:len(acc)]
+		if n++; n == len(rows) {
+			addRows4(acc, rows[0], rows[1], rows[2], rows[3])
+			n = 0
+		}
 	}
-	return sum / float64(len(row))
+	for _, terms := range rows[:n] {
+		for j, x := range terms {
+			acc[j] += x
+		}
+	}
+}
+
+// addRows4 adds four rows of a term matrix into acc, in row order. Each
+// column's sum stays in a register across the four adds instead of making a
+// round trip through acc per row; the rounding is the same as four separate
+// passes.
+func addRows4(acc, t0, t1, t2, t3 []float64) {
+	t0, t1, t2, t3 = t0[:len(acc)], t1[:len(acc)], t2[:len(acc)], t3[:len(acc)]
+	for j := range acc {
+		acc[j] = acc[j] + t0[j] + t1[j] + t2[j] + t3[j]
+	}
 }
 
 // InterClusterDifference computes α_rl of Eq. (15): the Euclidean separation

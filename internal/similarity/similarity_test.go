@@ -209,17 +209,18 @@ func TestNewTablesErrors(t *testing.T) {
 	}
 }
 
-// TestSumTermsMatchesWeightedSimLOO pins the identity MGCPL's cached scoring
-// rests on: for every non-member object, SumTerms over WeightedTerms equals
-// WeightedSimLOO(…, false) under math.Float64bits, and after an object leaves
-// a cluster, its plain similarity to it equals its leave-one-out similarity
-// from before the move. Tables are random, with Missing cells, cardinalities
-// below the stride, empty clusters, zero and uniform weights, and random
-// Add/Remove sequences.
-func TestSumTermsMatchesWeightedSimLOO(t *testing.T) {
+// TestTermMatrixMatchesWeightedSimLOO pins the identity MGCPL's scoring
+// rests on: for every non-member object, its sum over a column of the
+// value-major term matrix, divided by d, equals WeightedSimLOO(…, false)
+// under math.Float64bits, and after an object leaves a cluster, its plain
+// similarity to it equals its leave-one-out similarity from before the move.
+// Tables are random, with Missing cells, cardinalities below the stride,
+// empty clusters, zero and uniform weights, and random Add/Remove sequences;
+// each step rewrites the columns in a random order.
+func TestTermMatrixMatchesWeightedSimLOO(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 200; trial++ {
-		n, d, k := 1+rng.Intn(40), 1+rng.Intn(6), 1+rng.Intn(5)
+		n, d, k := 1+rng.Intn(40), 1+rng.Intn(10), 1+rng.Intn(5)
 		card := make([]int, d)
 		for r := range card {
 			card[r] = 1 + rng.Intn(6)
@@ -247,7 +248,8 @@ func TestSumTermsMatchesWeightedSimLOO(t *testing.T) {
 		for i := range assign {
 			assign[i] = -1
 		}
-		var terms []float64
+		terms, acc := make([]float64, tb.TermRows()*k), make([]float64, k)
+		col := rng.Perm(k) // cluster l's column of terms
 		for step := 0; step < 3*n; step++ {
 			i := rng.Intn(n)
 			if from := assign[i]; from >= 0 {
@@ -262,20 +264,23 @@ func TestSumTermsMatchesWeightedSimLOO(t *testing.T) {
 				assign[i] = rng.Intn(k)
 				tb.Add(i, assign[i])
 			}
-			for l := 0; l < k; l++ {
+			for _, l := range rng.Perm(k) {
 				if rng.Intn(3) == 0 {
 					// Refresh the weights from the tables, as MGCPL does
 					// after each pass (uniform for an empty cluster).
 					tb.FeatureWeights(l, weights[l])
 				}
-				terms = tb.WeightedTerms(l, weights[l], terms)
-				for j := range rows {
+				tb.WriteTermColumn(terms, k, col[l], l, weights[l])
+			}
+			for j := range rows {
+				tb.SumTermColumns(j, terms, acc)
+				for l := 0; l < k; l++ {
 					if assign[j] == l {
 						continue
 					}
-					got, want := tb.SumTerms(j, terms), tb.WeightedSimLOO(j, l, weights[l], false)
+					got, want := acc[col[l]]/float64(d), tb.WeightedSimLOO(j, l, weights[l], false)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("trial %d step %d: object %d cluster %d (size %d): SumTerms %v, WeightedSimLOO %v",
+						t.Fatalf("trial %d step %d: object %d cluster %d (size %d): column sum/d %v, WeightedSimLOO %v",
 							trial, step, j, l, tb.Size(l), got, want)
 					}
 				}
