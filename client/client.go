@@ -364,10 +364,12 @@ func (c *Client) assignWire(ctx context.Context, reqs []wireAssignReq) ([]Assign
 }
 
 // AssignBatch assigns a batch of rows against one model. In binary mode the
-// request streams as row chunks and results decode as they arrive, so a
-// huge batch never buffers whole on either side; in JSON mode it posts the
-// standard batch request. All returned assignments carry the snapshot epoch
-// that served the batch.
+// request streams from the client as row chunks and results decode as they
+// arrive; in JSON mode it posts the standard batch request. Either way the
+// server reads the whole request before it answers, and refuses one larger
+// than 64 MiB (400 bad_request), so split a larger batch into several
+// calls. All returned assignments carry the snapshot epoch that served the
+// batch.
 func (c *Client) AssignBatch(ctx context.Context, modelName string, rows [][]int) ([]Assignment, error) {
 	if c.binary {
 		return c.assignBatchWire(ctx, modelName, rows)

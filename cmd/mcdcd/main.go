@@ -15,7 +15,7 @@
 //
 //	mcdcd -backends 127.0.0.1:8081,127.0.0.1:8082 [-ring-replicas 128]
 //	      [-health 5s] [-addr :8080] [-addr-file path]
-//	      [-retries 2] [-retry-backoff 25ms] [-hedge 0] [-fleet-secret s]
+//	      [-retries 2] [-retry-backoff 25ms] [-fleet-secret s]
 //
 // Drain mode — migrate a backend's sessions away and drop it from the ring
 // (run against the gateway; the drained process can then be stopped safely):
@@ -117,7 +117,6 @@ func run() error {
 		fleetKey   = flag.String("fleet-secret", "", "shared secret authenticating intra-fleet endpoints (replica shipping, promotion, membership)")
 		retries    = flag.Int("retries", 0, "gateway: retries per transiently failed backend request (0 = default of 2, negative = none)")
 		retryWait  = flag.Duration("retry-backoff", 0, "gateway: initial delay between retries, doubling per attempt (0 = default 25ms)")
-		hedge      = flag.Duration("hedge", 0, "gateway: hedge stateless assigns against a second backend after this delay (0 = disabled)")
 		drain      = flag.String("drain", "", "client mode: drain this backend via the gateway at -gateway (migrates its sessions, removes it from the ring) and exit")
 		gwAddr     = flag.String("gateway", "", "gateway address for -drain")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
@@ -180,7 +179,6 @@ func run() error {
 			HealthEvery:  *health,
 			Retries:      *retries,
 			RetryBackoff: *retryWait,
-			HedgeAfter:   *hedge,
 			FleetSecret:  *fleetKey,
 			Logger:       logger,
 			LogSlow:      *logSlow,

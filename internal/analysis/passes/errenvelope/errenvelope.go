@@ -23,8 +23,9 @@ var Analyzer = &analysis.Analyzer{
 In internal/server packages this pass flags (1) any http.Error call, (2) any
 w.WriteHeader with a constant status >= 400 outside the blessed emitters
 writeError/writeJSON — relays that forward a backend's own status variable
-are untouched — and (3) any writeError/writeErrorFrame call whose code
-argument is not a compile-time constant from the stable code table
+are untouched — and (3) any writeError call, or errorFrame call (the one
+constructor of in-band '!' error frames), whose code argument is not a
+compile-time constant from the stable code table
 (bad_request, unknown_model, unknown_session, conflict, version_mismatch,
 overloaded, bad_gateway, forbidden). A local variable is accepted when every
 assignment to it in the enclosing function is a table constant — the
@@ -61,8 +62,9 @@ func StableCodes() map[string]bool {
 var blessedEmitters = map[string]bool{"writeError": true, "writeJSON": true}
 
 // codeArgIndex maps the envelope emitters to the position of their code
-// argument.
-var codeArgIndex = map[string]int{"writeError": 2, "writeErrorFrame": 1}
+// argument: writeError for HTTP envelopes, errorFrame for the in-band error
+// frames that daemon and gateway answer single assignments with.
+var codeArgIndex = map[string]int{"writeError": 2, "errorFrame": 0}
 
 func run(pass *analysis.Pass) (any, error) {
 	if !analysis.PathWithin(pass.Pkg.Path(), "internal/server") {

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
 	"net/http"
 )
@@ -25,7 +24,8 @@ func writeError(w http.ResponseWriter, status int, code string, format string, a
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...), "code": code})
 }
 
-func writeErrorFrame(buf *bytes.Buffer, code, msg string) {}
+// errorFrame builds an in-band error frame; the real one lives in edge.go.
+func errorFrame(code, msg string) []byte { return []byte(code + msg) }
 
 func handleBad(w http.ResponseWriter, r *http.Request) {
 	http.Error(w, "nope", http.StatusBadRequest) // want `http\.Error bypasses the .* envelope`
@@ -33,8 +33,8 @@ func handleBad(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(503)                           // want `WriteHeader\(503\) writes a bare error status`
 	writeError(w, 404, codeMadeUp, "x")          // want `writeError code "made_up_code" is not in the stable code table`
 	writeError(w, 404, r.URL.Path, "x")          // want `writeError code argument must be a compile-time constant`
-	var buf bytes.Buffer
-	writeErrorFrame(&buf, "ad_hoc", "x") // want `writeErrorFrame code "ad_hoc" is not in the stable code table`
+	_ = errorFrame("ad_hoc", "x")                // want `errorFrame code "ad_hoc" is not in the stable code table`
+	_ = errorFrame(r.URL.Path, "x")              // want `errorFrame code argument must be a compile-time constant`
 }
 
 func handleGood(w http.ResponseWriter, r *http.Request, backendStatus int) {
@@ -42,8 +42,7 @@ func handleGood(w http.ResponseWriter, r *http.Request, backendStatus int) {
 	w.WriteHeader(backendStatus)                           // ok: relayed variable status
 	writeError(w, 400, codeBadRequest, "bad row")          // ok: table code by named constant
 	writeError(w, 404, "unknown_model", "no model %q", "") // ok: table code by literal
-	var buf bytes.Buffer
-	writeErrorFrame(&buf, codeUnknownModel, "x") // ok
+	_ = errorFrame(codeUnknownModel, "x")                  // ok: in-band error with a table code
 	//lint:mcdcvet-ignore errenvelope probe endpoint speaks raw status for liveness checkers
 	w.WriteHeader(http.StatusServiceUnavailable)
 }

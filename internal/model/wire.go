@@ -193,23 +193,34 @@ type Frame struct {
 
 // SplitFrames checks the wire header of a whole stream held in memory and
 // appends the frames after it to dst. Each payload aliases data, capped so
-// that appending to it cannot overwrite the next frame: nothing is copied.
+// that appending to it cannot overwrite the next frame: nothing is copied,
+// and dst grows at most once, because the frames are counted first.
 // A malformed stream fails with the very error ReadWireHeader or ReadFrame
 // gives for it, because the bad header or frame is handed to them to
-// explain.
+// explain; the whole frames before it are appended all the same.
 func SplitFrames(data []byte, dst []Frame) ([]Frame, error) {
 	if !bytes.HasPrefix(data, wireHeader) {
 		return dst, ReadWireHeader(bytes.NewReader(data))
 	}
-	for rest := data[len(wireHeader):]; len(rest) > 0; {
-		size, n := binary.Uvarint(rest[1:])
-		if n <= 0 || size > MaxFramePayload || size > uint64(len(rest)-1-n) {
-			_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(rest)), nil)
-			return dst, err
+	frames, bad := 0, data[len(wireHeader):]
+	for len(bad) > 0 {
+		size, n := binary.Uvarint(bad[1:])
+		if n <= 0 || size > MaxFramePayload || size > uint64(len(bad)-1-n) {
+			break
 		}
+		bad = bad[1+n+int(size):]
+		frames++
+	}
+	dst = slices.Grow(dst, frames)
+	for rest := data[len(wireHeader):]; frames > 0; frames-- {
+		size, n := binary.Uvarint(rest[1:])
 		end := 1 + n + int(size)
 		dst = append(dst, Frame{Kind: rest[0], Payload: rest[1+n : end : end]})
 		rest = rest[end:]
+	}
+	if len(bad) > 0 {
+		_, _, err := ReadFrame(bufio.NewReader(bytes.NewReader(bad)), nil)
+		return dst, err
 	}
 	return dst, nil
 }

@@ -7,10 +7,8 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,130 +153,6 @@ func TestChaosStatelessTrafficReroutes(t *testing.T) {
 		if string(gdata) != string(sdata) {
 			t.Fatalf("stateless row %d diverged:\n fleet %q\n solo  %q", i, gdata, sdata)
 		}
-	}
-}
-
-// TestHedgedStatelessSurvivesDownPrimary pins the hedged path's availability
-// floor: with hedging enabled and a row's primary backend dead, the request
-// must still answer 200 through the second backend — the hedge launches
-// immediately when the primary fails, not only when the hedge timer fires —
-// and the answer stays byte-identical to the reference daemon. (HedgeAfter is
-// set far beyond the test's runtime, so only the failure-triggered launch can
-// save these requests.)
-func TestHedgedStatelessSurvivesDownPrimary(t *testing.T) {
-	frt := testenv.NewFaultRoundTripper(nil)
-	_, gts, backends, tss := gatewayFleetCfg(t, 3, Config{}, GatewayConfig{
-		Timeout:      500 * time.Millisecond,
-		Retries:      1,
-		RetryBackoff: time.Millisecond,
-		HedgeAfter:   time.Minute,
-		Transport:    frt,
-	})
-	snap, rows, _ := trainModel(t, 200, 6, 3, 71)
-	for _, b := range backends {
-		if err := b.AddModel("m", snap); err != nil {
-			t.Fatal(err)
-		}
-	}
-	solo, soloTS := newTestServer(t, Config{})
-	if err := solo.AddModel("m", snap); err != nil {
-		t.Fatal(err)
-	}
-
-	dead := strings.TrimPrefix(tss[1].URL, "http://")
-	rule := frt.Add(&testenv.FaultRule{Host: dead, Kind: testenv.FaultKill})
-	defer frt.Remove(rule)
-	for i := 0; i < 40; i++ {
-		body := map[string]any{"model": "m", "row": rows[i%len(rows)]}
-		gresp, gdata := post(t, gts.URL+"/assign", body)
-		if gresp.StatusCode != http.StatusOK {
-			t.Fatalf("hedged row %d: %d %s", i, gresp.StatusCode, gdata)
-		}
-		sresp, sdata := post(t, soloTS.URL+"/assign", body)
-		if sresp.StatusCode != http.StatusOK {
-			t.Fatalf("solo row %d: %d", i, sresp.StatusCode)
-		}
-		if string(gdata) != string(sdata) {
-			t.Fatalf("hedged row %d diverged:\n fleet %q\n solo  %q", i, gdata, sdata)
-		}
-	}
-	if frt.Injected(testenv.FaultKill) == 0 {
-		t.Fatal("no request ever placed against the dead primary; the test exercised nothing")
-	}
-}
-
-// TestHedgeTimerFiresOnSlowPrimary pins the hedge timer: with the placed
-// backend answering assignments 400 ms late and HedgeAfter at 20 ms, a
-// request routing one stateless item — a JSON single or a one-frame binary
-// stream — races the next backend and answers well before the slow one,
-// byte-identical to a solo daemon, counting exactly one hedge.
-func TestHedgeTimerFiresOnSlowPrimary(t *testing.T) {
-	const delay = 400 * time.Millisecond
-	snap, rows, _ := trainModel(t, 200, 6, 3, 71)
-	slow := make(map[string]*atomic.Bool)
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		s, err := New(Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.AddModel("m", snap); err != nil {
-			t.Fatal(err)
-		}
-		flag, inner := &atomic.Bool{}, s.Handler()
-		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/v1/assign" && flag.Load() {
-				time.Sleep(delay)
-			}
-			inner.ServeHTTP(w, r)
-		}))
-		t.Cleanup(func() { ts.Close(); s.Close() })
-		addr := strings.TrimPrefix(ts.URL, "http://")
-		addrs = append(addrs, addr)
-		slow[addr] = flag
-	}
-	gw, err := NewGateway(GatewayConfig{Backends: addrs, HedgeAfter: 20 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gts := httptest.NewServer(gw.Handler())
-	t.Cleanup(func() { gts.Close(); gw.Close() })
-	solo, soloTS := newTestServer(t, Config{})
-	if err := solo.AddModel("m", snap); err != nil {
-		t.Fatal(err)
-	}
-
-	for i, codec := range []string{"json", "binary"} {
-		t.Run(codec, func(t *testing.T) {
-			row := rows[i]
-			placed := gw.placement().stateless(hashring.Hash(rowKey("m", row)))
-			slow[placed].Store(true)
-			defer slow[placed].Store(false)
-			send := func(url string) (*http.Response, []byte) {
-				if codec == "json" {
-					return post(t, url+"/v1/assign", map[string]any{"model": "m", "row": row})
-				}
-				buf := wireStream(t)
-				appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", row))
-				return postWire(t, url+"/v1/assign", buf.Bytes())
-			}
-			before := gw.hedges.Load()
-			started := time.Now()
-			gresp, gdata := send(gts.URL)
-			took := time.Since(started)
-			if gresp.StatusCode != http.StatusOK {
-				t.Fatalf("hedged assign: %d %s", gresp.StatusCode, gdata)
-			}
-			if took >= delay {
-				t.Fatalf("hedged assign took %v; the hedge did not beat the %v primary", took, delay)
-			}
-			if n := gw.hedges.Load() - before; n != 1 {
-				t.Fatalf("hedges counter rose by %d, want 1", n)
-			}
-			if _, sdata := send(soloTS.URL); !bytes.Equal(gdata, sdata) {
-				t.Fatalf("hedged answer diverged:\n fleet %q\n solo  %q", gdata, sdata)
-			}
-		})
 	}
 }
 

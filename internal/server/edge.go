@@ -1,0 +1,239 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+
+	"mcdc/internal/model"
+)
+
+// The assignment edge: how both tiers turn a POST /v1/assign or
+// /v1/assign/batch body into work and the work's answers back into a body.
+// The daemon's and the gateway's handlers both call it, so for any input a
+// gateway answers exactly what a solo daemon answers — malformed and
+// oversized requests included.
+//
+// Both codecs share one body bound, maxBodyBytes. A JSON body is decoded
+// whole; a frame body is read whole and split in place (model.SplitFrames),
+// and its grammar is checked before anything applies: a bad header, a cut or
+// oversized frame, a frame of the wrong kind, a batch without its closing
+// 'E' or with frames after it all answer the whole request with a plain
+// HTTP envelope — 422 for an alien version, 400 otherwise. On the batch
+// route the model is judged next (404) and emptiness last (400). What can go
+// wrong with one assignment of a well-formed stream travels in-band as a '!'
+// frame with a code from the stable table, so one bad frame does not poison
+// its neighbours.
+//
+// Decoding the whole request first is also what keeps the HTTP/1.x rule: a
+// handler must consume the request stream before it writes a response byte,
+// or the server may discard the rest of the body.
+
+// WireContentType marks an HTTP body as an MCDC binary frame stream (the
+// internal/model wire codec). POST /v1/assign and /v1/assign/batch sniff it
+// to select the frame codec; everything else on those routes is JSON.
+const WireContentType = "application/x-mcdc-frame"
+
+// maxBodyBytes bounds every request body either tier reads, in either codec.
+const maxBodyBytes = 64 << 20
+
+// readBody reads a request body whole, answering an unreadable or oversized
+// one 400 with the text decodeJSON gives it.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+		return nil, false
+	}
+	return data, true
+}
+
+// decodeJSON decodes a JSON request body, bounded as readBody bounds it,
+// into v, refusing unknown fields.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// readWire reads a frame-stream body and splits it in place. A stream that
+// does not split answers with the error ReadWireHeader or ReadFrame gives
+// for it: 422 for an alien version, 400 otherwise.
+func readWire(w http.ResponseWriter, r *http.Request) ([]model.Frame, bool) {
+	raw, ok := readBody(w, r)
+	if !ok {
+		return nil, false
+	}
+	frames, err := model.SplitFrames(raw, nil)
+	if err == nil {
+		return frames, true
+	}
+	var verr *model.WireVersionError
+	if errors.As(err, &verr) {
+		writeError(w, http.StatusUnprocessableEntity, codeVersionMismatch, "%v", err)
+	} else {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+	}
+	return nil, false
+}
+
+// readAssign decodes a POST /v1/assign body into its 'A' frames, in request
+// order. A JSON single becomes the one frame a frame client would have sent
+// for it.
+func readAssign(w http.ResponseWriter, r *http.Request) (frames []model.Frame, wire, ok bool) {
+	if r.Header.Get("Content-Type") != WireContentType {
+		var req assignRequest
+		if !decodeJSON(w, r, &req) {
+			return nil, false, false
+		}
+		payload := model.AppendAssignRequest(nil, req.Model, req.Session, req.Row)
+		return []model.Frame{{Kind: model.FrameAssign, Payload: payload}}, false, true
+	}
+	if frames, ok = readWire(w, r); !ok {
+		return nil, true, false
+	}
+	for _, f := range frames {
+		if f.Kind != model.FrameAssign {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in assign stream", f.Kind)
+			return nil, true, false
+		}
+	}
+	return frames, true, true
+}
+
+// assignBatch is a POST /v1/assign/batch body decoded at the edge.
+type assignBatch struct {
+	wire   bool
+	model  string
+	chunks [][][]int // the client's row chunks in order; a JSON body is one
+	rows   int       // over all chunks
+}
+
+// readAssignBatch decodes a POST /v1/assign/batch body. A frame body must be
+// 'B', any number of 'R' row chunks, and 'E' as its last frame. The caller
+// then judges the model, and only after that whether the batch is empty.
+func readAssignBatch(w http.ResponseWriter, r *http.Request) (b assignBatch, ok bool) {
+	if b.wire = r.Header.Get("Content-Type") == WireContentType; !b.wire {
+		var req batchRequest
+		if !decodeJSON(w, r, &req) {
+			return b, false
+		}
+		b.model, b.chunks, b.rows = req.Model, [][][]int{req.Rows}, len(req.Rows)
+		return b, true
+	}
+	frames, ok := readWire(w, r)
+	if !ok {
+		return b, false
+	}
+	refuse := func(format string, args ...any) (assignBatch, bool) {
+		writeError(w, http.StatusBadRequest, codeBadRequest, format, args...)
+		return b, false
+	}
+	if len(frames) == 0 || frames[0].Kind != model.FrameBatchStart {
+		return refuse("batch stream must open with a batch-start frame")
+	}
+	var err error
+	if b.model, err = model.DecodeBatchStart(frames[0].Payload); err != nil {
+		return refuse("%v", err)
+	}
+	for i, f := range frames[1:] {
+		switch {
+		case f.Kind == model.FrameRows:
+			chunk, err := model.DecodeRows(f.Payload)
+			if err != nil {
+				return refuse("%v", err)
+			}
+			b.chunks = append(b.chunks, chunk)
+			b.rows += len(chunk)
+		case f.Kind != model.FrameEnd:
+			return refuse("unexpected frame kind %q in batch stream", f.Kind)
+		case i != len(frames)-2:
+			return refuse("frames after the end frame")
+		}
+	}
+	if frames[len(frames)-1].Kind != model.FrameEnd {
+		return refuse("batch stream ended without an end frame")
+	}
+	return b, true
+}
+
+// errorFrame is an in-band error answering one 'A' frame. Its code must come
+// from the stable table, as writeError's does.
+func errorFrame(code, msg string) model.Frame {
+	return model.Frame{Kind: model.FrameError, Payload: model.AppendError(nil, code, msg)}
+}
+
+// appendReply appends f to a reply stream.
+func appendReply(out *bytes.Buffer, f model.Frame) {
+	_ = model.WriteFrame(out, f.Kind, f.Payload)
+}
+
+// writeAssignReply answers POST /v1/assign from its reply stream: the wire
+// header, then one 'a' result or '!' error frame per 'A' frame, in request
+// order. A frame client gets the stream as it is, a JSON client its one
+// frame as writeReplyJSON shapes it.
+func writeAssignReply(w http.ResponseWriter, wire bool, stream []byte) {
+	if wire {
+		w.Header().Set("Content-Type", WireContentType)
+		_, _ = w.Write(stream)
+		return
+	}
+	frames, _ := model.SplitFrames(stream, make([]model.Frame, 0, 1))
+	writeReplyJSON(w, frames[0])
+}
+
+// writeReplyJSON answers a JSON single from its reply frame: an error
+// becomes the envelope with the status the code table pairs with its code.
+func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
+	switch reply.Kind {
+	case model.FrameResult:
+		if a, epoch, err := model.DecodeResult(reply.Payload); err == nil {
+			writeJSON(w, http.StatusOK, assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
+			return
+		}
+	case model.FrameError:
+		if code, msg, err := model.DecodeError(reply.Payload); err == nil {
+			//lint:mcdcvet-ignore errenvelope code decoded from an in-band error frame, which gateway and daemon draw only from the stable table
+			writeError(w, codeStatus(code), code, "%s", msg)
+			return
+		}
+	}
+	writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer (frame kind %q)", reply.Kind)
+}
+
+// writeBatchReply answers POST /v1/assign/batch with asgs, one per row in
+// request order, row i served by a snapshot of epoch(i). A JSON client gets
+// every row with its epoch; a frame client gets 'b', one 'r' frame per
+// non-empty client chunk and 'E'. The top-level epoch is row 0's.
+func writeBatchReply(w http.ResponseWriter, in *assignBatch, asgs []model.Assignment, epoch func(i int) int) {
+	if !in.wire {
+		resp := batchResponse{Model: in.model, Epoch: epoch(0), Assignments: make([]assignResponse, len(asgs))}
+		for i, a := range asgs {
+			resp.Assignments[i] = assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch(i), Encoding: a.Encoding}
+		}
+		writeJSON(w, http.StatusOK, resp)
+		return
+	}
+	w.Header().Set("Content-Type", WireContentType)
+	bw := bufio.NewWriter(w)
+	_ = model.WriteWireHeader(bw)
+	_ = model.WriteFrame(bw, model.FrameBatchInfo, model.AppendBatchInfo(nil, in.model, epoch(0)))
+	var buf []byte
+	for _, chunk := range in.chunks {
+		if len(chunk) == 0 {
+			continue
+		}
+		buf = model.AppendResults(buf[:0], asgs[:len(chunk)])
+		asgs = asgs[len(chunk):]
+		_ = model.WriteFrame(bw, model.FrameResults, buf)
+	}
+	_ = model.WriteFrame(bw, model.FrameEnd, nil)
+	_ = bw.Flush()
+}

@@ -41,8 +41,8 @@ const (
 )
 
 // codeStatus is the HTTP status the code table pairs with a stable code: the
-// status a gateway answers a JSON client with for an error a backend sent
-// in-band.
+// status a JSON single is answered with for the in-band error its one frame
+// got, on a daemon or through a gateway.
 func codeStatus(code string) int {
 	switch code {
 	case codeForbidden:

@@ -36,9 +36,9 @@ import (
 //
 // Routes are served under /v1 with the pre-versioning paths as aliases,
 // matching the backends. The assignment routes accept JSON and binary frames
-// alike: the gateway decodes either at the edge, speaks frames to every
-// backend, and encodes the merged answer back in the client's codec
-// (gateway_assign.go), byte-identical to a solo backend's.
+// alike: the gateway decodes either with the daemon's own edge (edge.go),
+// speaks frames to every backend (gateway_assign.go), and encodes the merged
+// answer back in the client's codec, byte-identical to a solo backend's.
 // A backend 429 (admission shed) relays to the caller unchanged — including
 // Retry-After — and increments a per-backend shed counter in /metrics.
 //
@@ -76,7 +76,6 @@ type Gateway struct {
 	retries map[string]*atomic.Int64 // transient-failure retries per backend
 
 	failovers atomic.Int64 // sessions promoted onto a replica after owner loss
-	hedges    atomic.Int64 // hedge requests launched against a slow backend
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -105,13 +104,6 @@ type GatewayConfig struct {
 	// RetryBackoff is the initial delay between retries; it doubles per
 	// attempt and caps at 1s (0 → 25ms).
 	RetryBackoff time.Duration
-	// HedgeAfter, when > 0, launches a hedge request against the next
-	// backend in the key's ring chain if a request routing exactly one
-	// stateless assignment (a JSON single, a one-frame stream, a one-row
-	// batch) has not answered within this duration; the first response
-	// wins. Only stateless traffic hedges — a session assignment is not
-	// idempotent until its owner has been failed over.
-	HedgeAfter time.Duration
 	// FleetSecret authenticates the gateway to the backends' intra-fleet
 	// endpoints (promotion, migration, membership pushes) and must match the
 	// backends' -fleet-secret.
@@ -321,17 +313,6 @@ func (g *Gateway) forward(w http.ResponseWriter, method, backend, path string, b
 // has already resolved it (accepted or minted) onto r.Header, so every
 // handler forwards the exact id the gateway echoes and logs.
 func reqIDOf(r *http.Request) string { return r.Header.Get(RequestIDHeader) }
-
-// readBody slurps a request body (bounded), reporting decode-style errors
-// the same way the backend would.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 64<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return nil, false
-	}
-	return data, true
-}
 
 // ---- routed endpoints ----
 
@@ -646,7 +627,6 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "mcdcd_gateway_retries_total{backend=%q} %d\n", b, n)
 	}
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_failovers_total Sessions promoted onto a replica after their owner became unreachable.\n# TYPE mcdcd_gateway_failovers_total counter\nmcdcd_gateway_failovers_total %d\n", g.failovers.Load())
-	fmt.Fprintf(w, "# HELP mcdcd_gateway_hedges_total Hedge requests launched against a slow backend.\n# TYPE mcdcd_gateway_hedges_total counter\nmcdcd_gateway_hedges_total %d\n", g.hedges.Load())
 	g.httpm.write(w, "mcdcd_gateway_http_requests_total", "mcdcd_gateway_http_errors_total", "mcdcd_gateway_http_request_duration_seconds")
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_uptime_seconds Gateway uptime.\n# TYPE mcdcd_gateway_uptime_seconds gauge\nmcdcd_gateway_uptime_seconds %g\n", time.Since(g.start).Seconds())
 	writeRuntimeMetrics(w, "mcdcd_gateway")

@@ -1,17 +1,14 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"mcdc/internal/hashring"
 	"mcdc/internal/model"
@@ -21,18 +18,19 @@ import (
 // JSON batch, a binary frame stream, a binary batch — run through one
 // pipeline:
 //
-//  1. Edge decode turns the client's body into a job of routed items, one per
-//     assignment: a session item (placed by placeSession) or a stateless item
-//     (placed by its model+row ring hash, statelessKey). A frame body is split
-//     in place: each 'A' item keeps its payload as a slice of the body, to be
-//     forwarded as is. An item the gateway can answer itself — an
+//  1. The edge (edge.go, which the daemon's handlers call too) decodes the
+//     client's body, and the handler turns it into a job of routed items, one
+//     per assignment: a session item (placed by placeSession) or a stateless
+//     item (placed by its model+row ring hash, statelessKey). A frame body is
+//     split in place: each 'A' item keeps its payload as a slice of the body,
+//     to be forwarded as is. An item the gateway can answer itself — an
 //     undecodable frame, a request naming no target — gets the exact error a
 //     backend would have given.
 //  2. The router groups the pending items by backend and delivers each group
 //     as a binary frame sub-stream, whatever codec the client spoke: 'A'
 //     frames for singles; 'B', bounded 'R' chunks and 'E' for a batch.
-//     Retry, failover, the fleet probe and hedging live there, once.
-//  3. Edge encode writes the merged answers back in the client's codec. The
+//     Retry, failover and the fleet probe live there, once.
+//  3. The edge encodes the merged answers back in the client's codec. The
 //     frame codec is deterministic and carries floats bit-exactly, so either
 //     codec's answer is byte-identical to a solo backend's.
 
@@ -64,11 +62,6 @@ type assignJob struct {
 	err   string // why a batch failed: batches have no per-item errors
 }
 
-// errorItem is an item the gateway itself answers with an in-band error.
-func errorItem(code, msg string) routedItem {
-	return routedItem{done: true, reply: model.Frame{Kind: model.FrameError, Payload: model.AppendError(nil, code, msg)}}
-}
-
 // singleItem decodes one 'A' payload into an item, using req as scratch. What
 // needs no backend — an undecodable payload, or one naming neither a model
 // nor a session — is answered here with the backend's own error text.
@@ -76,14 +69,14 @@ func singleItem(payload []byte, req *model.AssignRequest) routedItem {
 	err := req.Decode(payload)
 	switch {
 	case err != nil:
-		return errorItem(codeBadRequest, err.Error())
+		return routedItem{done: true, reply: errorFrame(codeBadRequest, err.Error())}
 	case len(req.Session) > 0:
 		return routedItem{session: string(req.Session), payload: payload}
 	case len(req.Model) > 0:
 		prefix := hashring.NewHasher().AddString("r|").AddBytes(req.Model)
 		return routedItem{key: statelessKey(prefix, req.Row), payload: payload}
 	}
-	return errorItem(codeBadRequest, "request names neither a model nor a session")
+	return routedItem{done: true, reply: errorFrame(codeBadRequest, "request names neither a model nor a session")}
 }
 
 // fail answers item i with an in-band bad_gateway error. A batch has no
@@ -95,192 +88,65 @@ func (job *assignJob) fail(i int, msg string) {
 		}
 		return
 	}
-	job.items[i] = errorItem(codeBadGateway, msg)
+	job.items[i] = routedItem{done: true, reply: errorFrame(codeBadGateway, msg)}
 }
 
-// ---- edge: decode and encode ----
+// ---- handlers ----
 
-// handleAssign serves POST /v1/assign: one JSON assignment, or a pipelined
-// frame stream answered frame for frame in request order.
+// handleAssign serves POST /v1/assign: the edge decodes the body into 'A'
+// payloads, the router answers each, and the edge encodes the answers in
+// the client's codec.
 func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
-	job := &assignJob{reqID: reqIDOf(r)}
+	frames, wire, ok := readAssign(w, r)
+	if !ok {
+		return
+	}
+	job := &assignJob{reqID: reqIDOf(r), items: make([]routedItem, len(frames))}
 	var scratch model.AssignRequest
-	wire := r.Header.Get("Content-Type") == WireContentType
-	if wire {
-		_, frames, ok := readWire(w, r)
-		if !ok {
-			return
-		}
-		job.items = make([]routedItem, len(frames))
-		for i, f := range frames {
-			if f.Kind != model.FrameAssign {
-				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in assign stream", f.Kind)
-				return
-			}
-			job.items[i] = singleItem(f.Payload, &scratch)
-		}
-	} else {
-		var req assignRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		job.items = []routedItem{singleItem(model.AppendAssignRequest(nil, req.Model, req.Session, req.Row), &scratch)}
+	for i, f := range frames {
+		job.items[i] = singleItem(f.Payload, &scratch)
 	}
 	if !g.route(w, job) {
 		return
 	}
-	if !wire {
-		writeReplyJSON(w, job.items[0].reply)
-		return
-	}
-	w.Header().Set("Content-Type", WireContentType)
-	bw := bufio.NewWriter(w)
-	_ = model.WriteWireHeader(bw)
+	var out bytes.Buffer
+	_ = model.WriteWireHeader(&out)
 	for _, it := range job.items {
-		_ = model.WriteFrame(bw, it.reply.Kind, it.reply.Payload)
+		appendReply(&out, it.reply)
 	}
-	_ = bw.Flush()
+	writeAssignReply(w, wire, out.Bytes())
 }
 
-// writeReplyJSON answers a JSON single from its reply frame, with the bytes
-// the daemon's JSON handler writes: an error becomes the envelope with the
-// status the code table pairs with its code.
-func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
-	switch reply.Kind {
-	case model.FrameResult:
-		if a, epoch, err := model.DecodeResult(reply.Payload); err == nil {
-			writeJSON(w, http.StatusOK, assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
-			return
-		}
-	case model.FrameError:
-		if code, msg, err := model.DecodeError(reply.Payload); err == nil {
-			//lint:mcdcvet-ignore errenvelope code decoded from an in-band error frame, which gateway and daemon draw only from the stable table
-			writeError(w, codeStatus(code), code, "%s", msg)
-			return
-		}
-	}
-	writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer (frame kind %q)", reply.Kind)
-}
-
-// handleAssignBatch serves POST /v1/assign/batch in either codec. A frame
-// batch is answered on its own chunk boundaries, as a solo backend streams
-// it; in both codecs the top-level epoch is row 0's.
+// handleAssignBatch serves POST /v1/assign/batch: the edge decodes the body
+// into rows, the router scatters them by row key, and the edge encodes the
+// gathered answers in the client's codec.
 func (g *Gateway) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
-	job := &assignJob{reqID: reqIDOf(r), batch: true}
-	var rows [][]int
-	var chunks []int // the client's 'R' chunk sizes
-	wire := r.Header.Get("Content-Type") == WireContentType
-	if wire {
-		raw, frames, ok := readWire(w, r)
-		if !ok {
-			return
-		}
-		if len(frames) == 0 || frames[0].Kind != model.FrameBatchStart {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream must open with a batch-start frame")
-			return
-		}
-		var err error
-		if job.model, err = model.DecodeBatchStart(frames[0].Payload); err != nil {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-			return
-		}
-		for fi, f := range frames[1:] {
-			switch f.Kind {
-			case model.FrameRows:
-				chunk, err := model.DecodeRows(f.Payload)
-				if err != nil {
-					writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-					return
-				}
-				rows = append(rows, chunk...)
-				chunks = append(chunks, len(chunk))
-			case model.FrameEnd:
-				if fi != len(frames)-2 {
-					writeError(w, http.StatusBadRequest, codeBadRequest, "frames after the end frame")
-					return
-				}
-			default:
-				writeError(w, http.StatusBadRequest, codeBadRequest, "unexpected frame kind %q in batch stream", f.Kind)
-				return
-			}
-		}
-		if frames[len(frames)-1].Kind != model.FrameEnd {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "batch stream ended without an end frame")
-			return
-		}
-		if len(rows) == 0 {
-			// A backend checks the model before it finds the batch empty, so
-			// one of them answers: unknown_model or "empty batch".
-			g.forward(w, http.MethodPost, g.backendList()[0], "/v1/assign/batch", raw, WireContentType, job.reqID)
-			return
-		}
-	} else {
-		var req batchRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		if len(req.Rows) == 0 {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
-			return
-		}
-		job.model, rows, chunks = req.Model, req.Rows, []int{len(req.Rows)}
+	in, ok := readAssignBatch(w, r)
+	if !ok {
+		return
 	}
-	job.items = make([]routedItem, len(rows))
-	prefix := hashring.NewHasher().AddString("r|").AddString(job.model)
-	for i, row := range rows {
-		job.items[i] = routedItem{key: statelessKey(prefix, row), row: row}
+	job := &assignJob{reqID: reqIDOf(r), batch: true, model: in.model, items: make([]routedItem, 0, in.rows)}
+	prefix := hashring.NewHasher().AddString("r|").AddString(in.model)
+	for _, chunk := range in.chunks {
+		for _, row := range chunk {
+			job.items = append(job.items, routedItem{key: statelessKey(prefix, row), row: row})
+		}
+	}
+	if in.rows == 0 {
+		// A backend judges the model before it finds the batch empty, so
+		// one of them answers: unknown_model or "empty batch".
+		_, body := job.subStream(nil)
+		g.forward(w, http.MethodPost, g.backendList()[0], "/v1/assign/batch", body, WireContentType, job.reqID)
+		return
 	}
 	if !g.route(w, job) {
 		return
 	}
-	epoch := job.items[0].epoch
-	if !wire {
-		resp := batchResponse{Model: job.model, Epoch: epoch, Assignments: make([]assignResponse, len(rows))}
-		for i, it := range job.items {
-			resp.Assignments[i] = assignResponse{Cluster: it.asg.Cluster, Similarity: it.asg.Similarity, Epoch: it.epoch, Encoding: it.asg.Encoding}
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	asgs := make([]model.Assignment, len(rows))
+	asgs := make([]model.Assignment, len(job.items))
 	for i, it := range job.items {
 		asgs[i] = it.asg
 	}
-	w.Header().Set("Content-Type", WireContentType)
-	bw := bufio.NewWriter(w)
-	_ = model.WriteWireHeader(bw)
-	_ = model.WriteFrame(bw, model.FrameBatchInfo, model.AppendBatchInfo(nil, job.model, epoch))
-	var buf []byte
-	for _, n := range chunks {
-		if n == 0 {
-			continue // a solo backend skips empty chunks too
-		}
-		buf = model.AppendResults(buf[:0], asgs[:n])
-		asgs = asgs[n:]
-		_ = model.WriteFrame(bw, model.FrameResults, buf)
-	}
-	_ = model.WriteFrame(bw, model.FrameEnd, nil)
-	_ = bw.Flush()
-}
-
-// readWire reads a whole frame-stream body and splits it in place into
-// frames, answering a malformed stream as a backend would: version skew is
-// 422.
-func readWire(w http.ResponseWriter, r *http.Request) (raw []byte, frames []model.Frame, ok bool) {
-	if raw, ok = readBody(w, r); !ok {
-		return nil, nil, false
-	}
-	frames, err := model.SplitFrames(raw, nil)
-	if err != nil {
-		var verr *model.WireVersionError
-		if errors.As(err, &verr) {
-			writeError(w, http.StatusUnprocessableEntity, codeVersionMismatch, "%v", err)
-		} else {
-			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		}
-		return nil, nil, false
-	}
-	return raw, frames, true
+	writeBatchReply(w, &in, asgs, func(i int) int { return job.items[i].epoch })
 }
 
 // ---- the router ----
@@ -329,7 +195,7 @@ func (g *Gateway) route(w http.ResponseWriter, job *assignJob) bool {
 			wg.Add(1)
 			go func(k int, gr group) {
 				defer wg.Done()
-				results[k] = g.deliver(job, p, gr.backend, gr.idxs)
+				results[k] = g.deliver(job, gr.backend, gr.idxs)
 			}(k, gr)
 		}
 		wg.Wait()
@@ -397,8 +263,8 @@ func sessionCounts(job *assignJob, idxs []int) map[string]int {
 // the same request id: the backend numbers each session's frames within the
 // stream, so the redelivered frame id matches and the replay cache absorbs
 // an ambiguous first delivery. A session with several items in the group
-// cannot be re-sent anywhere — the backend applies frames as the body
-// streams, so an unknown prefix may have applied, and the one-deep replay
+// cannot be re-sent anywhere — the backend applies the frames one after
+// another, so an unknown prefix may have applied, and the one-deep replay
 // cache covers only the last frame — so its items answer bad_gateway.
 func (g *Gateway) replace(job *assignJob, failed string, idxs []int) (again []int) {
 	counts := sessionCounts(job, idxs)
@@ -457,7 +323,7 @@ func (g *Gateway) settle(job *assignJob, res *exchange, idxs []int, probed map[s
 
 // exchange is one group's round trip to a backend.
 type exchange struct {
-	backend string // who answered: a hedge answers for the placed backend
+	backend string
 	status  int
 	data    []byte
 	hdr     http.Header
@@ -470,24 +336,20 @@ type exchange struct {
 // deliver sends the items idxs to backend b as one frame sub-stream and
 // parses the answer. A transport failure is retried in place, except for a
 // group holding several items of one session, which gets a single attempt
-// (see replace); a request routing one stateless item hedges along the
-// chain of p, the placement the round put it on b with.
-func (g *Gateway) deliver(job *assignJob, p placement, b string, idxs []int) exchange {
+// (see replace).
+func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
 	path, body := job.subStream(idxs)
 	res := exchange{backend: b}
 	multi := false
 	for _, n := range sessionCounts(job, idxs) {
 		multi = multi || n > 1
 	}
-	switch {
-	case g.cfg.HedgeAfter > 0 && len(job.items) == 1 && job.items[0].session == "":
-		res = g.hedged(b, p.hedgeTarget(job.items[0].key, b), path, body, job.reqID)
-	case multi:
+	if multi {
 		res.status, res.data, res.hdr, res.err = g.doCT(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
 		if _, transient := classifyTransient(res.err); transient {
 			g.markDown(b)
 		}
-	default:
+	} else {
 		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
 	}
 	if res.err != nil || res.status != http.StatusOK {
@@ -499,52 +361,6 @@ func (g *Gateway) deliver(job *assignJob, p placement, b string, idxs []int) exc
 		res.err = fmt.Errorf("%d response frames for %d assigns", len(res.frames), len(idxs))
 	}
 	return res
-}
-
-// hedged exchanges body with b, the first up backend of an item's ring
-// chain, and, if b has not answered within HedgeAfter, races the same
-// request against second, the next up backend of that chain; the first
-// answer wins. The race also starts at once if b fails first, so hedging is
-// never less available than the plain chain walk. Only a lone stateless
-// item hedges — a pure read of the shared snapshot, idempotent anywhere.
-// When both racers fail transiently, the last failure returns and the
-// router re-places the item.
-func (g *Gateway) hedged(b, second, path string, body []byte, reqID string) exchange {
-	send := func(b string) exchange {
-		res := exchange{backend: b}
-		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, reqID)
-		return res
-	}
-	if second == "" {
-		return send(b)
-	}
-	ch := make(chan exchange, 2)
-	launch := func(b string) { go func() { ch <- send(b) }() }
-	launch(b)
-	launched, failed := 1, 0
-	timer := time.NewTimer(g.cfg.HedgeAfter)
-	defer timer.Stop()
-	for {
-		select {
-		case res := <-ch:
-			if _, transient := classifyTransient(res.err); !transient {
-				return res
-			}
-			if failed++; failed == 2 {
-				return res
-			}
-			if launched == 1 {
-				launch(second)
-				launched = 2
-			}
-		case <-timer.C:
-			if launched == 1 {
-				g.hedges.Add(1)
-				launch(second)
-				launched = 2
-			}
-		}
-	}
 }
 
 // subStream encodes the items idxs as the upstream frame stream: 'A' frames

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -301,10 +302,14 @@ func TestGatewaySpeaksFramesUpstream(t *testing.T) {
 	}
 }
 
-// TestGatewayAssignErrorsMatchSolo pins the edge decoder: a JSON request a
-// backend would reject gets the same status and envelope from the gateway,
-// whether the gateway rejects it itself (bad JSON, unknown fields, no
-// target, an empty batch) or a backend answers it in-band.
+// TestGatewayAssignErrorsMatchSolo pins the shared edge decoder: a request a
+// backend would reject — in either codec — gets the same status and body
+// from the gateway, whether the gateway rejects it itself (bad JSON, unknown
+// fields, no target, a broken frame stream) or a backend answers it (an
+// unknown model, an empty batch, an in-band error). A frame stream that
+// breaks anywhere is refused whole, even after well-formed 'A' frames; on the
+// batch route the model is judged before emptiness. MCDC_NIGHTLY=1 adds a
+// frame batch past the 64 MiB body bound.
 func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 3)
 	_, gts, backends, _ := gatewayFleet(t, 2, Config{})
@@ -320,20 +325,84 @@ func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 	createSession(t, gts.URL, "s1", 40, 3)
 	createSession(t, soloTS.URL, "s1", 40, 3)
 	row, _ := json.Marshal(rows[0])
-	for _, tc := range []struct{ name, path, body string }{
-		{"malformed json", "/v1/assign", `{"model":`},
-		{"unknown field", "/v1/assign", `{"model":"m","row":` + string(row) + `,"extra":1}`},
-		{"row schema", "/v1/assign", `{"model":"m","row":[1]}`},
-		{"model and session", "/v1/assign", `{"model":"m","session":"s1","row":` + string(row) + `}`},
-		{"neither model nor session", "/v1/assign", `{"row":` + string(row) + `}`},
-		{"unknown model", "/v1/assign", `{"model":"ghost","row":` + string(row) + `}`},
-		{"unknown session", "/v1/assign", `{"session":"ghost","row":` + string(row) + `}`},
-		{"batch unknown model", "/v1/assign/batch", `{"model":"ghost","rows":[` + string(row) + `]}`},
-		{"batch empty", "/v1/assign/batch", `{"model":"m","rows":[]}`},
-		{"batch unknown field", "/v1/assign/batch", `{"model":"m","rows":[],"extra":1}`},
-	} {
-		gresp, gdata := postJSONRaw(t, gts.URL+tc.path, tc.body)
-		sresp, sdata := postJSONRaw(t, soloTS.URL+tc.path, tc.body)
+
+	// frames builds a frame stream: the wire header, then frames of the
+	// given kinds, 'A' frames assigning rows against m; tail is appended raw.
+	frames := func(batch string, kinds string, tail ...byte) []byte {
+		buf := wireStream(t)
+		for i, k := range []byte(kinds) {
+			switch k {
+			case model.FrameAssign:
+				appendFrame(t, buf, k, model.AppendAssignRequest(nil, "m", "", rows[i]))
+			case model.FrameBatchStart:
+				appendFrame(t, buf, k, model.AppendBatchStart(nil, batch))
+			case model.FrameRows:
+				appendFrame(t, buf, k, model.AppendRows(nil, rows[i:i+3]))
+			default:
+				appendFrame(t, buf, k, nil)
+			}
+		}
+		return append(buf.Bytes(), tail...)
+	}
+	cut := []byte{model.FrameRows, 100, 1, 2, 3}                                        // a frame cut mid-payload
+	oversized := binary.AppendUvarint([]byte{model.FrameRows}, model.MaxFramePayload+1) // a length past the frame bound
+	alien := frames("", "")
+	alien[len(alien)-1] = model.WireVersion + 1
+
+	type request struct {
+		name, path string
+		wire       bool
+		body       []byte
+	}
+	cases := []request{
+		{"malformed json", "/v1/assign", false, []byte(`{"model":`)},
+		{"unknown field", "/v1/assign", false, []byte(`{"model":"m","row":` + string(row) + `,"extra":1}`)},
+		{"row schema", "/v1/assign", false, []byte(`{"model":"m","row":[1]}`)},
+		{"model and session", "/v1/assign", false, []byte(`{"model":"m","session":"s1","row":` + string(row) + `}`)},
+		{"neither model nor session", "/v1/assign", false, []byte(`{"row":` + string(row) + `}`)},
+		{"unknown model", "/v1/assign", false, []byte(`{"model":"ghost","row":` + string(row) + `}`)},
+		{"unknown session", "/v1/assign", false, []byte(`{"session":"ghost","row":` + string(row) + `}`)},
+		{"batch unknown model", "/v1/assign/batch", false, []byte(`{"model":"ghost","rows":[` + string(row) + `]}`)},
+		{"batch unknown model, no rows", "/v1/assign/batch", false, []byte(`{"model":"ghost","rows":[]}`)},
+		{"batch empty", "/v1/assign/batch", false, []byte(`{"model":"m","rows":[]}`)},
+		{"batch unknown field", "/v1/assign/batch", false, []byte(`{"model":"m","rows":[],"extra":1}`)},
+
+		{"frames: wrong kind after three 'A'", "/v1/assign", true, frames("", "AAAR")},
+		{"frames: cut after three 'A'", "/v1/assign", true, frames("", "AAA", cut...)},
+		{"frames: oversized after three 'A'", "/v1/assign", true, frames("", "AAA", oversized...)},
+		{"frames: alien version", "/v1/assign", true, alien},
+		{"frames: not a frame stream", "/v1/assign", true, []byte(`{"model":"m","row":` + string(row) + `}`)},
+		{"frame batch: alien version", "/v1/assign/batch", true, alien},
+		{"frame batch: not a frame stream", "/v1/assign/batch", true, []byte(`{"model":"m","rows":[]}`)},
+		{"frame batch: unknown model, no rows", "/v1/assign/batch", true, frames("ghost", "BE")},
+		{"frame batch: unknown model with rows", "/v1/assign/batch", true, frames("ghost", "BRRE")},
+		{"frame batch: unknown model, then a cut frame", "/v1/assign/batch", true, frames("ghost", "BR", cut...)},
+		{"frame batch: empty", "/v1/assign/batch", true, frames("m", "BE")},
+		{"frame batch: only empty chunks", "/v1/assign/batch", true, frames("m", "B", model.FrameRows, 1, 0, model.FrameEnd, 0)},
+		{"frame batch: no 'E'", "/v1/assign/batch", true, frames("m", "BRR")},
+		{"frame batch: frames after 'E'", "/v1/assign/batch", true, frames("m", "BRER")},
+		{"frame batch: no 'B'", "/v1/assign/batch", true, frames("m", "RE")},
+		{"frame batch: wrong kind", "/v1/assign/batch", true, frames("m", "BRAE")},
+	}
+	if testenv.Nightly() {
+		// Past the bound, 'R' frames need not hold rows: neither tier
+		// decodes a body it could not read whole.
+		huge := frames("m", "B")
+		for len(huge) <= maxBodyBytes {
+			huge = binary.AppendUvarint(append(huge, model.FrameRows), 8<<20)
+			huge = append(huge, make([]byte, 8<<20)...)
+		}
+		cases = append(cases, request{"frame batch past the body bound", "/v1/assign/batch", true, append(huge, model.FrameEnd, 0)})
+	}
+	for _, tc := range cases {
+		send := func(url string) (*http.Response, []byte) {
+			if tc.wire {
+				return postWire(t, url+tc.path, tc.body)
+			}
+			return postJSONRaw(t, url+tc.path, string(tc.body))
+		}
+		gresp, gdata := send(gts.URL)
+		sresp, sdata := send(soloTS.URL)
 		if gresp.StatusCode != sresp.StatusCode || !bytes.Equal(gdata, sdata) {
 			t.Errorf("%s: gateway %d %q, solo %d %q", tc.name, gresp.StatusCode, gdata, sresp.StatusCode, sdata)
 		}

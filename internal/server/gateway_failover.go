@@ -163,20 +163,6 @@ func (p placement) stateless(key uint64) (b string) {
 	return b
 }
 
-// hedgeTarget returns the first up backend after primary in key's chain — the
-// hedge target when primary is the stateless placement — or "" when there is
-// none.
-func (p placement) hedgeTarget(key uint64, primary string) (b string) {
-	p.ring.Walk(key, func(node string) bool {
-		if node != primary && p.isUp(node) {
-			b = node
-			return false
-		}
-		return true
-	})
-	return b
-}
-
 // sessionCandidates returns the session's full ring-successor chain — the
 // failover search order.
 func (g *Gateway) sessionCandidates(id string) []string {

@@ -139,11 +139,6 @@ func (sw *statusWriter) status() int {
 
 func (sw *statusWriter) setErrorCode(code string) { sw.errCode = code }
 
-// Unwrap exposes the underlying writer to http.NewResponseController, so
-// handlers behind the instrumentation (the streaming binary batch path)
-// can still flush per chunk.
-func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
-
 // writeRuntimeMetrics emits Go runtime visibility under the given prefix:
 // goroutine count, heap size, and GC activity — the first things an operator
 // checks when a process misbehaves, without needing pprof attached.

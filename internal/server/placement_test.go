@@ -60,8 +60,7 @@ func TestStatelessKeyMatchesRowKey(t *testing.T) {
 
 // TestStatelessChainWalk pins the chain walk against the GetN chain it
 // replaces: for every up/down mask of a 3-node ring, placement is the first
-// up backend of GetN(key) (its owner when none is up), and the hedge target
-// is the next up backend after it ("" when there is none).
+// up backend of GetN(key) (its owner when none is up).
 func TestStatelessChainWalk(t *testing.T) {
 	nodes := []string{"10.0.0.1:7001", "10.0.0.2:7001", "10.0.0.3:7001"}
 	ring := hashring.New(0)
@@ -76,25 +75,15 @@ func TestStatelessChainWalk(t *testing.T) {
 		for k := 0; k < 2000; k++ {
 			key := rowKey("m", []int{k, k % 7, -k})
 			chain := ring.GetN(key, ring.Len())
-			var ups []string
+			want := chain[0]
 			for _, b := range chain {
 				if p.isUp(b) {
-					ups = append(ups, b)
+					want = b
+					break
 				}
 			}
-			wantFirst, wantSecond := chain[0], ""
-			if len(ups) > 0 {
-				wantFirst = ups[0]
-			}
-			if len(ups) > 1 {
-				wantSecond = ups[1]
-			}
-			h := hashring.Hash(key)
-			if got := p.stateless(h); got != wantFirst {
-				t.Fatalf("mask %03b key %q: placed on %q, GetN chain %v gives %q", mask, key, got, chain, wantFirst)
-			}
-			if got := p.hedgeTarget(h, wantFirst); got != wantSecond {
-				t.Fatalf("mask %03b key %q: hedge target %q, GetN chain %v gives %q", mask, key, got, chain, wantSecond)
+			if got := p.stateless(hashring.Hash(key)); got != want {
+				t.Fatalf("mask %03b key %q: placed on %q, GetN chain %v gives %q", mask, key, got, chain, want)
 			}
 		}
 	}

@@ -11,10 +11,10 @@
 //	DELETE /v1/models/{name}
 //	POST /v1/assign        assign one row (stateless "model" or stateful
 //	                       "session"); JSON, or pipelined binary frames when
-//	                       Content-Type is application/x-mcdc-frame (wire.go)
+//	                       Content-Type is application/x-mcdc-frame
 //	POST /v1/assign/batch  assign many rows, fanned out via internal/parallel;
-//	                       the binary form streams — responses flush per
-//	                       request chunk, so huge batches never buffer whole
+//	                       the binary form carries them as chunks and is
+//	                       answered chunk for chunk
 //	POST /v1/sessions      create a streaming session (schema from a model)
 //	DELETE /v1/sessions/{id}
 //	POST /v1/checkpoint    flush every session checkpoint on demand
@@ -22,9 +22,13 @@
 //	GET  /v1/metrics       Prometheus text: traffic, latency, epochs, drift,
 //	                       admission queue depth and shed count
 //
-// The assignment endpoints sit behind admission control (admission.go): a
-// bounded in-flight pool plus a bounded wait queue, shedding with 429 +
-// Retry-After beyond that, so overload degrades predictably.
+// Both assignment routes decode and encode either codec through the edge the
+// gateway shares (edge.go): a body of up to 64 MiB is decoded whole before
+// anything applies, a broken frame stream is refused whole, and one handler
+// per route executes what the edge decoded. They sit behind admission
+// control (admission.go): a bounded in-flight pool plus a bounded wait
+// queue, shedding with 429 + Retry-After beyond that, so overload degrades
+// predictably.
 //
 // Concurrency model: stateless assignment reads the snapshot through an
 // atomic pointer (a background re-learn swaps epochs without blocking
@@ -34,13 +38,14 @@
 package server
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -306,8 +311,8 @@ func (s *Server) routes() {
 	s.handle("GET /models", s.handleListModels)
 	s.handle("POST /models", s.handleLoadModel)
 	s.handle("DELETE /models/{name}", s.handleDeleteModel)
-	s.handle("POST /assign", s.admit(s.dispatchAssign))
-	s.handle("POST /assign/batch", s.admit(s.dispatchAssignBatch))
+	s.handle("POST /assign", s.admit(s.handleAssign))
+	s.handle("POST /assign/batch", s.admit(s.handleAssignBatch))
 	s.handle("POST /sessions", s.handleCreateSession)
 	s.handle("DELETE /sessions/{id}", s.handleDeleteSession)
 	s.handle("POST /checkpoint", s.handleCheckpoint)
@@ -333,24 +338,6 @@ func (s *Server) handle(pattern string, fn http.HandlerFunc) {
 	h := s.metrics.http.instrument(canonical, s.obs, fn)
 	s.mux.HandleFunc(canonical, h)
 	s.mux.HandleFunc(pattern, h)
-}
-
-// dispatchAssign routes POST /v1/assign by Content-Type: binary frame
-// streams take the wire path, everything else the JSON path.
-func (s *Server) dispatchAssign(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == WireContentType {
-		s.handleAssignWire(w, r)
-		return
-	}
-	s.handleAssign(w, r)
-}
-
-func (s *Server) dispatchAssignBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Header.Get("Content-Type") == WireContentType {
-		s.handleAssignBatchWire(w, r)
-		return
-	}
-	s.handleAssignBatch(w, r)
 }
 
 // ---- wire types ----
@@ -408,16 +395,6 @@ type sessionRequest struct {
 }
 
 // ---- helpers ----
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
 
 // bufferRow adds an assigned row to the model's re-learn window — but only
 // when every value is inside the model's domain. Assign deliberately
@@ -525,29 +502,78 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleAssign serves POST /v1/assign in either codec: each 'A' frame is
+// assigned in request order and answered with an 'a' result or an in-band
+// '!' error.
+func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
+	frames, wire, ok := readAssign(w, r)
+	if !ok {
+		s.metrics.assignErrors.Add(1)
+		return
+	}
+	// A JSON single's replay id is the request id. Each session frame of a
+	// stream derives its own from the request id, the session, and a
+	// per-session sequence number within this stream. The per-session
+	// numbering (not stream position) makes the id invariant under
+	// regrouping: a gateway that resends one session's frames to a promoted
+	// replica delivers them in the same relative order, so the ids match and
+	// the replay cache absorbs an ambiguous first delivery. Legitimate
+	// duplicate rows within one stream still apply individually — their
+	// sequence numbers differ.
+	reqID := r.Header.Get(RequestIDHeader)
+	seq := make(map[string]int)
+	// One decoded request, one result buffer and one reply stream serve the
+	// whole request. Every consumer that keeps a row copies it (the traffic
+	// window, a session's clusterer and replay cache), so the row scratch is
+	// free again once assignOne returns.
+	var (
+		out     bytes.Buffer
+		scratch []byte
+		req     model.AssignRequest
+	)
+	_ = model.WriteWireHeader(&out)
+	for _, f := range frames {
+		if err := req.Decode(f.Payload); err != nil {
+			s.metrics.assignErrors.Add(1)
+			appendReply(&out, errorFrame(codeBadRequest, err.Error()))
+			continue
+		}
+		session, id := string(req.Session), reqID
+		if wire && session != "" && reqID != "" {
+			id = reqID + "#" + session + "#" + strconv.Itoa(seq[session])
+			seq[session]++
+		}
+		code, err := s.assignOne(s.registry.name(req.Model), session, req.Row, id, func(a model.Assignment, epoch int) {
+			scratch = model.AppendResult(scratch[:0], a, epoch)
+			_ = model.WriteFrame(&out, model.FrameResult, scratch)
+		})
+		if err != nil {
+			s.metrics.assignErrors.Add(1)
+			//lint:mcdcvet-ignore errenvelope code relayed from assignOne, which draws only from the stable table
+			appendReply(&out, errorFrame(code, err.Error()))
+		}
+	}
+	writeAssignReply(w, wire, out.Bytes())
+}
+
 // assignOne performs one assignment — stateless against a model when
 // modelName is set, stateful against a session otherwise — and hands the
-// result to emit while any pooled assigner scratch is still bound: the
-// Encoding aliases the scratch, so emit must serialize before returning.
-// Both the JSON handler and the binary frame handler route through here, so
-// the two protocols cannot drift. On failure it returns the HTTP status,
-// stable error code, and message for the front end to shape (JSON envelope
-// or in-band error frame).
+// result and its epoch to emit while any pooled assigner scratch is still
+// bound: the Encoding aliases the scratch, so emit must serialize before
+// returning. On failure it returns the stable error code and the message.
 //
 // reqID, when non-empty, makes a session assignment idempotent: a retry
 // carrying the same id and row (a gateway redelivering after an ambiguous
 // failure) replays the cached response instead of applying the row twice.
-func (s *Server) assignOne(modelName, session string, row []int, reqID string, emit func(assignResponse)) (int, string, error) {
+func (s *Server) assignOne(modelName, session string, row []int, reqID string, emit func(a model.Assignment, epoch int)) (string, error) {
 	started := time.Now()
 	switch {
 	case modelName != "" && session != "":
-		s.metrics.assignErrors.Add(1)
-		return http.StatusBadRequest, codeBadRequest, errors.New("set either model or session, not both")
+		return codeBadRequest, errors.New("set either model or session, not both")
 	case modelName != "":
 		sm, ok := s.registry.get(modelName)
 		if !ok {
-			s.metrics.assignErrors.Add(1)
-			return http.StatusNotFound, codeUnknownModel, fmt.Errorf("no model %q", modelName)
+			return codeUnknownModel, fmt.Errorf("no model %q", modelName)
 		}
 		snap := sm.load()
 		asg := s.assigners.Get().(*model.Assigner)
@@ -561,8 +587,7 @@ func (s *Server) assignOne(modelName, session string, row []int, reqID string, e
 		asg.Bind(snap)
 		a, err := asg.Assign(row)
 		if err != nil {
-			s.metrics.assignErrors.Add(1)
-			return http.StatusBadRequest, codeBadRequest, err
+			return codeBadRequest, err
 		}
 		bufferRow(sm, snap, row)
 		if a.Similarity < driftThreshold {
@@ -570,45 +595,63 @@ func (s *Server) assignOne(modelName, session string, row []int, reqID string, e
 		}
 		s.metrics.assignTotal.Add(1)
 		s.metrics.observe(time.Since(started))
-		emit(assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: snap.Epoch, Encoding: a.Encoding})
-		return 0, "", nil
+		emit(a, snap.Epoch)
+		return "", nil
 	case session != "":
 		a, found, err := s.sessions.assign(session, row, driftThreshold, reqID)
 		var verr *model.VersionError
 		switch {
 		case !found:
-			s.metrics.assignErrors.Add(1)
-			return http.StatusNotFound, codeUnknownSession, fmt.Errorf("no session %q", session)
+			return codeUnknownSession, fmt.Errorf("no session %q", session)
 		case errors.As(err, &verr):
-			s.metrics.assignErrors.Add(1)
-			return http.StatusUnprocessableEntity, codeVersionMismatch, verr
+			return codeVersionMismatch, verr
 		case err != nil:
-			s.metrics.assignErrors.Add(1)
-			return http.StatusBadRequest, codeBadRequest, err
+			return codeBadRequest, err
 		}
 		s.metrics.assignTotal.Add(1)
 		s.metrics.observe(time.Since(started))
-		emit(assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: a.ModelEpoch})
-		return 0, "", nil
+		emit(model.Assignment{Cluster: a.Cluster, Similarity: a.Similarity}, a.ModelEpoch)
+		return "", nil
 	default:
-		s.metrics.assignErrors.Add(1)
-		return http.StatusBadRequest, codeBadRequest, errors.New("request names neither a model nor a session")
+		return codeBadRequest, errors.New("request names neither a model nor a session")
 	}
 }
 
-func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	var req assignRequest
-	if !decodeJSON(w, r, &req) {
+// handleAssignBatch serves POST /v1/assign/batch in either codec. Every
+// client chunk is assigned in order against one snapshot, pinned before the
+// first — a re-learn that hot-swaps the model mid-request changes none of
+// its answers — and the answer mirrors the client's chunks.
+func (s *Server) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
+	in, ok := readAssignBatch(w, r)
+	if !ok {
 		s.metrics.assignErrors.Add(1)
 		return
 	}
-	status, code, err := s.assignOne(req.Model, req.Session, req.Row, r.Header.Get(RequestIDHeader), func(resp assignResponse) {
-		writeJSON(w, http.StatusOK, resp)
-	})
-	if err != nil {
-		//lint:mcdcvet-ignore errenvelope code relayed from assignOne, which draws only from the stable table
-		writeError(w, status, code, "%v", err)
+	sm, known := s.registry.get(in.model)
+	switch {
+	case !known:
+		s.metrics.assignErrors.Add(1)
+		writeError(w, http.StatusNotFound, codeUnknownModel, "no model %q", in.model)
+		return
+	case in.rows == 0:
+		s.metrics.assignErrors.Add(1)
+		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
+		return
 	}
+	snap := sm.load()
+	results := make([]model.Assignment, 0, in.rows)
+	for _, chunk := range in.chunks {
+		if len(chunk) == 0 {
+			continue
+		}
+		asgs, err := s.assignBatchRows(sm, snap, chunk)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+			return
+		}
+		results = append(results, asgs...)
+	}
+	writeBatchReply(w, &in, results, func(int) int { return snap.Epoch })
 }
 
 // assignBatchRows fans one batch out against a resolved model under the
@@ -632,36 +675,6 @@ func (s *Server) assignBatchRows(sm *servedModel, snap *model.Snapshot, rows [][
 	s.metrics.batchRows.Add(int64(len(assignments)))
 	s.metrics.batchChunk.observe(time.Since(started))
 	return assignments, nil
-}
-
-func (s *Server) handleAssignBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if !decodeJSON(w, r, &req) {
-		s.metrics.assignErrors.Add(1)
-		return
-	}
-	if len(req.Rows) == 0 {
-		s.metrics.assignErrors.Add(1)
-		writeError(w, http.StatusBadRequest, codeBadRequest, "empty batch")
-		return
-	}
-	sm, ok := s.registry.get(req.Model)
-	if !ok {
-		s.metrics.assignErrors.Add(1)
-		writeError(w, http.StatusNotFound, codeUnknownModel, "no model %q", req.Model)
-		return
-	}
-	snap := sm.load()
-	assignments, err := s.assignBatchRows(sm, snap, req.Rows)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
-		return
-	}
-	resp := batchResponse{Model: req.Model, Epoch: snap.Epoch, Assignments: make([]assignResponse, len(assignments))}
-	for i, a := range assignments {
-		resp.Assignments[i] = assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: snap.Epoch, Encoding: a.Encoding}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"mcdc/internal/model"
@@ -338,5 +339,60 @@ func TestWireNotWire(t *testing.T) {
 	var env errorResponse
 	if err := json.Unmarshal(data, &env); err != nil || env.Code != codeBadRequest {
 		t.Fatalf("envelope %s, want code %q", data, codeBadRequest)
+	}
+}
+
+// TestWireRefusedStreamAppliesNothing pins the whole-request verdict on a
+// broken frame stream: two frames for one session and a stateless frame,
+// then a cut frame, answer 400, and neither the session — its stream state
+// and its replay cache — nor the model's traffic window has moved.
+func TestWireRefusedStreamAppliesNothing(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 43)
+	s, ts := newTestServer(t, Config{})
+	if err := s.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, ts.URL, "held", 40, 7)
+	feedSession(t, ts.URL, "held", rows, 0, 3)
+	if resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[3]}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stateless assign: %d %s", resp.StatusCode, data)
+	}
+	sm, _ := s.registry.get("m")
+	type state struct {
+		stream    *model.StreamState
+		lastReqID string
+		lastRow   []int
+		traffic   [][]int
+		next      int
+	}
+	read := func() state {
+		sess, err := s.sessions.get("held")
+		if err != nil || sess == nil {
+			t.Fatalf("session held: %v", err)
+		}
+		sess.mu.Lock()
+		st := state{stream: sess.c.Snapshot(), lastReqID: sess.lastReqID, lastRow: append([]int(nil), sess.lastRow...)}
+		sess.mu.Unlock()
+		sm.buf.mu.Lock()
+		st.traffic, st.next = cloneRows(sm.buf.rows), sm.buf.next
+		sm.buf.mu.Unlock()
+		return st
+	}
+	before := read()
+
+	buf := wireStream(t)
+	appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "", "held", rows[4]))
+	appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "", "held", rows[5]))
+	appendFrame(t, buf, model.FrameAssign, model.AppendAssignRequest(nil, "m", "", rows[6]))
+	buf.WriteByte(model.FrameAssign)
+	buf.Write(binary.AppendUvarint(nil, 100))
+	buf.Write(make([]byte, 10))
+	resp, data := postWire(t, ts.URL+"/v1/assign", buf.Bytes())
+	var env errorResponse
+	if err := json.Unmarshal(data, &env); err != nil || resp.StatusCode != http.StatusBadRequest || env.Code != codeBadRequest {
+		t.Fatalf("cut stream: %d %q, want 400 %s", resp.StatusCode, data, codeBadRequest)
+	}
+	if after := read(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("a refused stream applied rows:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
