@@ -150,14 +150,11 @@ func BenchmarkMGCPLScan(b *testing.B) {
 }
 
 // BenchmarkSimilarityParallel measures the O(n²·d) pairwise similarity
-// matrix at n = 2000, sequential versus tiled across all cores, in both
-// representations. On a machine with ≥ 4 cores the workers=all
-// sub-benchmarks should run ≥ 2× faster than workers=1 (the computation is
-// embarrassingly parallel and cache-friendly); on a single-core runner the
-// two coincide. The condensed form stores n·(n−1)/2 entries against the
-// dense path's n² square plus the packed triangle it expands from, so its
-// B/op must come in ≥ 40% lower — the memory-scaling gate of the condensed
-// refactor (run with -benchmem or rely on ReportAllocs below).
+// matrix at n = 2000 in condensed form (n·(n−1)/2 stored entries),
+// sequential versus tiled across all cores. On a machine with ≥ 4 cores the
+// workers=all sub-benchmark should run ≥ 2× faster than workers=1 (the
+// computation is embarrassingly parallel and cache-friendly); on a
+// single-core runner the two coincide.
 func BenchmarkSimilarityParallel(b *testing.B) {
 	ds := mcdc.SyntheticDataset("syn_sim", 2000, 25, 3, 1)
 	rows := ds.Rows
@@ -166,8 +163,6 @@ func BenchmarkSimilarityParallel(b *testing.B) {
 		name string
 		fn   func()
 	}{
-		{"dense/workers=1", func() { similarity.PairwiseMatrix(rows, 1) }},
-		{fmt.Sprintf("dense/workers=%d", gmp), func() { similarity.PairwiseMatrix(rows, 0) }},
 		{"condensed/workers=1", func() { similarity.PairwiseCondensed(rows, 1) }},
 		{fmt.Sprintf("condensed/workers=%d", gmp), func() { similarity.PairwiseCondensed(rows, 0) }},
 	} {
@@ -312,7 +307,7 @@ func BenchmarkServerAssign(b *testing.B) {
 		return bytes.NewReader(raw)
 	}
 	do := func(b *testing.B, i int) {
-		resp, err := http.Post(ts.URL+"/assign", "application/json", body(i))
+		resp, err := http.Post(ts.URL+"/v1/assign", "application/json", body(i))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,9 +22,9 @@
 //
 //	mcdcd -drain 127.0.0.1:8082 -gateway 127.0.0.1:8080
 //
-// Endpoints are versioned under /v1, with the unversioned spellings kept as
-// aliases (see internal/server for the full contract, including the binary
-// frame protocol on the assign routes):
+// Every endpoint is served under /v1 only; an unversioned path answers 404
+// (see internal/server for the full contract, including the binary frame
+// protocol on the assign routes):
 //
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/metrics
@@ -43,7 +43,7 @@
 // > 0 a background worker periodically re-trains every model on its recent
 // traffic window and hot-swaps it under a bumped epoch. With -state-dir the
 // daemon checkpoints every streaming session (periodically, on shutdown, and
-// on POST /checkpoint) and a restart resumes each one bit-for-bit.
+// on POST /v1/checkpoint) and a restart resumes each one bit-for-bit.
 package main
 
 import (
@@ -101,9 +101,8 @@ func run() error {
 		seed       = flag.Int64("seed", 1, "base random seed for re-learning and sessions")
 		par        = flag.Int("parallel", 0, "worker goroutines per request fan-out (0 = all cores)")
 		shards     = flag.Int("shards", 16, "lock shards of the streaming-session pool")
-		window     = flag.Int("session-window", 0, "default window size of new sessions (0 = stream default)")
 		stateDir   = flag.String("state-dir", "", "persist session checkpoints under this directory and resume them on startup")
-		checkpoint = flag.Duration("checkpoint", 30*time.Second, "periodic session-checkpoint interval with -state-dir (0 = only on shutdown and POST /checkpoint)")
+		checkpoint = flag.Duration("checkpoint", 30*time.Second, "periodic session-checkpoint interval with -state-dir (0 = only on shutdown and POST /v1/checkpoint)")
 		sessionTTL = flag.Duration("session-ttl", 0, "evict streaming sessions idle this long (0 = never; with -state-dir eviction spills to disk)")
 		maxInfl    = flag.Int("max-inflight", 0, "max concurrently executing assignment requests (0 = no admission control)")
 		queueDepth = flag.Int("queue-depth", 0, "assignment requests allowed to wait for a slot before shedding with 429")
@@ -194,22 +193,21 @@ func run() error {
 			return errors.New("-peers needs -replicate (checkpoint-per-assignment is what makes failover byte-identical)")
 		}
 		srv, err := server.New(server.Config{
-			Replicate:            *replicate,
-			Seed:                 *seed,
-			Workers:              *par,
-			SessionShards:        *shards,
-			RelearnEvery:         *relearn,
-			RelearnMin:           *relearnMin,
-			BufferSize:           *buffer,
-			DefaultSessionWindow: *window,
-			StateDir:             *stateDir,
-			CheckpointEvery:      *checkpoint,
-			SessionTTL:           *sessionTTL,
-			MaxInFlight:          *maxInfl,
-			QueueDepth:           *queueDepth,
-			RetryAfter:           *retryAfter,
-			Logger:               logger,
-			LogSlow:              *logSlow,
+			Replicate:       *replicate,
+			Seed:            *seed,
+			Workers:         *par,
+			SessionShards:   *shards,
+			RelearnEvery:    *relearn,
+			RelearnMin:      *relearnMin,
+			BufferSize:      *buffer,
+			StateDir:        *stateDir,
+			CheckpointEvery: *checkpoint,
+			SessionTTL:      *sessionTTL,
+			MaxInFlight:     *maxInfl,
+			QueueDepth:      *queueDepth,
+			RetryAfter:      *retryAfter,
+			Logger:          logger,
+			LogSlow:         *logSlow,
 		})
 		if err != nil {
 			return err
@@ -223,7 +221,7 @@ func run() error {
 			}
 		}
 		if len(models) == 0 {
-			logger.Info("no -model given; starting empty (load models via POST /models)")
+			logger.Info("no -model given; starting empty (load models via POST /v1/models)")
 		}
 		handler = srv.Handler()
 		backendSrv = srv

@@ -1,8 +1,8 @@
-// Package densematrix enforces the PR 2 storage contract: n²-sized
+// Package densematrix enforces the condensed storage contract: n²-sized
 // similarity/dissimilarity data moves through internal code as
 // *similarity.Condensed, never as dense [][]float64 — the dense form costs
-// double the memory plus a pointer per row, and every dense entry point is
-// supposed to be a documented compatibility shim over a condensed core.
+// double the memory plus a pointer per row, and no internal entry point
+// takes or returns it.
 package densematrix
 
 import (
@@ -24,9 +24,9 @@ blessed representation for pairwise similarity data. A function under
 internal/ that accepts or returns a [][]float64 recognizable as a
 similarity/dissimilarity matrix — by a parameter or result named like sim,
 dissim, dist, or proximity, or by a function name mentioning
-similarity/dissimilarity/pairwise/proximity/hamming — is flagged unless its
-doc comment documents it as a dense shim (the words "dense" and "shim" both
-present), which keeps the compatibility surface enumerable with grep.`,
+similarity/dissimilarity/pairwise/proximity/hamming — is flagged. A
+deliberate exception carries a //lint:mcdcvet-ignore densematrix comment
+with its reason.`,
 	Run: run,
 }
 
@@ -48,24 +48,11 @@ func run(pass *analysis.Pass) (any, error) {
 			if !ok || fd.Type == nil {
 				continue
 			}
-			if isDenseShim(fd) {
-				continue
-			}
 			checkFieldList(pass, fd, fd.Type.Params, "accepts")
 			checkFieldList(pass, fd, fd.Type.Results, "returns")
 		}
 	}
 	return nil, nil
-}
-
-// isDenseShim reports whether the function's doc comment carries the shim
-// marker: both "dense" and "shim" appearing in the text.
-func isDenseShim(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	text := strings.ToLower(fd.Doc.Text())
-	return strings.Contains(text, "dense") && strings.Contains(text, "shim")
 }
 
 func checkFieldList(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FieldList, verb string) {
@@ -88,7 +75,7 @@ func checkFieldList(pass *analysis.Pass, fd *ast.FuncDecl, fl *ast.FieldList, ve
 		if !named && !funcNamed {
 			continue // a [][]float64 that does not look like pairwise data
 		}
-		pass.Reportf(field.Pos(), "%s %s a dense [][]float64 similarity/dissimilarity matrix; use *similarity.Condensed, or document the function as a dense shim (condensed storage contract, PR 2)", fd.Name.Name, verb)
+		pass.Reportf(field.Pos(), "%s %s a dense [][]float64 similarity/dissimilarity matrix; use *similarity.Condensed (condensed storage contract)", fd.Name.Name, verb)
 	}
 }
 

@@ -148,7 +148,7 @@ func (r *Ring) Get(key string) (owner string) {
 // GetN returns the first n distinct nodes at or clockwise of key's hash —
 // index 0 is the owner (same as Get), index 1 its successor, and so on.
 // The successor chain is what replication follows: a session owned by
-// GetN(id, 2)[0] ships its checkpoints to GetN(id, 2)[1]. Fewer than n
+// GetN(key, 2)[0] ships its checkpoints to GetN(key, 2)[1]. Fewer than n
 // nodes are returned when the ring has fewer members.
 func (r *Ring) GetN(key string, n int) []string {
 	if len(r.points) == 0 || n <= 0 {

@@ -147,10 +147,7 @@ func TestCanonicalReordersPermutedMerges(t *testing.T) {
 // TestChainSmallFixtures pins the chain path on the hand-computable line
 // matrix used by the scan's unit tests.
 func TestChainSmallFixtures(t *testing.T) {
-	c, err := similarity.CondensedFromDense(chainMatrix(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := chainMatrix()
 	for _, tc := range []struct {
 		method Method
 		want   []float64
@@ -191,40 +188,24 @@ func TestChainErrors(t *testing.T) {
 }
 
 // TestBuildRejectsInvalidEntries pins the input-validation contract on every
-// entry point: NaN and negative dissimilarities (and asymmetric dense input)
-// are rejected with descriptive errors instead of being silently packed.
+// entry point: NaN and negative dissimilarities are rejected with
+// descriptive errors instead of silently corrupting the merge selection.
 func TestBuildRejectsInvalidEntries(t *testing.T) {
-	mk := func() [][]float64 { return chainMatrix() }
-
-	nan := mk()
-	nan[1][2], nan[2][1] = math.NaN(), math.NaN()
-	// A symmetrically-placed NaN pair must be reported as a NaN, not as
-	// asymmetry (NaN != NaN would otherwise trip the symmetry check first).
-	if err := func() error { _, err := Build(nan, Single); return err }(); err == nil {
-		t.Error("NaN entry: want error from Build")
-	} else if !strings.Contains(err.Error(), "NaN") {
-		t.Errorf("NaN entry: error %q does not name the NaN", err)
-	}
-
-	neg := mk()
-	neg[0][3], neg[3][0] = -0.5, -0.5
-	if _, err := Build(neg, Single); err == nil {
-		t.Error("negative entry: want error from Build")
-	}
-
-	asym := mk()
-	asym[0][1] = 9 // upper half only
-	if _, err := Build(asym, Single); err == nil {
-		t.Error("asymmetric matrix: want error from Build")
-	}
-
-	cneg := similarity.NewCondensed(4, 0)
-	cneg.Set(1, 3, -1)
-	if _, err := BuildCondensed(cneg, Average); err == nil {
-		t.Error("negative entry: want error from BuildCondensed")
-	}
-	if _, err := BuildChain(cneg, Average); err == nil {
-		t.Error("negative entry: want error from BuildChain")
+	nan := chainMatrix()
+	nan.Set(1, 2, math.NaN())
+	neg := chainMatrix()
+	neg.Set(0, 3, -0.5)
+	for _, b := range builders {
+		for _, method := range []Method{Single, Average} {
+			if _, err := b.build(nan, method, 1); err == nil {
+				t.Errorf("%s %v: NaN entry: want error", b.name, method)
+			} else if !strings.Contains(err.Error(), "NaN") {
+				t.Errorf("%s %v: NaN entry: error %q does not name the NaN", b.name, method, err)
+			}
+			if _, err := b.build(neg, method, 1); err == nil {
+				t.Errorf("%s %v: negative entry: want error", b.name, method)
+			}
+		}
 	}
 }
 

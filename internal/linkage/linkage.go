@@ -57,42 +57,6 @@ type Dendrogram struct {
 	Merges []Merge
 }
 
-// Build runs agglomerative clustering over a symmetric n×n dissimilarity
-// matrix with the given linkage method. It is the dense-accepting shim over
-// BuildCondensed: the matrix is packed into condensed triangular form first
-// (halving the working-copy memory), so prefer BuildCondensed when the
-// caller already has a condensed matrix. The input is validated before
-// packing: non-square, asymmetric, NaN, or negative dissimilarities are
-// rejected with a descriptive error instead of silently producing a
-// meaningless dendrogram.
-func Build(dist [][]float64, method Method) (*Dendrogram, error) {
-	n := len(dist)
-	if n == 0 {
-		return nil, errors.New("linkage: empty dissimilarity matrix")
-	}
-	for i, row := range dist {
-		if len(row) != n {
-			return nil, fmt.Errorf("linkage: matrix not square at row %d", i)
-		}
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			// The packing below reads only the upper triangle, which would
-			// silently mask an asymmetric lower half. A symmetrically-placed
-			// NaN pair is NOT asymmetry (NaN != NaN notwithstanding) — it
-			// falls through to validateCondensed, which names the real defect.
-			if dist[i][j] != dist[j][i] && !(math.IsNaN(dist[i][j]) && math.IsNaN(dist[j][i])) {
-				return nil, fmt.Errorf("linkage: matrix asymmetric at (%d, %d): %v vs %v", i, j, dist[i][j], dist[j][i])
-			}
-		}
-	}
-	c, err := similarity.CondensedFromDense(dist, 0)
-	if err != nil {
-		return nil, fmt.Errorf("linkage: %w", err)
-	}
-	return BuildCondensedWorkers(c, method, 0)
-}
-
 // validateCondensed rejects NaN and negative entries in a packed
 // dissimilarity matrix — both would silently corrupt the merge selection
 // (NaN fails every comparison; negative distances break the reducibility the
@@ -207,9 +171,9 @@ func BuildCondensed(dist *similarity.Condensed, method Method) (*Dendrogram, err
 // across at most `workers` goroutines (≤ 0 → GOMAXPROCS, 1 → sequential)
 // with per-chunk minima folded in chunk order under the package's total
 // order on candidate merges (mergeLess) — the argmin is unique, so the
-// dendrogram is bit-for-bit identical at any parallelism level, to the dense
-// path, and (after Canonical reordering) to the O(n²) chain path in
-// BuildChainWorkers, for which this scan is the cross-check oracle.
+// dendrogram is bit-for-bit identical at any parallelism level and (after
+// Canonical reordering) to the O(n²) chain path in BuildChainWorkers, for
+// which this scan is the cross-check oracle.
 func BuildCondensedWorkers(dist *similarity.Condensed, method Method, workers int) (*Dendrogram, error) {
 	n := dist.N()
 	if n == 0 {
@@ -519,10 +483,9 @@ func (den *Dendrogram) Canonical() *Dendrogram {
 }
 
 // HammingCondensed builds the normalized Hamming dissimilarity matrix of a
-// categorical data set in condensed triangular form — the preferred input for
-// BuildCondensed (half the memory of the dense matrix). The O(n²·d) fill is
-// tiled across all available cores; use HammingCondensedWorkers to bound the
-// parallelism.
+// categorical data set in condensed triangular form, the input of
+// BuildCondensed and BuildChain. The O(n²·d) fill is tiled across all
+// available cores; use HammingCondensedWorkers to bound the parallelism.
 func HammingCondensed(rows [][]int) *similarity.Condensed {
 	return similarity.DissimilarityCondensed(rows, 0)
 }
@@ -532,19 +495,6 @@ func HammingCondensed(rows [][]int) *similarity.Condensed {
 // parallelism level.
 func HammingCondensedWorkers(rows [][]int, workers int) *similarity.Condensed {
 	return similarity.DissimilarityCondensed(rows, workers)
-}
-
-// HammingMatrix is the dense shim over HammingCondensed, kept for callers
-// that need the classic [][]float64 form.
-func HammingMatrix(rows [][]int) [][]float64 {
-	return similarity.DissimilarityMatrix(rows, 0)
-}
-
-// HammingMatrixWorkers is the dense shim HammingMatrix with an explicit worker bound
-// (≤ 0 → GOMAXPROCS, 1 → sequential). The result is identical at any
-// parallelism level.
-func HammingMatrixWorkers(rows [][]int, workers int) [][]float64 {
-	return similarity.DissimilarityMatrix(rows, workers)
 }
 
 // NaturalCut inspects the dendrogram's height sequence and returns the k

@@ -12,25 +12,19 @@ import (
 )
 
 // chainMatrix: four points on a line at 0, 1, 3, 7.
-func chainMatrix() [][]float64 {
+func chainMatrix() *similarity.Condensed {
 	pos := []float64{0, 1, 3, 7}
-	n := len(pos)
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			if pos[i] > pos[j] {
-				d[i][j] = pos[i] - pos[j]
-			} else {
-				d[i][j] = pos[j] - pos[i]
-			}
+	d := similarity.NewCondensed(len(pos), 0)
+	for i := range pos {
+		for j := i + 1; j < len(pos); j++ {
+			d.Set(i, j, pos[j]-pos[i])
 		}
 	}
 	return d
 }
 
 func TestSingleLinkageMergeOrder(t *testing.T) {
-	den, err := Build(chainMatrix(), Single)
+	den, err := BuildCondensed(chainMatrix(), Single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +36,7 @@ func TestSingleLinkageMergeOrder(t *testing.T) {
 }
 
 func TestCompleteLinkageMergeOrder(t *testing.T) {
-	den, err := Build(chainMatrix(), Complete)
+	den, err := BuildCondensed(chainMatrix(), Complete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,9 +49,9 @@ func TestCompleteLinkageMergeOrder(t *testing.T) {
 
 func TestAverageLinkageBetweenSingleAndComplete(t *testing.T) {
 	m := chainMatrix()
-	s, _ := Build(m, Single)
-	a, _ := Build(m, Average)
-	c, _ := Build(m, Complete)
+	s, _ := BuildCondensed(m, Single)
+	a, _ := BuildCondensed(m, Average)
+	c, _ := BuildCondensed(m, Complete)
 	hs, ha, hc := s.Heights(), a.Heights(), c.Heights()
 	for i := range ha {
 		if ha[i] < hs[i]-1e-12 || ha[i] > hc[i]+1e-12 {
@@ -69,20 +63,16 @@ func TestAverageLinkageBetweenSingleAndComplete(t *testing.T) {
 func TestMonotonicHeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	n := 30
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
+	d := similarity.NewCondensed(n, 0)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v := rng.Float64()
-			d[i][j], d[j][i] = v, v
+			d.Set(i, j, rng.Float64())
 		}
 	}
 	// Single, complete, and average linkage are all monotone (no Lance-
 	// Williams inversions).
 	for _, method := range []Method{Single, Complete, Average} {
-		den, err := Build(d, method)
+		den, err := BuildCondensed(d, method)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +84,7 @@ func TestMonotonicHeights(t *testing.T) {
 }
 
 func TestCutProducesRequestedClusters(t *testing.T) {
-	den, err := Build(chainMatrix(), Single)
+	den, err := BuildCondensed(chainMatrix(), Single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +107,7 @@ func TestCutProducesRequestedClusters(t *testing.T) {
 
 func TestHierarchicalOnCategoricalData(t *testing.T) {
 	ds := datasets.Synthetic("t", 150, 8, 3, 0.92, rand.New(rand.NewSource(51)))
-	den, err := Build(HammingMatrix(ds.Rows), Average)
+	den, err := BuildCondensed(HammingCondensed(ds.Rows), Average)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,15 +124,24 @@ func TestHierarchicalOnCategoricalData(t *testing.T) {
 	}
 }
 
+// builders names both engines with an explicit worker count, for the tests
+// that hold every entry point to one contract.
+var builders = []struct {
+	name  string
+	build func(*similarity.Condensed, Method, int) (*Dendrogram, error)
+}{
+	{"scan", BuildCondensedWorkers},
+	{"chain", BuildChainWorkers},
+}
+
 func TestBuildErrors(t *testing.T) {
-	if _, err := Build(nil, Single); err == nil {
-		t.Error("empty matrix: want error")
-	}
-	if _, err := Build([][]float64{{0, 1}}, Single); err == nil {
-		t.Error("non-square: want error")
-	}
-	if _, err := Build(chainMatrix(), Method(99)); err == nil {
-		t.Error("unknown method: want error")
+	for _, b := range builders {
+		if _, err := b.build(similarity.NewCondensed(0, 0), Single, 1); err == nil {
+			t.Errorf("%s: empty matrix: want error", b.name)
+		}
+		if _, err := b.build(chainMatrix(), Method(99), 1); err == nil {
+			t.Errorf("%s: unknown method: want error", b.name)
+		}
 	}
 }
 
@@ -162,34 +161,6 @@ func sameDendrogram(t *testing.T, a, b *Dendrogram, context string) {
 	for s := range a.Merges {
 		if a.Merges[s] != b.Merges[s] {
 			t.Fatalf("%s: merge %d differs: %+v vs %+v", context, s, a.Merges[s], b.Merges[s])
-		}
-	}
-}
-
-// TestBuildCondensedMatchesDense pins the tentpole equivalence: on random
-// categorical data, the condensed build must produce a dendrogram identical
-// to the dense path for every linkage method — same merges, same exact
-// heights, same cuts.
-func TestBuildCondensedMatchesDense(t *testing.T) {
-	for seedOffset, n := range []int{60, 150} {
-		ds := datasets.Synthetic("t", n, 7, 4, 0.8, rand.New(rand.NewSource(int64(52+seedOffset))))
-		dense := HammingMatrix(ds.Rows)
-		cond := HammingCondensed(ds.Rows)
-		for _, method := range []Method{Single, Complete, Average} {
-			dd, err := Build(dense, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cd, err := BuildCondensed(cond, method)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameDendrogram(t, dd, cd, method.String())
-			for _, k := range []int{2, 4} {
-				if !reflect.DeepEqual(dd.Cut(k), cd.Cut(k)) {
-					t.Fatalf("%v: Cut(%d) differs between dense and condensed", method, k)
-				}
-			}
 		}
 	}
 }
@@ -214,8 +185,8 @@ func TestBuildCondensedParallelEquivalence(t *testing.T) {
 	}
 }
 
-// TestBuildCondensedErrors mirrors the dense error cases on the condensed
-// entry point.
+// TestBuildCondensedErrors holds the GOMAXPROCS entry point to the same
+// error cases.
 func TestBuildCondensedErrors(t *testing.T) {
 	if _, err := BuildCondensed(similarity.NewCondensed(0, 0), Single); err == nil {
 		t.Error("empty condensed matrix: want error")

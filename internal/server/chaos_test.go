@@ -58,7 +58,7 @@ func chaosFleet(t *testing.T) (*testenv.FaultRoundTripper, *Gateway, string, []*
 // sessionOwner asks the gateway which backend currently owns a session.
 func sessionOwner(t *testing.T, gwURL, id string) string {
 	t.Helper()
-	_, data := get(t, gwURL+"/ring?session="+id)
+	_, data := get(t, gwURL+"/v1/ring?session="+id)
 	var ring struct {
 		Backend string `json:"backend"`
 	}
@@ -142,11 +142,11 @@ func TestChaosStatelessTrafficReroutes(t *testing.T) {
 	defer frt.Remove(rule)
 	for i := 0; i < n; i++ {
 		body := map[string]any{"model": "m", "row": rows[i%len(rows)]}
-		gresp, gdata := post(t, gwURL+"/assign", body)
+		gresp, gdata := post(t, gwURL+"/v1/assign", body)
 		if gresp.StatusCode != http.StatusOK {
 			t.Fatalf("stateless row %d: %d %s", i, gresp.StatusCode, gdata)
 		}
-		sresp, sdata := post(t, soloURL+"/assign", body)
+		sresp, sdata := post(t, soloURL+"/v1/assign", body)
 		if sresp.StatusCode != http.StatusOK {
 			t.Fatalf("solo row %d: %d", i, sresp.StatusCode)
 		}
@@ -255,7 +255,7 @@ func TestAdoptReplacesStaleResident(t *testing.T) {
 	}
 	fetchCkpt := func(url string) []byte {
 		t.Helper()
-		resp, data := get(t, url+"/sessions/mv/checkpoint")
+		resp, data := get(t, url+"/v1/sessions/mv/checkpoint")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("checkpoint fetch: %d %s", resp.StatusCode, data)
 		}
@@ -263,7 +263,7 @@ func TestAdoptReplacesStaleResident(t *testing.T) {
 	}
 	adopt := func(url string, ckpt []byte) int64 {
 		t.Helper()
-		resp, err := http.Post(url+"/sessions/mv/adopt", "application/octet-stream", bytes.NewReader(ckpt))
+		resp, err := http.Post(url+"/v1/sessions/mv/adopt", "application/octet-stream", bytes.NewReader(ckpt))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,7 +355,7 @@ func TestReplicaPromotionBitIdenticalTail(t *testing.T) {
 
 			// "Kill" the primary by promoting its replica on the standby —
 			// the exact operation a gateway failover performs.
-			resp, data := post(t, sts.URL+"/sessions/prop/promote", nil)
+			resp, data := post(t, sts.URL+"/v1/sessions/prop/promote", nil)
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("promote on standby: %d %s", resp.StatusCode, data)
 			}

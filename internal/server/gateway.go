@@ -24,23 +24,24 @@ import (
 // sessions live on exactly one backend and the fleet's answers are
 // byte-identical to a single backend serving the same snapshots:
 //
-//	POST /assign        routed by session id, or by model+row key
-//	POST /assign/batch  scattered across backends by row key, gathered in order
-//	POST /sessions      routed by session id (the session lives there)
-//	DELETE /sessions/{id}  routed likewise
-//	POST /models, DELETE /models/{name}, POST /checkpoint  broadcast to all
-//	GET  /models        proxied to the first healthy backend (fleet-identical)
-//	GET  /healthz       aggregated: ok only when every backend is up
-//	GET  /metrics       backend counters summed per series + gateway-local ones
-//	GET  /ring          placement debug: members, health, ?key= lookup
+//	POST /v1/assign        routed by session id, or by model+row key
+//	POST /v1/assign/batch  scattered across backends by row key, gathered in order
+//	POST /v1/sessions      routed by session id (the session lives there)
+//	DELETE /v1/sessions/{id}  routed likewise
+//	POST /v1/models, DELETE /v1/models/{name}, POST /v1/checkpoint  broadcast to all
+//	GET  /v1/models        proxied to the first healthy backend (fleet-identical)
+//	GET  /v1/healthz       aggregated: ok only when every backend is up
+//	GET  /v1/metrics       backend counters summed per series + gateway-local ones
+//	GET  /v1/ring          placement debug: members, health, ?key= lookup
+//	POST /v1/ring/join, /v1/ring/leave  membership changes (gateway_failover.go)
 //
-// Routes are served under /v1 with the pre-versioning paths as aliases,
-// matching the backends. The assignment routes accept JSON and binary frames
-// alike: the gateway decodes either with the daemon's own edge (edge.go),
-// speaks frames to every backend (gateway_assign.go), and encodes the merged
-// answer back in the client's codec, byte-identical to a solo backend's.
-// A backend 429 (admission shed) relays to the caller unchanged — including
-// Retry-After — and increments a per-backend shed counter in /metrics.
+// Like the backends, the gateway serves every route under /v1 only. The
+// assignment routes accept JSON and binary frames alike: the gateway decodes
+// either with the daemon's own edge (edge.go), speaks frames to every backend
+// (gateway_assign.go), and encodes the merged answer back in the client's
+// codec, byte-identical to a solo backend's. A backend 429 (admission shed)
+// relays to the caller unchanged — including Retry-After — and increments a
+// per-backend shed counter in /v1/metrics.
 //
 // The gateway holds no model or session state itself: backends can restart
 // (resuming their sessions from -state-dir) without the gateway noticing
@@ -186,36 +187,34 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 func (g *Gateway) Backends() []string { return g.backendList() }
 
 func (g *Gateway) routes() {
-	// Mirrors Server.handle: the canonical /v1 route plus the pre-versioning
-	// alias, both behind one counter labeled by the canonical pattern.
-	handle := func(pattern string, fn http.HandlerFunc) {
-		method, path, _ := strings.Cut(pattern, " ")
-		canonical := method + " /v1" + path
-		h := g.httpm.instrument(canonical, g.obs, fn)
-		g.mux.HandleFunc(canonical, h)
-		g.mux.HandleFunc(pattern, h)
-	}
-	handle("GET /healthz", g.handleHealthz)
-	handle("GET /metrics", g.handleMetrics)
-	handle("GET /ring", g.handleRing)
-	handle("POST /ring/join", g.handleRingJoin)
-	handle("POST /ring/leave", g.handleRingLeave)
-	handle("GET /models", g.handleListModels)
-	handle("POST /models", g.handleBroadcastModels)
-	handle("DELETE /models/{name}", g.handleDeleteModel)
-	handle("POST /assign", g.handleAssign)
-	handle("POST /assign/batch", g.handleAssignBatch)
-	handle("POST /sessions", g.handleCreateSession)
-	handle("DELETE /sessions/{id}", g.handleDeleteSession)
-	handle("POST /checkpoint", g.handleCheckpoint)
+	handle := func(pattern string, fn http.HandlerFunc) { g.httpm.handle(g.mux, g.obs, pattern, fn) }
+	handle("GET /v1/healthz", g.handleHealthz)
+	handle("GET /v1/metrics", g.handleMetrics)
+	handle("GET /v1/ring", g.handleRing)
+	handle("POST /v1/ring/join", g.handleRingJoin)
+	handle("POST /v1/ring/leave", g.handleRingLeave)
+	handle("GET /v1/models", g.handleListModels)
+	handle("POST /v1/models", g.handleBroadcastModels)
+	handle("DELETE /v1/models/{name}", g.handleDeleteModel)
+	handle("POST /v1/assign", g.handleAssign)
+	handle("POST /v1/assign/batch", g.handleAssignBatch)
+	handle("POST /v1/sessions", g.handleCreateSession)
+	handle("DELETE /v1/sessions/{id}", g.handleDeleteSession)
+	handle("POST /v1/checkpoint", g.handleCheckpoint)
 }
 
 // ---- key derivation ----
 
-// sessionKey is the ring key of a streaming session. All session traffic —
-// create, assign, delete — derives the same key, so a session's whole life
-// happens on one backend.
-func sessionKey(id string) string { return "s|" + id }
+// sessionChain returns the first n members of session id's successor chain
+// on ring, keyed "s|"+id (fewer when the ring is smaller): its owner, then
+// the backends a gateway tries in order when the owner is lost. Every
+// session route, failover, ring change, and the replicator's choice of
+// replica holder read this one chain, so a session's whole life happens on
+// its owner and a replicating owner ships each checkpoint to the gateway's
+// next failover candidate.
+func sessionChain(ring *hashring.Ring, id string, n int) []string {
+	return ring.GetN("s|"+id, n)
+}
 
 // statelessKey is the ring hash of one stateless assignment: model plus the
 // exact row values. Identical queries always hit the same backend (warming

@@ -116,7 +116,7 @@ func TestGatewayPropagatesShed(t *testing.T) {
 		// Like a real mcdcd, only assignment routes shed; health and
 		// metrics probes answer normally.
 		if r.Method == http.MethodGet {
-			if strings.HasSuffix(r.URL.Path, "/healthz") {
+			if strings.HasSuffix(r.URL.Path, "/v1/healthz") {
 				fmt.Fprintln(w, `{"status":"ok"}`)
 			}
 			return

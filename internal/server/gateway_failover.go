@@ -116,7 +116,7 @@ func (g *Gateway) placeLocked(id string) string {
 	if b, ok := g.overrides[id]; ok {
 		return b
 	}
-	return g.ring.Get(sessionKey(id))
+	return sessionChain(g.ring, id, 1)[0]
 }
 
 // placement is the view one routing round places stateless items against:
@@ -168,13 +168,13 @@ func (p placement) stateless(key uint64) (b string) {
 func (g *Gateway) sessionCandidates(id string) []string {
 	g.placeMu.RLock()
 	defer g.placeMu.RUnlock()
-	return g.ring.GetN(sessionKey(id), g.ring.Len())
+	return sessionChain(g.ring, id, g.ring.Len())
 }
 
 func (g *Gateway) setOverride(id, backend string) {
 	g.placeMu.Lock()
 	defer g.placeMu.Unlock()
-	if g.ring.Get(sessionKey(id)) == backend {
+	if sessionChain(g.ring, id, 1)[0] == backend {
 		delete(g.overrides, id) // back on ring placement; no override needed
 		return
 	}
@@ -413,7 +413,7 @@ func (g *Gateway) handleRingJoin(w http.ResponseWriter, r *http.Request) {
 	next.Add(b)
 	moved, err := g.migrateSessionsLocked(next, func(id string) (from, to string, migrate bool) {
 		from = g.placeLocked(id)
-		to = next.Get(sessionKey(id))
+		to = sessionChain(next, id, 1)[0]
 		return from, to, to == b && from != b
 	})
 	if err != nil {
@@ -466,7 +466,7 @@ func (g *Gateway) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 	if g.isUp(b) {
 		moved, err = g.migrateSessionsLocked(next, func(id string) (from, to string, migrate bool) {
 			from = g.placeLocked(id)
-			return from, next.Get(sessionKey(id)), from == b
+			return from, sessionChain(next, id, 1)[0], from == b
 		})
 	} else {
 		moved, err = g.promoteOrphansLocked(b, next)
@@ -535,7 +535,7 @@ func (g *Gateway) migrateSessionsLocked(next *hashring.Ring, plan func(id string
 			if st, _, _, err := g.do(http.MethodDelete, from, "/v1/sessions/"+id, nil, ""); err != nil || st >= 300 {
 				g.log.Warn("source session delete failed after migration", "session", id, "backend", from, "status", st, "err", err)
 			}
-			if next.Get(sessionKey(id)) == to {
+			if sessionChain(next, id, 1)[0] == to {
 				delete(g.overrides, id)
 			} else {
 				g.overrides[id] = to
@@ -574,7 +574,7 @@ func (g *Gateway) promoteOrphansLocked(dead string, next *hashring.Ring) ([]stri
 			if err != nil || st != http.StatusOK {
 				return moved, fmt.Errorf("promote %q on %s: status %d err %v: %s", id, holder, st, err, strings.TrimSpace(string(body)))
 			}
-			if next.Get(sessionKey(id)) == holder {
+			if sessionChain(next, id, 1)[0] == holder {
 				delete(g.overrides, id)
 			} else {
 				g.overrides[id] = holder

@@ -69,8 +69,8 @@ func TestGatewayByteIdenticalToSingleBackend(t *testing.T) {
 	// Single assignments: routed by row key, answered verbatim.
 	for i, row := range rows[:60] {
 		body := map[string]any{"model": "m", "row": row}
-		gresp, gdata := post(t, gts.URL+"/assign", body)
-		sresp, sdata := post(t, soloTS.URL+"/assign", body)
+		gresp, gdata := post(t, gts.URL+"/v1/assign", body)
+		sresp, sdata := post(t, soloTS.URL+"/v1/assign", body)
 		if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
 			t.Fatalf("row %d: gateway %d, solo %d (%s | %s)", i, gresp.StatusCode, sresp.StatusCode, gdata, sdata)
 		}
@@ -81,8 +81,8 @@ func TestGatewayByteIdenticalToSingleBackend(t *testing.T) {
 
 	// Batch: scattered by row key across both backends, gathered in order.
 	body := map[string]any{"model": "m", "rows": rows}
-	gresp, gdata := post(t, gts.URL+"/assign/batch", body)
-	sresp, sdata := post(t, soloTS.URL+"/assign/batch", body)
+	gresp, gdata := post(t, gts.URL+"/v1/assign/batch", body)
+	sresp, sdata := post(t, soloTS.URL+"/v1/assign/batch", body)
 	if gresp.StatusCode != http.StatusOK || sresp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: gateway %d, solo %d", gresp.StatusCode, sresp.StatusCode)
 	}
@@ -132,7 +132,7 @@ func TestGatewaySessionLifecycleAndPlacement(t *testing.T) {
 
 	// /ring names the owner; the session must be resident there and only
 	// there.
-	_, data := get(t, gts.URL+"/ring?session=sess-1")
+	_, data := get(t, gts.URL+"/v1/ring?session=sess-1")
 	var ring struct {
 		Backend  string   `json:"backend"`
 		Backends []string `json:"backends"`
@@ -156,12 +156,12 @@ func TestGatewaySessionLifecycleAndPlacement(t *testing.T) {
 	}
 
 	// Duplicate create through the gateway conflicts like a direct one.
-	resp, _ := post(t, gts.URL+"/sessions", map[string]any{"session": "sess-1", "model": "m"})
+	resp, _ := post(t, gts.URL+"/v1/sessions", map[string]any{"session": "sess-1", "model": "m"})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate create through gateway: %d", resp.StatusCode)
 	}
 	// Delete routes to the owner.
-	req, _ := http.NewRequest(http.MethodDelete, gts.URL+"/sessions/sess-1", nil)
+	req, _ := http.NewRequest(http.MethodDelete, gts.URL+"/v1/sessions/sess-1", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestGatewayBroadcastAndAggregation(t *testing.T) {
 	if err := snap.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	resp, data := post(t, gts.URL+"/models", map[string]string{"name": "m", "path": path})
+	resp, data := post(t, gts.URL+"/v1/models", map[string]string{"name": "m", "path": path})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("broadcast load: %d %s", resp.StatusCode, data)
 	}
@@ -200,7 +200,7 @@ func TestGatewayBroadcastAndAggregation(t *testing.T) {
 	// Traffic through the gateway lands on both backends; the aggregated
 	// counter equals the sum.
 	for _, row := range rows[:40] {
-		resp, data := post(t, gts.URL+"/assign", map[string]any{"model": "m", "row": row})
+		resp, data := post(t, gts.URL+"/v1/assign", map[string]any{"model": "m", "row": row})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("assign: %d %s", resp.StatusCode, data)
 		}
@@ -212,7 +212,7 @@ func TestGatewayBroadcastAndAggregation(t *testing.T) {
 	if want != 40 {
 		t.Fatalf("backends served %d assigns in total, want 40", want)
 	}
-	_, mdata := get(t, gts.URL+"/metrics")
+	_, mdata := get(t, gts.URL+"/v1/metrics")
 	if !strings.Contains(string(mdata), fmt.Sprintf("mcdcd_assign_total %d", want)) {
 		t.Errorf("aggregated metrics missing summed mcdcd_assign_total %d:\n%s", want, mdata)
 	}
@@ -227,23 +227,23 @@ func TestGatewayBroadcastAndAggregation(t *testing.T) {
 	// "down" + 503: its sessions are stranded until it returns. Stateless
 	// traffic still serves — rows re-place onto the survivor once the first
 	// failure marks the dead backend down.
-	hresp, hdata := get(t, gts.URL+"/healthz")
+	hresp, hdata := get(t, gts.URL+"/v1/healthz")
 	if hresp.StatusCode != http.StatusOK || !strings.Contains(string(hdata), `"status":"ok"`) {
 		t.Fatalf("healthz all-up: %d %s", hresp.StatusCode, hdata)
 	}
 	tss[1].Close()
-	hresp, hdata = get(t, gts.URL+"/healthz")
+	hresp, hdata = get(t, gts.URL+"/v1/healthz")
 	if hresp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(hdata), `"status":"down"`) {
 		t.Fatalf("healthz with a dead unreplicated backend: %d %s", hresp.StatusCode, hdata)
 	}
 	for i, row := range rows[:40] {
-		resp, data := post(t, gts.URL+"/assign", map[string]any{"model": "m", "row": row})
+		resp, data := post(t, gts.URL+"/v1/assign", map[string]any{"model": "m", "row": row})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("stateless assign %d with dead backend: %d %s", i, resp.StatusCode, data)
 		}
 	}
 	// The reroute shows up in the gateway's own counters.
-	_, mdata = get(t, gts.URL+"/metrics")
+	_, mdata = get(t, gts.URL+"/v1/metrics")
 	if !strings.Contains(string(mdata), "mcdcd_gateway_retries_total{backend=") {
 		t.Errorf("gateway metrics missing per-backend retry counter:\n%s", mdata)
 	}
@@ -281,7 +281,7 @@ func TestGatewaySessionFailoverByteIdentical(t *testing.T) {
 	}
 
 	// Kill the owner.
-	_, data := get(t, gts.URL+"/ring?session=sf")
+	_, data := get(t, gts.URL+"/v1/ring?session=sf")
 	var ring struct {
 		Backend string `json:"backend"`
 	}
@@ -314,14 +314,60 @@ func TestGatewaySessionFailoverByteIdentical(t *testing.T) {
 	}
 
 	// Degraded, not down: the dead backend is covered by replication.
-	hresp, hdata := get(t, gts.URL+"/healthz")
+	hresp, hdata := get(t, gts.URL+"/v1/healthz")
 	if hresp.StatusCode != http.StatusOK || !strings.Contains(string(hdata), `"status":"degraded"`) {
 		t.Fatalf("healthz with covered dead backend: %d %s", hresp.StatusCode, hdata)
 	}
 	// And the failover is visible in /metrics.
-	_, mdata := get(t, gts.URL+"/metrics")
+	_, mdata := get(t, gts.URL+"/v1/metrics")
 	if !strings.Contains(string(mdata), "mcdcd_gateway_failovers_total") {
 		t.Errorf("gateway metrics missing failovers counter:\n%s", mdata)
+	}
+}
+
+// TestReplicaOnNextFailoverCandidate pins where a replicated session's
+// checkpoint lands: on the second backend of the gateway's ring chain for
+// the session, which is where a failover first asks to promote when the
+// owner is lost. Sixteen sessions make a replica holder chosen by any other
+// ring key miss that backend for some session on practically every set of
+// test ports.
+func TestReplicaOnNextFailoverCandidate(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 63)
+	gw, gts, backends, tss := gatewayFleetCfg(t, 3, Config{Replicate: true}, GatewayConfig{})
+	for _, b := range backends {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := make([]string, 16)
+	for i := range ids {
+		ids[i] = "sess-" + strconv.Itoa(i)
+		createSession(t, gts.URL, ids[i], 40, int64(i+1))
+		feedSession(t, gts.URL, ids[i], rows, i, i+1)
+	}
+	held := make(map[string]map[string]bool) // backend → replica ids it holds
+	for _, ts := range tss {
+		_, data := get(t, ts.URL+"/v1/sessions")
+		var inv struct {
+			Replicas []string `json:"replicas"`
+		}
+		if err := json.Unmarshal(data, &inv); err != nil {
+			t.Fatal(err)
+		}
+		addr := strings.TrimPrefix(ts.URL, "http://")
+		held[addr] = make(map[string]bool)
+		for _, id := range inv.Replicas {
+			held[addr][id] = true
+		}
+	}
+	for _, id := range ids {
+		chain := gw.sessionCandidates(id)
+		if len(chain) != 3 {
+			t.Fatalf("%s: chain %v, want 3 backends", id, chain)
+		}
+		if !held[chain[1]][id] {
+			t.Errorf("%s: replica not on %s, the next failover candidate after owner %s (chain %v)", id, chain[1], chain[0], chain)
+		}
 	}
 }
 
@@ -360,7 +406,7 @@ func TestGatewayRingLeaveJoinMigratesSessions(t *testing.T) {
 
 	// Drain backend 0 (live leave): its sessions migrate, placement cuts over.
 	leaving := strings.TrimPrefix(tss[0].URL, "http://")
-	resp, data := post(t, gts.URL+"/ring/leave", map[string]string{"backend": leaving})
+	resp, data := post(t, gts.URL+"/v1/ring/leave", map[string]string{"backend": leaving})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ring leave: %d %s", resp.StatusCode, data)
 	}
@@ -379,7 +425,7 @@ func TestGatewayRingLeaveJoinMigratesSessions(t *testing.T) {
 
 	// Join it back: sessions whose home is the returning backend migrate
 	// there, and the streams still continue seamlessly.
-	resp, data = post(t, gts.URL+"/ring/join", map[string]string{"backend": leaving})
+	resp, data = post(t, gts.URL+"/v1/ring/join", map[string]string{"backend": leaving})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ring join: %d %s", resp.StatusCode, data)
 	}

@@ -54,25 +54,17 @@ func newHTTPMetrics() *httpMetrics {
 	return &httpMetrics{routes: make(map[string]*routeCounter)}
 }
 
-// route registers (or returns) the counter set for a mux pattern.
-func (h *httpMetrics) route(pattern string) *routeCounter {
-	if rc, ok := h.routes[pattern]; ok {
-		return rc
-	}
+// handle registers fn on mux under pattern, wrapped with the route's
+// counters and the request-scoped observability shell: the correlation id is
+// resolved (minted or accepted) and echoed on the response before the
+// handler runs — so error envelopes and 429 sheds carry it too — and the
+// request is timed, recorded, and logged on the way out. Daemon and gateway
+// register every route through it, once, under its /v1 pattern.
+func (h *httpMetrics) handle(mux *http.ServeMux, o *obs, pattern string, fn http.HandlerFunc) {
 	rc := &routeCounter{}
 	h.routes[pattern] = rc
 	h.order = append(h.order, pattern)
-	return rc
-}
-
-// instrument wraps a handler with the per-route counters and the
-// request-scoped observability shell: the correlation id is resolved (minted
-// or accepted) and echoed on the response before the handler runs — so error
-// envelopes and 429 sheds carry it too — and the request is timed, recorded,
-// and logged on the way out.
-func (h *httpMetrics) instrument(pattern string, o *obs, fn http.HandlerFunc) http.HandlerFunc {
-	rc := h.route(pattern)
-	return func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		rc.requests.Add(1)
 		id := ensureRequestID(r, o.ids)
 		w.Header().Set(RequestIDHeader, id)
@@ -86,7 +78,7 @@ func (h *httpMetrics) instrument(pattern string, o *obs, fn http.HandlerFunc) ht
 			rc.errors.Add(1)
 		}
 		o.logRequest(r.Context(), id, pattern, status, sw.errCode, d)
-	}
+	})
 }
 
 // write emits the per-endpoint counters and duration histograms under the

@@ -56,7 +56,7 @@ func TestPooledAssignerPackedProbe(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	load := func(path string) {
 		t.Helper()
-		resp, data := post(t, ts.URL+"/models", map[string]string{"name": "packed", "path": path})
+		resp, data := post(t, ts.URL+"/v1/models", map[string]string{"name": "packed", "path": path})
 		if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusOK {
 			t.Fatalf("load %s: %d %s", path, resp.StatusCode, data)
 		}
@@ -64,7 +64,7 @@ func TestPooledAssignerPackedProbe(t *testing.T) {
 	check := func(snap *model.Snapshot) {
 		t.Helper()
 		for _, row := range adversarialRows(rng, 80, snap.Cardinalities) {
-			resp, data := post(t, ts.URL+"/assign", map[string]any{"model": "packed", "row": row})
+			resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"model": "packed", "row": row})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("assign %v: %d %s", row, resp.StatusCode, data)
 			}

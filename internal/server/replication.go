@@ -99,7 +99,7 @@ func (r *replicator) members() []string {
 func (r *replicator) target(id string) string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, n := range r.ring.GetN(id, r.ring.Len()) {
+	for _, n := range sessionChain(r.ring, id, 2) {
 		if n != r.self {
 			return n
 		}

@@ -3,8 +3,8 @@
 // streaming sessions (internal/stream). It institutionalizes the paper's
 // batch-train / online-assign split — models are trained offline (cmd/mcdc
 // -save), loaded into a hot-swappable registry, and queried concurrently.
-// The API is versioned under /v1 (the pre-versioning paths remain as
-// aliases), and every error is the structured envelope of errors.go:
+// Every route is served under /v1 only — an unversioned path answers the
+// mux's plain 404 — and every error is the structured envelope of errors.go:
 //
 //	POST /v1/models        load or hot-swap a named model from a snapshot file
 //	GET  /v1/models        list served models (with cardinalities schema)
@@ -46,7 +46,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -76,9 +75,6 @@ type Config struct {
 	RelearnMin int
 	// BufferSize caps each model's traffic window (default 4096).
 	BufferSize int
-	// DefaultSessionWindow is the window size of new sessions when the
-	// request does not set one (0 falls through to the stream default).
-	DefaultSessionWindow int
 	// StateDir enables session durability: every streaming session
 	// checkpoints to <StateDir>/sessions/<id>.ckpt (on the CheckpointEvery
 	// cadence, on idle eviction, on POST /checkpoint, and on Close), and a
@@ -301,43 +297,33 @@ func (s *Server) AddModel(name string, snap *model.Snapshot) error {
 }
 
 func (s *Server) routes() {
-	// Every route registers through handle so the per-endpoint request and
-	// error counters in /metrics cover all traffic, not just the assign path.
-	// The assignment endpoints additionally pass through the admission valve
-	// and sniff Content-Type: the binary frame protocol and JSON share one
-	// route per operation.
-	s.handle("GET /healthz", s.handleHealthz)
-	s.handle("GET /metrics", s.handleMetrics)
-	s.handle("GET /models", s.handleListModels)
-	s.handle("POST /models", s.handleLoadModel)
-	s.handle("DELETE /models/{name}", s.handleDeleteModel)
-	s.handle("POST /assign", s.admit(s.handleAssign))
-	s.handle("POST /assign/batch", s.admit(s.handleAssignBatch))
-	s.handle("POST /sessions", s.handleCreateSession)
-	s.handle("DELETE /sessions/{id}", s.handleDeleteSession)
-	s.handle("POST /checkpoint", s.handleCheckpoint)
+	// Every route registers once, under /v1, through the instrumenting step
+	// the gateway shares, so the per-endpoint request and error counters in
+	// /v1/metrics cover all traffic, not just the assign path. The assignment
+	// endpoints additionally pass through the admission valve and sniff
+	// Content-Type: the binary frame protocol and JSON share one route per
+	// operation.
+	handle := func(pattern string, fn http.HandlerFunc) { s.metrics.http.handle(s.mux, s.obs, pattern, fn) }
+	handle("GET /v1/healthz", s.handleHealthz)
+	handle("GET /v1/metrics", s.handleMetrics)
+	handle("GET /v1/models", s.handleListModels)
+	handle("POST /v1/models", s.handleLoadModel)
+	handle("DELETE /v1/models/{name}", s.handleDeleteModel)
+	handle("POST /v1/assign", s.admit(s.handleAssign))
+	handle("POST /v1/assign/batch", s.admit(s.handleAssignBatch))
+	handle("POST /v1/sessions", s.handleCreateSession)
+	handle("DELETE /v1/sessions/{id}", s.handleDeleteSession)
+	handle("POST /v1/checkpoint", s.handleCheckpoint)
 	// Fleet endpoints (replication.go): replica shipping, failover promotion,
 	// migration, and membership pushes. Guarded by the fleet secret when one
 	// is configured.
-	s.handle("GET /sessions", s.handleListSessions)
-	s.handle("GET /sessions/{id}/checkpoint", s.handleSessionCheckpoint)
-	s.handle("POST /sessions/{id}/promote", s.handlePromoteSession)
-	s.handle("POST /sessions/{id}/adopt", s.handleAdoptSession)
-	s.handle("POST /replica/checkpoint", s.handleReplicaCheckpoint)
-	s.handle("DELETE /replica/{id}", s.handleReplicaDelete)
-	s.handle("POST /fleet", s.handleFleet)
-}
-
-// handle registers pattern's canonical /v1 route plus the pre-versioning
-// path as a legacy alias. Both spellings run the same instrumented handler
-// labeled by the canonical pattern, so /metrics shows one continuous series
-// per endpoint while a fleet's clients migrate.
-func (s *Server) handle(pattern string, fn http.HandlerFunc) {
-	method, path, _ := strings.Cut(pattern, " ")
-	canonical := method + " /v1" + path
-	h := s.metrics.http.instrument(canonical, s.obs, fn)
-	s.mux.HandleFunc(canonical, h)
-	s.mux.HandleFunc(pattern, h)
+	handle("GET /v1/sessions", s.handleListSessions)
+	handle("GET /v1/sessions/{id}/checkpoint", s.handleSessionCheckpoint)
+	handle("POST /v1/sessions/{id}/promote", s.handlePromoteSession)
+	handle("POST /v1/sessions/{id}/adopt", s.handleAdoptSession)
+	handle("POST /v1/replica/checkpoint", s.handleReplicaCheckpoint)
+	handle("DELETE /v1/replica/{id}", s.handleReplicaDelete)
+	handle("POST /v1/fleet", s.handleFleet)
 }
 
 // ---- wire types ----
@@ -691,15 +677,11 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, codeUnknownModel, "no model %q to take the session schema from", req.Model)
 		return
 	}
-	window := req.Window
-	if window <= 0 {
-		window = s.cfg.DefaultSessionWindow
-	}
 	seed := req.Seed
 	if seed == 0 {
 		seed = s.cfg.Seed
 	}
-	if err := s.sessions.create(req.Session, sm.load().Cardinalities, window, seed, s.cfg.Workers); err != nil {
+	if err := s.sessions.create(req.Session, sm.load().Cardinalities, req.Window, seed, s.cfg.Workers); err != nil {
 		writeError(w, http.StatusConflict, codeConflict, "%v", err)
 		return
 	}

@@ -92,13 +92,13 @@ func TestServeMatchesInProcess(t *testing.T) {
 	}
 	_, ts := newTestServer(t, Config{})
 
-	resp, data := post(t, ts.URL+"/models", map[string]string{"name": "m", "path": path})
+	resp, data := post(t, ts.URL+"/v1/models", map[string]string{"name": "m", "path": path})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("load model: %d %s", resp.StatusCode, data)
 	}
 
 	for i, row := range rows[:50] {
-		resp, data := post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": row})
+		resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": row})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("assign: %d %s", resp.StatusCode, data)
 		}
@@ -112,7 +112,7 @@ func TestServeMatchesInProcess(t *testing.T) {
 	}
 
 	// Batch path returns identical labels, in order.
-	resp, data = post(t, ts.URL+"/assign/batch", map[string]any{"model": "m", "rows": rows})
+	resp, data = post(t, ts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, data)
 	}
@@ -140,7 +140,7 @@ func TestConcurrentAssign(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		resp, data := post(t, ts.URL+"/sessions", map[string]any{"session": fmt.Sprintf("s%d", i), "model": "m", "seed": int64(i + 1)})
+		resp, data := post(t, ts.URL+"/v1/sessions", map[string]any{"session": fmt.Sprintf("s%d", i), "model": "m", "seed": int64(i + 1)})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create session: %d %s", resp.StatusCode, data)
 		}
@@ -162,7 +162,7 @@ func TestConcurrentAssign(t *testing.T) {
 					body = map[string]any{"model": "m", "row": row}
 				}
 				raw, _ := json.Marshal(body)
-				resp, err := http.Post(ts.URL+"/assign", "application/json", bytes.NewReader(raw))
+				resp, err := http.Post(ts.URL+"/v1/assign", "application/json", bytes.NewReader(raw))
 				if err != nil {
 					errs <- err
 					return
@@ -206,14 +206,14 @@ func TestRelearnSwapsEpochAtomically(t *testing.T) {
 	if err := s.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}
-	resp, data := post(t, ts.URL+"/assign/batch", map[string]any{"model": "m", "rows": rows[:120]})
+	resp, data := post(t, ts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows[:120]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: %d %s", resp.StatusCode, data)
 	}
 	if swapped := s.RelearnNow(); swapped != 1 {
 		t.Fatalf("re-learn swapped %d models, want 1", swapped)
 	}
-	resp, data = post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": rows[0]})
+	resp, data = post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[0]})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("assign after swap: %d %s", resp.StatusCode, data)
 	}
@@ -239,42 +239,42 @@ func TestModelLifecycleAndErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	// Assign against a missing model.
-	resp, _ := post(t, ts.URL+"/assign", map[string]any{"model": "ghost", "row": rows[0]})
+	resp, _ := post(t, ts.URL+"/v1/assign", map[string]any{"model": "ghost", "row": rows[0]})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing model: %d", resp.StatusCode)
 	}
 	// Load (201: resource created), list, hot-swap (200: replaced), delete.
-	resp, data := post(t, ts.URL+"/models", map[string]string{"name": "m", "path": path})
+	resp, data := post(t, ts.URL+"/v1/models", map[string]string{"name": "m", "path": path})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("load: %d %s", resp.StatusCode, data)
 	}
-	resp, data = get(t, ts.URL+"/models")
+	resp, data = get(t, ts.URL+"/v1/models")
 	if resp.StatusCode != http.StatusOK || !strings.Contains(string(data), `"name":"m"`) {
 		t.Fatalf("list: %d %s", resp.StatusCode, data)
 	}
-	resp, _ = post(t, ts.URL+"/models", map[string]string{"name": "m", "path": path})
+	resp, _ = post(t, ts.URL+"/v1/models", map[string]string{"name": "m", "path": path})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("hot-swap reload: %d", resp.StatusCode)
 	}
 	// Bad requests.
-	resp, _ = post(t, ts.URL+"/models", map[string]string{"name": "bad/name", "path": path})
+	resp, _ = post(t, ts.URL+"/v1/models", map[string]string{"name": "bad/name", "path": path})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad name: %d", resp.StatusCode)
 	}
-	resp, _ = post(t, ts.URL+"/models", map[string]string{"name": "x", "path": filepath.Join(t.TempDir(), "nope.bin")})
+	resp, _ = post(t, ts.URL+"/v1/models", map[string]string{"name": "x", "path": filepath.Join(t.TempDir(), "nope.bin")})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing file: %d", resp.StatusCode)
 	}
-	resp, _ = post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": []int{0}})
+	resp, _ = post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": []int{0}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("short row: %d", resp.StatusCode)
 	}
-	resp, _ = post(t, ts.URL+"/assign", map[string]any{"row": rows[0]})
+	resp, _ = post(t, ts.URL+"/v1/assign", map[string]any{"row": rows[0]})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("no target: %d", resp.StatusCode)
 	}
 	// Delete and confirm gone.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/models/m", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/models/m", nil)
 	dresp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +283,7 @@ func TestModelLifecycleAndErrors(t *testing.T) {
 	if dresp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete: %d", dresp.StatusCode)
 	}
-	resp, _ = post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": rows[0]})
+	resp, _ = post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[0]})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted model still serves: %d", resp.StatusCode)
 	}
@@ -296,13 +296,13 @@ func TestSessionsAreDeterministicPerSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed := func(id string) []assignResponse {
-		resp, data := post(t, ts.URL+"/sessions", map[string]any{"session": id, "model": "m", "window": 50, "seed": 17})
+		resp, data := post(t, ts.URL+"/v1/sessions", map[string]any{"session": id, "model": "m", "window": 50, "seed": 17})
 		if resp.StatusCode != http.StatusCreated {
 			t.Fatalf("create %s: %d %s", id, resp.StatusCode, data)
 		}
 		var out []assignResponse
 		for _, row := range rows[:120] {
-			resp, data := post(t, ts.URL+"/assign", map[string]any{"session": id, "row": row})
+			resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"session": id, "row": row})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("assign %s: %d %s", id, resp.StatusCode, data)
 			}
@@ -319,7 +319,7 @@ func TestSessionsAreDeterministicPerSeed(t *testing.T) {
 		t.Fatal("two sessions with identical seeds and input diverged")
 	}
 	// Duplicate session id → conflict.
-	resp, _ := post(t, ts.URL+"/sessions", map[string]any{"session": "alpha", "model": "m"})
+	resp, _ := post(t, ts.URL+"/v1/sessions", map[string]any{"session": "alpha", "model": "m"})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate session: %d", resp.StatusCode)
 	}
@@ -331,9 +331,9 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if err := s.AddModel("m", snap); err != nil {
 		t.Fatal(err)
 	}
-	post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": rows[0]})
+	post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[0]})
 
-	resp, data := get(t, ts.URL+"/healthz")
+	resp, data := get(t, ts.URL+"/v1/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	}
@@ -351,7 +351,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		t.Fatalf("healthz models: %v", h.Models)
 	}
 
-	resp, data = get(t, ts.URL+"/metrics")
+	resp, data = get(t, ts.URL+"/v1/metrics")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("metrics: %d", resp.StatusCode)
 	}
@@ -422,7 +422,7 @@ func TestHotSwapSchemaChangeClearsBuffer(t *testing.T) {
 	if err := s.AddModel("m", snapA); err != nil {
 		t.Fatal(err)
 	}
-	post(t, ts.URL+"/assign/batch", map[string]any{"model": "m", "rows": rowsA[:10]})
+	post(t, ts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rowsA[:10]})
 	sm, _ := s.registry.get("m")
 	if sm.buf.len() != 10 {
 		t.Fatalf("buffered %d rows, want 10", sm.buf.len())
@@ -457,7 +457,7 @@ func TestPoisonRowDoesNotReachRelearn(t *testing.T) {
 		t.Fatal(err)
 	}
 	poison := []int{99, -3, 0, 1, 2}
-	resp, data := post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": poison})
+	resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": poison})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("poison assign rejected: %d %s", resp.StatusCode, data)
 	}
@@ -466,7 +466,7 @@ func TestPoisonRowDoesNotReachRelearn(t *testing.T) {
 		t.Fatalf("poison row entered the training buffer (%d rows)", n)
 	}
 	// Clean traffic buffers and re-learns without panicking.
-	post(t, ts.URL+"/assign/batch", map[string]any{"model": "m", "rows": rows[:10]})
+	post(t, ts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows[:10]})
 	if sm.buf.len() != 10 {
 		t.Fatalf("clean rows not buffered: %d", sm.buf.len())
 	}
@@ -532,7 +532,7 @@ func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 		if err := s.AddModel("m", snap); err != nil {
 			t.Fatal(err)
 		}
-		resp, data := post(t, ts.URL+"/assign/batch", map[string]any{"model": "m", "rows": rows})
+		resp, data := post(t, ts.URL+"/v1/assign/batch", map[string]any{"model": "m", "rows": rows})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch workers=%d: %d %s", workers, resp.StatusCode, data)
 		}

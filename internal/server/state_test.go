@@ -27,7 +27,7 @@ func feedSession(t *testing.T, url, id string, rows [][]int, from, to int) []str
 	t.Helper()
 	out := make([]string, 0, to-from)
 	for i := from; i < to; i++ {
-		resp, data := post(t, url+"/assign", map[string]any{"session": id, "row": rows[i%len(rows)]})
+		resp, data := post(t, url+"/v1/assign", map[string]any{"session": id, "row": rows[i%len(rows)]})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("assign row %d: %d %s", i, resp.StatusCode, data)
 		}
@@ -38,7 +38,7 @@ func feedSession(t *testing.T, url, id string, rows [][]int, from, to int) []str
 
 func createSession(t *testing.T, url, id string, window int, seed int64) {
 	t.Helper()
-	resp, data := post(t, url+"/sessions", map[string]any{"session": id, "model": "m", "window": window, "seed": seed})
+	resp, data := post(t, url+"/v1/sessions", map[string]any{"session": id, "model": "m", "window": window, "seed": seed})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create session %s: %d %s", id, resp.StatusCode, data)
 	}
@@ -146,7 +146,7 @@ func TestSessionDeleteRemovesCheckpoint(t *testing.T) {
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("checkpoint file missing: %v", err)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/doomed", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/doomed", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSessionDeleteRemovesCheckpoint(t *testing.T) {
 		t.Fatalf("checkpoint survived the delete: %v", err)
 	}
 	// No lazy page-in of a deleted session.
-	resp2, _ := post(t, ts.URL+"/assign", map[string]any{"session": "doomed", "row": rows[0]})
+	resp2, _ := post(t, ts.URL+"/v1/assign", map[string]any{"session": "doomed", "row": rows[0]})
 	if resp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session still serves: %d", resp2.StatusCode)
 	}
@@ -190,7 +190,7 @@ func TestDurablePoolRejectsTraversalIds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []string{"../x", "..", "a/b", "x\x00y"} {
-		resp, _ := post(t, ts.URL+"/assign", map[string]any{"session": id, "row": rows[0]})
+		resp, _ := post(t, ts.URL+"/v1/assign", map[string]any{"session": id, "row": rows[0]})
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("assign with id %q: %d, want 404", id, resp.StatusCode)
 		}
@@ -236,12 +236,12 @@ func TestSessionTTLBoundsPool(t *testing.T) {
 	if got := s.sessions.count(); got != 1 {
 		t.Fatalf("pool holds %d sessions after sweep, want 1 (the hot one)", got)
 	}
-	_, data := get(t, ts.URL+"/metrics")
+	_, data := get(t, ts.URL+"/v1/metrics")
 	if want := fmt.Sprintf("mcdcd_sessions_evicted_total %d", created-1); !strings.Contains(string(data), want) {
 		t.Errorf("metrics missing %q", want)
 	}
 	// Memory-only pool: eviction is deletion.
-	resp, _ := post(t, ts.URL+"/assign", map[string]any{"session": "s117", "row": rows[0]})
+	resp, _ := post(t, ts.URL+"/v1/assign", map[string]any{"session": "s117", "row": rows[0]})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("evicted session still serves: %d", resp.StatusCode)
 	}
@@ -347,19 +347,19 @@ func TestConcurrentSessionLifecycleRace(t *testing.T) {
 				id := fmt.Sprintf("h%d", (g+i)%ids)
 				switch g % 5 {
 				case 0: // creator (conflicts expected)
-					resp, data := post(t, ts.URL+"/sessions", map[string]any{"session": id, "model": "m", "window": 30, "seed": int64(g + 1)})
+					resp, data := post(t, ts.URL+"/v1/sessions", map[string]any{"session": id, "model": "m", "window": 30, "seed": int64(g + 1)})
 					if resp.StatusCode != http.StatusCreated && resp.StatusCode != http.StatusConflict {
 						errs <- fmt.Errorf("create %s: %d %s", id, resp.StatusCode, data)
 						return
 					}
 				case 1, 2, 3: // assigner (missing sessions expected)
-					resp, data := post(t, ts.URL+"/assign", map[string]any{"session": id, "row": rows[(g*iters+i)%len(rows)]})
+					resp, data := post(t, ts.URL+"/v1/assign", map[string]any{"session": id, "row": rows[(g*iters+i)%len(rows)]})
 					if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
 						errs <- fmt.Errorf("assign %s: %d %s", id, resp.StatusCode, data)
 						return
 					}
 				case 4: // deleter
-					req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/sessions/"+id, nil)
+					req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil)
 					resp, err := http.DefaultClient.Do(req)
 					if err != nil {
 						errs <- err
@@ -394,7 +394,7 @@ func TestConcurrentSessionLifecycleRace(t *testing.T) {
 		t.Error(err)
 	}
 	// The daemon is still coherent: metrics render and sessions still serve.
-	if _, data := get(t, ts.URL+"/metrics"); !strings.Contains(string(data), "mcdcd_sessions_evicted_total") {
+	if _, data := get(t, ts.URL+"/v1/metrics"); !strings.Contains(string(data), "mcdcd_sessions_evicted_total") {
 		t.Errorf("metrics incoherent after hammer: %s", data)
 	}
 }

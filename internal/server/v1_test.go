@@ -10,63 +10,75 @@ import (
 	"testing"
 )
 
-// TestV1Aliases pins the versioning contract: every endpoint answers under
-// its canonical /v1 path and its pre-versioning alias with the same body,
-// and /metrics counts both spellings under the one canonical label.
+// TestV1Aliases pins the versioning contract: every route is registered once,
+// under its /v1 pattern, on a daemon and on a gateway alike. An unversioned
+// spelling of a registered route gets the mux's plain 404, like any other
+// unknown path, while its /v1 twin answers; and /v1/metrics counts every
+// assign in one series under the /v1 label.
 func TestV1Aliases(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 3)
 	s, ts := newTestServer(t, Config{})
-	if err := s.AddModel("m", snap); err != nil {
-		t.Fatal(err)
-	}
-
-	// GET endpoints answer under both spellings; /models is static so its
-	// bodies must match exactly (/healthz carries a live uptime field).
-	for _, path := range []string{"/healthz", "/models", "/metrics"} {
-		r1, d1 := get(t, ts.URL+"/v1"+path)
-		r2, d2 := get(t, ts.URL+path)
-		if r1.StatusCode != http.StatusOK || r2.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status v1=%d legacy=%d", path, r1.StatusCode, r2.StatusCode)
-		}
-		if path == "/models" && !bytes.Equal(d1, d2) {
-			t.Fatalf("%s: v1 and legacy bodies differ:\n%s\nvs\n%s", path, d1, d2)
+	_, gts, backends, _ := gatewayFleet(t, 2, Config{})
+	for _, b := range append(backends, s) {
+		if err := b.AddModel("m", snap); err != nil {
+			t.Fatal(err)
 		}
 	}
+	send := func(method, url string, body any) (int, []byte) {
+		if method == http.MethodGet {
+			resp, data := get(t, url)
+			return resp.StatusCode, data
+		}
+		resp, data := post(t, url, body)
+		return resp.StatusCode, data
+	}
+	_, unknown := send(http.MethodGet, ts.URL+"/no-such-route", nil)
 
-	// POST /assign: both spellings answer the same assignment.
-	r1, d1 := post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[0]})
-	r2, d2 := post(t, ts.URL+"/assign", map[string]any{"model": "m", "row": rows[0]})
-	if r1.StatusCode != 200 || r2.StatusCode != 200 || !bytes.Equal(d1, d2) {
-		t.Fatalf("assign alias mismatch: %d %s vs %d %s", r1.StatusCode, d1, r2.StatusCode, d2)
+	type route struct {
+		method, path string
+		body         any
+	}
+	routes := []route{
+		{http.MethodGet, "/healthz", nil},
+		{http.MethodGet, "/models", nil},
+		{http.MethodGet, "/metrics", nil},
+		{http.MethodPost, "/assign", map[string]any{"model": "m", "row": rows[0]}},
+		{http.MethodPost, "/assign/batch", map[string]any{"model": "m", "rows": rows[:2]}},
+		{http.MethodPost, "/sessions", map[string]any{"session": "s1", "model": "m"}},
+	}
+	for _, tier := range []struct {
+		name, url string
+		routes    []route
+	}{
+		{"daemon", ts.URL, routes},
+		{"gateway", gts.URL, append(routes, route{http.MethodGet, "/ring", nil})},
+	} {
+		for _, rt := range tier.routes {
+			status, data := send(rt.method, tier.url+rt.path, rt.body)
+			if status != http.StatusNotFound || !bytes.Equal(data, unknown) {
+				t.Errorf("%s %s %s: %d %q, want the plain 404 %q", tier.name, rt.method, rt.path, status, data, unknown)
+			}
+			if status, data := send(rt.method, tier.url+"/v1"+rt.path, rt.body); status == http.StatusNotFound {
+				t.Errorf("%s %s /v1%s: 404 %s", tier.name, rt.method, rt.path, data)
+			}
+		}
 	}
 
-	// Session lifecycle across mixed spellings: create on legacy, assign on
-	// v1, delete on v1.
-	if r, d := post(t, ts.URL+"/sessions", map[string]any{"session": "s1", "model": "m"}); r.StatusCode != http.StatusCreated {
-		t.Fatalf("create session via legacy path: %d %s", r.StatusCode, d)
+	// Metrics: one series per endpoint under its /v1 label. The table's
+	// assign and the two below, stateless and session, all count there.
+	if r, d := post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[1]}); r.StatusCode != http.StatusOK {
+		t.Fatalf("stateless assign: %d %s", r.StatusCode, d)
 	}
-	if r, d := post(t, ts.URL+"/v1/assign", map[string]any{"session": "s1", "row": rows[1]}); r.StatusCode != 200 {
-		t.Fatalf("assign to session via v1: %d %s", r.StatusCode, d)
+	if r, d := post(t, ts.URL+"/v1/assign", map[string]any{"session": "s1", "row": rows[2]}); r.StatusCode != http.StatusOK {
+		t.Fatalf("session assign: %d %s", r.StatusCode, d)
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/s1", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("delete session via v1: %d", resp.StatusCode)
-	}
-
-	// Metrics: one continuous series per endpoint, labeled canonically. The
-	// three assigns above (one per spelling, one session) land on the same
-	// counter, and no legacy-labeled series exists.
 	_, mdata := get(t, ts.URL+"/v1/metrics")
-	if want := `mcdcd_http_requests_total{endpoint="POST /v1/assign"} 3`; !strings.Contains(string(mdata), want) {
-		t.Fatalf("metrics missing %q:\n%s", want, mdata)
+	series := `mcdcd_http_requests_total{endpoint="POST /v1/assign"} `
+	if n := strings.Count(string(mdata), series); n != 1 {
+		t.Fatalf("metrics hold %d %q series, want 1:\n%s", n, series, mdata)
 	}
-	if strings.Contains(string(mdata), `endpoint="POST /assign"`) {
-		t.Fatalf("metrics leak a legacy-labeled series:\n%s", mdata)
+	if want := series + "3\n"; !strings.Contains(string(mdata), want) {
+		t.Fatalf("metrics missing %q:\n%s", want, mdata)
 	}
 }
 

@@ -3,8 +3,6 @@ package similarity
 import (
 	"fmt"
 	"math"
-
-	"mcdc/internal/parallel"
 )
 
 // Condensed is a packed symmetric n×n matrix with a constant diagonal: only
@@ -89,12 +87,11 @@ func (c *Condensed) UpperRow(i int) []float64 {
 // dst and returns the filled prefix. UpperRow already returns an
 // allocation-free *view* — use it when a view suffices (stats.RowSums and
 // the linkage scans do). UpperRowInto is the copying counterpart for callers
-// that need the values somewhere else: a caller-owned destination (Dense's
-// output rows), or a snapshot that stays stable while the matrix is mutated
-// (the linkage tie-heavy test harness reuses one scratch across rows, so a
-// whole-matrix copy performs zero per-row allocations). dst must have
-// capacity for n−1−i entries; reslicing panics otherwise, like any
-// fixed-capacity destination.
+// that need the values somewhere else: a snapshot that stays stable while the
+// matrix is mutated (the linkage tie-heavy test harness reuses one scratch
+// across rows, so a whole-matrix copy performs zero per-row allocations).
+// dst must have capacity for n−1−i entries; reslicing panics otherwise, like
+// any fixed-capacity destination.
 func (c *Condensed) UpperRowInto(i int, dst []float64) []float64 {
 	row := c.data[c.rowStart(i):c.rowStart(i+1)]
 	dst = dst[:len(row)]
@@ -121,53 +118,6 @@ func (c *Condensed) Mean() float64 {
 		s += v
 	}
 	return s / float64(len(c.data))
-}
-
-// Dense expands to the classic [][]float64 representation, fanned out over at
-// most `workers` goroutines (≤ 0 → GOMAXPROCS). Each output row is written by
-// exactly one goroutine, so the expansion is identical at any parallelism
-// level. This is the compatibility shim for dense-matrix consumers; new code
-// should stay condensed.
-func (c *Condensed) Dense(workers int) [][]float64 {
-	out := make([][]float64, c.n)
-	parallel.Must(parallel.ForEachChunk(parallel.Gate(workers, c.n*c.n), c.n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			row := make([]float64, c.n)
-			row[i] = c.diag
-			for j := 0; j < i; j++ {
-				row[j] = c.data[c.offset(j, i)]
-			}
-			c.UpperRowInto(i, row[i+1:])
-			out[i] = row
-		}
-		return nil
-	}))
-	return out
-}
-
-// CondensedFromDense packs a symmetric dense matrix with a constant diagonal
-// into condensed form, reading the strict upper triangle (the lower triangle
-// is assumed symmetric and ignored) and taking the diagonal constant from
-// m[0][0]. It errors on non-square input.
-func CondensedFromDense(m [][]float64, workers int) (*Condensed, error) {
-	n := len(m)
-	for i, row := range m {
-		if len(row) != n {
-			return nil, fmt.Errorf("similarity: dense matrix not square at row %d (%d columns, want %d)", i, len(row), n)
-		}
-	}
-	diag := 0.0
-	if n > 0 {
-		diag = m[0][0]
-	}
-	c := NewCondensed(n, diag)
-	parallel.Must(parallel.ForEachChunk(parallel.Gate(workers, n*n/2), n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			copy(c.UpperRow(i), m[i][i+1:])
-		}
-		return nil
-	}))
-	return c, nil
 }
 
 // pairAt inverts rowStart: it maps a flat triangle index t to its (i, j)

@@ -77,60 +77,16 @@ func TestCondensedAtSetBoundaries(t *testing.T) {
 	if one.At(0, 0) != 1 {
 		t.Fatalf("n=1: At(0,0) = %v, want diagonal 1", one.At(0, 0))
 	}
-	if len(one.Dense(1)) != 1 || one.Dense(1)[0][0] != 1 {
-		t.Fatalf("n=1: Dense = %v", one.Dense(1))
-	}
-	zero := NewCondensed(0, 0)
-	if zero.Pairs() != 0 || len(zero.Dense(1)) != 0 {
-		t.Fatal("n=0: want empty condensed and dense forms")
+	if zero := NewCondensed(0, 0); zero.N() != 0 || zero.Pairs() != 0 {
+		t.Fatal("n=0: want an empty condensed matrix")
 	}
 
 	c.Set(1, 1, 0.5) // must panic: cannot represent a non-constant diagonal
 }
 
-// TestCondensedDenseRoundTrip checks dense → condensed → dense identity on
-// random symmetric matrices, at several worker counts.
-func TestCondensedDenseRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 7, 40} {
-		dense := make([][]float64, n)
-		for i := range dense {
-			dense[i] = make([]float64, n)
-		}
-		for i := 0; i < n; i++ {
-			dense[i][i] = 0.5
-			for j := i + 1; j < n; j++ {
-				v := rng.Float64()
-				dense[i][j], dense[j][i] = v, v
-			}
-		}
-		for _, workers := range []int{1, 2, 0} {
-			c, err := CondensedFromDense(dense, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c.Diag() != 0.5 {
-				t.Fatalf("n=%d: diag %v, want 0.5", n, c.Diag())
-			}
-			back := c.Dense(workers)
-			for i := range dense {
-				for j := range dense[i] {
-					if back[i][j] != dense[i][j] {
-						t.Fatalf("n=%d workers=%d: round-trip [%d][%d] = %v, want %v",
-							n, workers, i, j, back[i][j], dense[i][j])
-					}
-				}
-			}
-		}
-	}
-	if _, err := CondensedFromDense([][]float64{{0, 1}}, 1); err == nil {
-		t.Error("non-square dense matrix: want error")
-	}
-}
-
 // TestPairwiseCondensedMatchesBruteForce pins the condensed fill to an
-// independent per-pair computation and to the dense shim, at several worker
-// counts (the tiled fill must be value-identical at any parallelism level).
+// independent per-pair computation at several worker counts (the tiled fill
+// must be value-identical at any parallelism level).
 func TestPairwiseCondensedMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, d := 57, 9
@@ -160,15 +116,6 @@ func TestPairwiseCondensedMatchesBruteForce(t *testing.T) {
 			if par.data[s] != seq.data[s] {
 				i, j := pairAt(n, s)
 				t.Fatalf("workers=%d: entry (%d,%d) differs: %v vs %v", workers, i, j, par.data[s], seq.data[s])
-			}
-		}
-	}
-	// The dense shim must expand to exactly the condensed values.
-	dense := PairwiseMatrix(rows, 0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if dense[i][j] != seq.At(i, j) {
-				t.Fatalf("dense[%d][%d] = %v, condensed %v", i, j, dense[i][j], seq.At(i, j))
 			}
 		}
 	}

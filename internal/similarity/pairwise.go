@@ -61,21 +61,6 @@ func DissimilarityCondensedUnpacked(rows [][]int, workers int) *Condensed {
 	return pairwiseUnpacked(rows, workers, true)
 }
 
-// PairwiseMatrix is the dense-representation shim over PairwiseCondensed: it
-// computes the condensed triangle and expands it to the classic n×n
-// [][]float64. Both steps divide an integer count by d and copy, so the dense
-// and condensed paths are value-identical by construction. Dense callers pay
-// 3× the condensed memory (triangle + square); prefer PairwiseCondensed.
-func PairwiseMatrix(rows [][]int, workers int) [][]float64 {
-	return pairwise(rows, workers, false).Dense(workers)
-}
-
-// DissimilarityMatrix is the dense shim over DissimilarityCondensed, kept for
-// source compatibility; prefer the condensed form for anything sized by n².
-func DissimilarityMatrix(rows [][]int, workers int) [][]float64 {
-	return pairwise(rows, workers, true).Dense(workers)
-}
-
 // MeanPairwise returns the mean pairwise simple-matching similarity of the
 // rows — a cohesion summary (1 = all rows identical). A set of fewer than two
 // rows is perfectly cohesive by convention. The O(n²·d) accumulation streams

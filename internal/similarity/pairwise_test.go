@@ -39,74 +39,69 @@ func TestRowMatches(t *testing.T) {
 	}
 }
 
-// TestDissimilarityMatchesKModesHamming pins DissimilarityMatrix (and hence
-// linkage.HammingMatrix, which delegates here) to the exact normalized
-// kmodes.Hamming values, missing codes included.
+// TestDissimilarityMatchesKModesHamming pins DissimilarityCondensed (and
+// hence linkage.HammingCondensed, which delegates here) to the exact
+// normalized kmodes.Hamming values, missing codes included.
 func TestDissimilarityMatchesKModesHamming(t *testing.T) {
 	rows := randomRows(50, 9, 3, 0.15, 21)
-	d := DissimilarityMatrix(rows, 0)
+	d := DissimilarityCondensed(rows, 0)
 	for i := range rows {
 		for j := i + 1; j < len(rows); j++ {
 			want := float64(kmodes.Hamming(rows[i], rows[j])) / float64(len(rows[i]))
-			if d[i][j] != want {
-				t.Fatalf("d[%d][%d] = %v, want %v", i, j, d[i][j], want)
+			if d.At(i, j) != want {
+				t.Fatalf("d(%d,%d) = %v, want %v", i, j, d.At(i, j), want)
 			}
 		}
-		if d[i][i] != 0 {
-			t.Fatalf("diagonal d[%d][%d] = %v", i, i, d[i][i])
+		if d.At(i, i) != 0 {
+			t.Fatalf("diagonal d(%d,%d) = %v", i, i, d.At(i, i))
 		}
 	}
 }
 
 func TestPairwiseMatrixProperties(t *testing.T) {
 	rows := randomRows(60, 8, 4, 0.1, 1)
-	s := PairwiseMatrix(rows, 1)
-	d := DissimilarityMatrix(rows, 1)
+	s := PairwiseCondensed(rows, 1)
+	d := DissimilarityCondensed(rows, 1)
 	dim := len(rows[0])
 	for i := range rows {
 		// Diagonal convention: self-similarity 1, self-dissimilarity 0 —
-		// even for rows containing Missing (matching the pre-parallel
-		// HammingMatrix, which never touched the diagonal).
-		if s[i][i] != 1 || d[i][i] != 0 {
-			t.Fatalf("diagonal at %d: sim=%v dissim=%v", i, s[i][i], d[i][i])
+		// even for rows containing Missing.
+		if s.At(i, i) != 1 || d.At(i, i) != 0 {
+			t.Fatalf("diagonal at %d: sim=%v dissim=%v", i, s.At(i, i), d.At(i, i))
 		}
 		for j := range rows {
-			if s[i][j] != s[j][i] || d[i][j] != d[j][i] {
-				t.Fatalf("asymmetry at (%d,%d)", i, j)
-			}
 			if i == j {
 				continue
 			}
 			m := RowMatches(rows[i], rows[j])
-			if want := float64(m) / float64(dim); s[i][j] != want {
-				t.Fatalf("s[%d][%d] = %v, want %v", i, j, s[i][j], want)
+			if want := float64(m) / float64(dim); s.At(i, j) != want {
+				t.Fatalf("s(%d,%d) = %v, want %v", i, j, s.At(i, j), want)
 			}
-			if want := float64(dim-m) / float64(dim); d[i][j] != want {
-				t.Fatalf("d[%d][%d] = %v, want %v", i, j, d[i][j], want)
+			if want := float64(dim-m) / float64(dim); d.At(i, j) != want {
+				t.Fatalf("d(%d,%d) = %v, want %v", i, j, d.At(i, j), want)
 			}
 		}
 	}
 }
 
-// TestPairwiseMatrixParallelEquivalence checks that the row-chunked parallel
-// computation is cell-for-cell identical to the sequential one.
+// TestPairwiseMatrixParallelEquivalence checks that the tiled parallel fill
+// is cell-for-cell identical to the sequential one.
 func TestPairwiseMatrixParallelEquivalence(t *testing.T) {
 	rows := randomRows(173, 11, 5, 0.1, 7) // awkward size: uneven chunks
-	seq := PairwiseMatrix(rows, 1)
+	seq := PairwiseCondensed(rows, 1)
 	for _, workers := range []int{2, 3, 8, 0} {
-		par := PairwiseMatrix(rows, workers)
-		for i := range seq {
-			for j := range seq[i] {
-				if seq[i][j] != par[i][j] {
-					t.Fatalf("workers=%d: cell (%d,%d): %v != %v", workers, i, j, par[i][j], seq[i][j])
-				}
+		par := PairwiseCondensed(rows, workers)
+		for s := range seq.data {
+			if seq.data[s] != par.data[s] {
+				i, j := pairAt(len(rows), s)
+				t.Fatalf("workers=%d: cell (%d,%d): %v != %v", workers, i, j, par.data[s], seq.data[s])
 			}
 		}
 	}
 }
 
 func TestPairwiseMatrixEmpty(t *testing.T) {
-	if got := PairwiseMatrix(nil, 4); len(got) != 0 {
-		t.Errorf("empty input: got %d rows", len(got))
+	if got := PairwiseCondensed(nil, 4); got.N() != 0 {
+		t.Errorf("empty input: got a %d×%d matrix", got.N(), got.N())
 	}
 }
