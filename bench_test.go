@@ -330,12 +330,11 @@ func BenchmarkServerAssign(b *testing.B) {
 			}
 		})
 	})
-	// pipelined sends b.N rows through c as 64-frame AssignMany requests.
-	// One op is one assigned row.
-	pipelined := func(b *testing.B, c *client.Client) {
+	// rowsThrough sends b.N rows through send, size rows per request. One op
+	// is one assigned row.
+	rowsThrough := func(b *testing.B, size int, send func(ctx context.Context, model string, rows [][]int) ([]client.Assignment, error)) {
 		ctx := context.Background()
 		for done := 0; done < b.N; {
-			size := 64
 			if done+size > b.N {
 				size = b.N - done
 			}
@@ -343,7 +342,7 @@ func BenchmarkServerAssign(b *testing.B) {
 			for i := range rows {
 				rows[i] = ds.Rows[(done+i)%ds.N()]
 			}
-			as, err := c.AssignMany(ctx, "m", rows)
+			as, err := send(ctx, "m", rows)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -353,6 +352,13 @@ func BenchmarkServerAssign(b *testing.B) {
 			done += size
 		}
 	}
+	// The batch-json request shape against one daemon: the typed client's
+	// JSON AssignBatch of 256 rows, so both ends of the JSON codec are timed.
+	b.Run("http/batch256", func(b *testing.B) {
+		rowsThrough(b, 256, client.New(ts.URL).AssignBatch)
+	})
+	// pipelined sends b.N rows through c as 64-frame AssignMany requests.
+	pipelined := func(b *testing.B, c *client.Client) { rowsThrough(b, 64, c.AssignMany) }
 	// The v1 fast path: binary frames pipelined 64 per request over a
 	// persistent connection. One op is still one assigned row, so sec/op
 	// compares directly against http/serial — the PR-6 acceptance bar is

@@ -198,15 +198,9 @@ func decodeAPIError(resp *http.Response) *APIError {
 	return e
 }
 
-// postJSON round-trips one JSON request; out may be nil.
-func (c *Client) postJSON(ctx context.Context, method, path string, in, out any) error {
-	var body []byte
-	if in != nil {
-		var err error
-		if body, err = json.Marshal(in); err != nil {
-			return err
-		}
-	}
+// post round-trips one request whose body, when there is one, is JSON, and
+// returns the whole reply body of a success.
+func (c *Client) post(ctx context.Context, method, path string, body []byte) ([]byte, error) {
 	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
@@ -222,17 +216,29 @@ func (c *Client) postJSON(ctx context.Context, method, path string, in, out any)
 		return req, nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.StatusCode >= http.StatusBadRequest {
-		return decodeAPIError(resp)
+		return nil, decodeAPIError(resp)
 	}
 	defer resp.Body.Close()
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
+	return io.ReadAll(resp.Body)
+}
+
+// postJSON round-trips one JSON request; in and out may be nil.
+func (c *Client) postJSON(ctx context.Context, method, path string, in, out any) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	data, err := c.post(ctx, method, path, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.NewDecoder(bytes.NewReader(data)).Decode(out)
 }
 
 // ---- assignment ----
@@ -256,16 +262,12 @@ func (c *Client) assign(ctx context.Context, modelName, session string, row []in
 		}
 		return as[0], nil
 	}
-	var out Assignment
-	in := map[string]any{"row": row}
-	if modelName != "" {
-		in["model"] = modelName
+	data, err := c.post(ctx, http.MethodPost, "/v1/assign", model.AppendAssignJSON(nil, modelName, session, row))
+	if err != nil {
+		return Assignment{}, err
 	}
-	if session != "" {
-		in["session"] = session
-	}
-	err := c.postJSON(ctx, http.MethodPost, "/v1/assign", in, &out)
-	return out, err
+	r, err := model.DecodeResultJSON(data)
+	return Assignment(r), err
 }
 
 // AssignMany assigns many independent rows in one round trip. In binary
@@ -374,16 +376,19 @@ func (c *Client) AssignBatch(ctx context.Context, modelName string, rows [][]int
 	if c.binary {
 		return c.assignBatchWire(ctx, modelName, rows)
 	}
-	var out struct {
-		Model       string       `json:"model"`
-		Epoch       int          `json:"epoch"`
-		Assignments []Assignment `json:"assignments"`
-	}
-	in := map[string]any{"model": modelName, "rows": rows}
-	if err := c.postJSON(ctx, http.MethodPost, "/v1/assign/batch", in, &out); err != nil {
+	data, err := c.post(ctx, http.MethodPost, "/v1/assign/batch", model.AppendBatchJSON(nil, modelName, rows))
+	if err != nil {
 		return nil, err
 	}
-	return out.Assignments, nil
+	replies, err := model.DecodeBatchReplyJSON(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Assignment, len(replies))
+	for i, r := range replies {
+		out[i] = Assignment(r)
+	}
+	return out, nil
 }
 
 func (c *Client) assignBatchWire(ctx context.Context, modelName string, rows [][]int) ([]Assignment, error) {

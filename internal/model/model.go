@@ -241,6 +241,9 @@ func Build(rows [][]int, cardinalities []int, encoding [][]int, modes [][]int, t
 			return nil, fmt.Errorf("model: mode %d has %d levels, want %d", l, len(mode), sigma)
 		}
 	}
+	if err := checkTheta(theta); err != nil {
+		return nil, err
+	}
 	s := &Snapshot{
 		Cardinalities: append([]int(nil), cardinalities...),
 		K:             k,
@@ -349,10 +352,8 @@ func (s *Snapshot) validate() error {
 		}
 	}
 	s.buildPlan()
-	for j, th := range s.Theta {
-		if math.IsNaN(th) || th < 0 {
-			return fmt.Errorf("model: theta[%d] = %v", j, th)
-		}
+	if err := checkTheta(s.Theta); err != nil {
+		return err
 	}
 	if s.Values != nil {
 		if len(s.Values) != len(s.Cardinalities) {
@@ -363,6 +364,26 @@ func (s *Snapshot) validate() error {
 				return fmt.Errorf("model: feature %d has %d value labels for cardinality %d", r, len(vals), s.Cardinalities[r])
 			}
 		}
+	}
+	return nil
+}
+
+// checkTheta refuses level weights a similarity cannot be computed from: a
+// weight that is NaN, negative or infinite, or weights whose sum — taken in
+// the order assignInto takes it — overflows to +Inf. Either would make
+// 1 − bestD/Σθ NaN for a row that misses a mode at those levels; with every
+// weight and the sum finite, each partial distance is at most the sum, so
+// every similarity lies in [0, 1].
+func checkTheta(theta []float64) error {
+	var sum float64
+	for j, th := range theta {
+		if math.IsNaN(th) || th < 0 || math.IsInf(th, 1) {
+			return fmt.Errorf("model: theta[%d] = %v", j, th)
+		}
+		sum += th
+	}
+	if math.IsInf(sum, 1) {
+		return errors.New("model: theta sums past the float64 range")
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -252,6 +253,54 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := Build(rows, card, [][]int{{0, 0}, {1, 1}}, [][]int{{0}, {1}}, []float64{1}, nil, 2); err == nil {
 		t.Fatal("encoding/theta width mismatch accepted")
+	}
+}
+
+// TestThetaKeepsSimilarityFinite pins the level weights Build and Load
+// accept to those every similarity can be computed from: an infinite weight,
+// or weights whose sum overflows, would make 1 − bestD/Σθ NaN for a row that
+// misses its mode, and JSON cannot carry a NaN. Weights that sum to exactly
+// the largest float64 still serve, with similarities in [0, 1].
+func TestThetaKeepsSimilarityFinite(t *testing.T) {
+	rows := [][]int{{0, 0}, {1, 1}}
+	card := []int{2, 2}
+	enc := [][]int{{0, 0}, {1, 1}}
+	modes := [][]int{{0, 0}}
+	good, err := Build(rows, card, enc, modes, []float64{1, 1}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, theta := range [][]float64{
+		{math.Inf(1), 1},
+		{math.MaxFloat64, math.MaxFloat64},
+		{math.Inf(-1), 1},
+		{math.NaN(), 1},
+	} {
+		if _, err := Build(rows, card, enc, modes, theta, nil, 1); err == nil {
+			t.Errorf("Build accepted theta %v", theta)
+		}
+		bad := *good
+		bad.Theta = theta
+		var buf bytes.Buffer
+		if err := bad.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("Load accepted theta %v", theta)
+		}
+	}
+	edge, err := Build(rows, card, enc, modes, []float64{math.MaxFloat64 / 2, math.MaxFloat64 / 2}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]int{{0, 0}, {1, 1}, {1, 0}} {
+		a, err := edge.Assign(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !(a.Similarity >= 0 && a.Similarity <= 1) {
+			t.Errorf("row %v: similarity %v", row, a.Similarity)
+		}
 	}
 }
 

@@ -67,6 +67,43 @@ func main() {
 	write("internal/model/testdata/fuzz/FuzzAssignRoundTrip/empty-row",
 		s("x"), s("y"), b(nil), i(-5), fl(0), i(1<<40))
 
+	// FuzzAssignJSON: a body for the four scanners, then a model name,
+	// cluster, similarity bits, epoch and encoding bytes for the appenders.
+	// The bodies are the common shapes and the ones just outside the
+	// scanners' subset; the similarities straddle json.Encoder's switches
+	// between 'f' and 'e' format, and the names its escapes.
+	jsonSeeds := []struct {
+		name, body, model string
+		cluster           int
+		sim               float64
+		epoch             int
+		enc               []byte
+	}{
+		{"single", `{"model":"m","row":[1,-2,3]}`, "m", 2, 0.75, 7, []byte{1, 0, 2}},
+		{"session-single", " {\"session\":\"s-1\" , \"row\":[ 0 ,70000]}\n", "", 0, 1, 0, nil},
+		{"batch", `{"rows":[[0,1],[],[-9,3]],"model":"syn"}`, "syn", 0, 1e-7, 0, []byte{}},
+		{"reply", "{\"cluster\":1,\"similarity\":0.5,\"epoch\":3,\"encoding\":[1,2]}\n", "a<b&c>", -1, 1e21, 1 << 40, []byte{7}},
+		{"batch-reply", `{"model":"m","epoch":1,"assignments":[{"cluster":0,"similarity":1,"epoch":1},{"cluster":2,"similarity":-0,"epoch":2,"encoding":[]}]}`,
+			"\u07e9\u2028", math.MaxInt64, math.Copysign(0, -1), -5, []byte{255, 128}},
+		{"not-finite", `{"cluster":1,"similarity":1e400,"epoch":0}`, "\x7f\x00\"\\", 3, math.NaN(), 0, nil},
+		{"smallest-similarity", `{"model":"Model","row":[1]}`, "M", 1, 5e-324, 1, []byte{1}},
+		{"largest-similarity", `{"model":"m\u0031","row":[1]}`, "m", 1, math.MaxFloat64, 1, []byte{1}},
+		{"f-format-floor", `{"model":"a","model":"m","row":[1]}`, "m", 1, 1e-6, 1, []byte{1}},
+		{"e-format-below", `{"model":"m","row":null}`, "m", 1, -1e-7, 1, []byte{1}},
+		{"f-format-ceiling", `{"model":"m","rows":[null]}`, "m", 1, 9.999999999999999e20, 1, []byte{1}},
+		{"float-row", `{"model":"m","row":[1.0]}`, "m", 1, 0.1, 1, nil},
+		{"exponent-row", `{"model":"m","rows":[[1e2]]}`, "m", 1, 0.1, 1, nil},
+		{"leading-zero", `{"model":"m","row":[01]}`, "m", 1, 0.1, 1, nil},
+		{"lone-minus", `{"model":"m","row":[-]}`, "m", 1, 0.1, 1, nil},
+		{"20-digits", `{"model":"m","row":[12345678901234567890]}`, "m", 1, 0.1, 1, nil},
+		{"garbage-after", `{"model":"m","row":[1]} garbage`, "m", 1, 0.1, 1, nil},
+		{"empty-body", ``, "", 0, 0, 0, nil},
+	}
+	for _, sd := range jsonSeeds {
+		write("internal/model/testdata/fuzz/FuzzAssignJSON/"+sd.name,
+			b([]byte(sd.body)), s(sd.model), i(sd.cluster), u64(math.Float64bits(sd.sim)), i(sd.epoch), b(sd.enc))
+	}
+
 	write("internal/similarity/testdata/fuzz/FuzzPairAt/smallest", i(2), i(0))
 	write("internal/similarity/testdata/fuzz/FuzzPairAt/row-boundary", i(65), i(64))
 	write("internal/similarity/testdata/fuzz/FuzzPairAt/bench-tail", i(2000), i(1998999))
@@ -80,9 +117,10 @@ func main() {
 		i(2), b([]byte{63, 64, 65, 0}))
 }
 
-func b(v []byte) string { return "[]byte(" + strconv.Quote(string(v)) + ")" }
-func s(v string) string { return "string(" + strconv.Quote(v) + ")" }
-func i(v int) string    { return fmt.Sprintf("int(%d)", v) }
+func b(v []byte) string   { return "[]byte(" + strconv.Quote(string(v)) + ")" }
+func s(v string) string   { return "string(" + strconv.Quote(v) + ")" }
+func i(v int) string      { return fmt.Sprintf("int(%d)", v) }
+func u64(v uint64) string { return fmt.Sprintf("uint64(%d)", v) }
 func fl(v float64) string {
 	return fmt.Sprintf("float64(%s)", strconv.FormatFloat(v, 'g', -1, 64))
 }

@@ -17,16 +17,18 @@ import (
 // gateway answers exactly what a solo daemon answers — malformed and
 // oversized requests included.
 //
-// Both codecs share one body bound, maxBodyBytes. A JSON body is decoded
-// whole; a frame body is read whole and split in place (model.SplitFrames),
-// and its grammar is checked before anything applies: a bad header, a cut or
-// oversized frame, a frame of the wrong kind, a batch without its closing
-// 'E' or with frames after it all answer the whole request with a plain
-// HTTP envelope — 422 for an alien version, 400 otherwise. On the batch
-// route the model is judged next (404) and emptiness last (400). What can go
-// wrong with one assignment of a well-formed stream travels in-band as a '!'
-// frame with a code from the stable table, so one bad frame does not poison
-// its neighbours.
+// Both codecs share one body bound, maxBodyBytes, and each body is read whole
+// before it is decoded. A JSON body goes through internal/model's JSON codec,
+// which scans the common body by hand and hands any other to encoding/json,
+// so every error text is encoding/json's. A frame body is split in place
+// (model.SplitFrames), and its grammar is checked before anything applies: a
+// bad header, a cut or oversized frame, a frame of the wrong kind, a batch
+// without its closing 'E' or with frames after it all answer the whole
+// request with a plain HTTP envelope — 422 for an alien version, 400
+// otherwise. On the batch route the model is judged next (404) and emptiness
+// last (400). What can go wrong with one assignment of a well-formed stream
+// travels in-band as a '!' frame with a code from the stable table, so one
+// bad frame does not poison its neighbours.
 //
 // Decoding the whole request first is also what keeps the HTTP/1.x rule: a
 // handler must consume the request stream before it writes a response byte,
@@ -63,15 +65,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// readWire reads a frame-stream body and splits it in place. A stream that
-// does not split answers with the error ReadWireHeader or ReadFrame gives
-// for it: 422 for an alien version, 400 otherwise.
-func readWire(w http.ResponseWriter, r *http.Request) ([]model.Frame, bool) {
+// readWire reads a frame-stream body and splits it in place, appending its
+// frames to dst. A stream that does not split answers with the error
+// ReadWireHeader or ReadFrame gives for it: 422 for an alien version, 400
+// otherwise.
+func readWire(w http.ResponseWriter, r *http.Request, dst []model.Frame) ([]model.Frame, bool) {
 	raw, ok := readBody(w, r)
 	if !ok {
 		return nil, false
 	}
-	frames, err := model.SplitFrames(raw, nil)
+	frames, err := model.SplitFrames(raw, dst)
 	if err == nil {
 		return frames, true
 	}
@@ -85,18 +88,22 @@ func readWire(w http.ResponseWriter, r *http.Request) ([]model.Frame, bool) {
 }
 
 // readAssign decodes a POST /v1/assign body into its 'A' frames, in request
-// order. A JSON single becomes the one frame a frame client would have sent
-// for it.
-func readAssign(w http.ResponseWriter, r *http.Request) (frames []model.Frame, wire, ok bool) {
+// order, appending them to dst. A JSON single becomes the one frame a frame
+// client would have sent for it.
+func readAssign(w http.ResponseWriter, r *http.Request, dst []model.Frame) (frames []model.Frame, wire, ok bool) {
 	if r.Header.Get("Content-Type") != WireContentType {
-		var req assignRequest
-		if !decodeJSON(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
 			return nil, false, false
 		}
-		payload := model.AppendAssignRequest(nil, req.Model, req.Session, req.Row)
-		return []model.Frame{{Kind: model.FrameAssign, Payload: payload}}, false, true
+		payload, err := model.DecodeAssignJSON(nil, body)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+			return nil, false, false
+		}
+		return append(dst, model.Frame{Kind: model.FrameAssign, Payload: payload}), false, true
 	}
-	if frames, ok = readWire(w, r); !ok {
+	if frames, ok = readWire(w, r, dst); !ok {
 		return nil, true, false
 	}
 	for _, f := range frames {
@@ -121,14 +128,20 @@ type assignBatch struct {
 // then judges the model, and only after that whether the batch is empty.
 func readAssignBatch(w http.ResponseWriter, r *http.Request) (b assignBatch, ok bool) {
 	if b.wire = r.Header.Get("Content-Type") == WireContentType; !b.wire {
-		var req batchRequest
-		if !decodeJSON(w, r, &req) {
+		body, ok := readBody(w, r)
+		if !ok {
 			return b, false
 		}
-		b.model, b.chunks, b.rows = req.Model, [][][]int{req.Rows}, len(req.Rows)
+		var rows [][]int
+		var err error
+		if b.model, rows, err = model.DecodeBatchJSON(body); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
+			return b, false
+		}
+		b.chunks, b.rows = [][][]int{rows}, len(rows)
 		return b, true
 	}
-	frames, ok := readWire(w, r)
+	frames, ok := readWire(w, r, nil)
 	if !ok {
 		return b, false
 	}
@@ -194,8 +207,8 @@ func writeAssignReply(w http.ResponseWriter, wire bool, stream []byte) {
 func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
 	switch reply.Kind {
 	case model.FrameResult:
-		if a, epoch, err := model.DecodeResult(reply.Payload); err == nil {
-			writeJSON(w, http.StatusOK, assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
+		if body, err := model.AppendResultJSON(nil, reply.Payload); err == nil {
+			writeJSONBody(w, http.StatusOK, body)
 			return
 		}
 	case model.FrameError:
@@ -214,11 +227,14 @@ func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
 // non-empty client chunk and 'E'. The top-level epoch is row 0's.
 func writeBatchReply(w http.ResponseWriter, in *assignBatch, asgs []model.Assignment, epoch func(i int) int) {
 	if !in.wire {
-		resp := batchResponse{Model: in.model, Epoch: epoch(0), Assignments: make([]assignResponse, len(asgs))}
-		for i, a := range asgs {
-			resp.Assignments[i] = assignResponse{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch(i), Encoding: a.Encoding}
+		// A snapshot's similarities are always finite, so one that JSON
+		// cannot spell came from a gateway's backend.
+		body, err := model.AppendBatchReplyJSON(nil, in.model, asgs, epoch)
+		if err != nil {
+			writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer: %v", err)
+			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeJSONBody(w, http.StatusOK, body)
 		return
 	}
 	w.Header().Set("Content-Type", WireContentType)

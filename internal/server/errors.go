@@ -72,6 +72,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// writeJSONBody is writeJSON for a body already encoded.
+func writeJSONBody(w http.ResponseWriter, status int, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(body)
+}
+
 // writeError emits the structured error envelope with the given stable code.
 // When the writer is the instrumented statusWriter, the code is also handed
 // to it so the request log line can carry the machine-readable failure.

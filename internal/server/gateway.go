@@ -253,7 +253,7 @@ func (g *Gateway) doCT(client *http.Client, method, backend, path string, body [
 		req.Header.Set("Content-Type", ctype)
 	}
 	if reqID != "" {
-		req.Header.Set(RequestIDHeader, reqID)
+		req.Header.Set(requestIDKey, reqID)
 	}
 	if g.cfg.FleetSecret != "" {
 		req.Header.Set(fleetSecretHeader, g.cfg.FleetSecret)
@@ -311,7 +311,7 @@ func (g *Gateway) forward(w http.ResponseWriter, method, backend, path string, b
 // reqIDOf reads the request's correlation id. The instrumentation middleware
 // has already resolved it (accepted or minted) onto r.Header, so every
 // handler forwards the exact id the gateway echoes and logs.
-func reqIDOf(r *http.Request) string { return r.Header.Get(RequestIDHeader) }
+func reqIDOf(r *http.Request) string { return r.Header.Get(requestIDKey) }
 
 // ---- routed endpoints ----
 

@@ -97,7 +97,8 @@ func (job *assignJob) fail(i int, msg string) {
 // payloads, the router answers each, and the edge encodes the answers in
 // the client's codec.
 func (g *Gateway) handleAssign(w http.ResponseWriter, r *http.Request) {
-	frames, wire, ok := readAssign(w, r)
+	var single [1]model.Frame // a JSON body's one frame
+	frames, wire, ok := readAssign(w, r, single[:0])
 	if !ok {
 		return
 	}

@@ -308,8 +308,12 @@ func TestGatewaySpeaksFramesUpstream(t *testing.T) {
 // fields, no target, a broken frame stream) or a backend answers it (an
 // unknown model, an empty batch, an in-band error). A frame stream that
 // breaks anywhere is refused whole, even after well-formed 'A' frames; on the
-// batch route the model is judged before emptiness. MCDC_NIGHTLY=1 adds a
-// frame batch past the 64 MiB body bound.
+// batch route the model is judged before emptiness. The JSON boundary rows
+// sit at the edge of what the hand-written JSON scanner accepts, most just
+// outside it, so encoding/json decodes them; each pins the status it
+// answers, a success included where encoding/json accepts the body.
+// MCDC_NIGHTLY=1 adds a frame batch and JSON bodies past the 64 MiB body
+// bound.
 func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 	snap, rows, _ := trainModel(t, 200, 6, 3, 3)
 	_, gts, backends, _ := gatewayFleet(t, 2, Config{})
@@ -384,6 +388,34 @@ func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 		{"frame batch: no 'B'", "/v1/assign/batch", true, frames("m", "RE")},
 		{"frame batch: wrong kind", "/v1/assign/batch", true, frames("m", "BRAE")},
 	}
+	status := map[string]int{} // what both tiers answer a row that need not fail
+	// JSON bodies on the boundary of the scanner's subset, on both routes:
+	// all but the leading whitespace fall just outside it. ROW stands for a
+	// good row, REST for its values after the first.
+	fill := strings.NewReplacer("ROW", string(row), "REST", string(row[strings.IndexByte(string(row), ',')+1:len(row)-1]))
+	for _, d := range []struct {
+		name, single, batch string
+		status              int
+	}{
+		{"key in another case", `{"Model":"m","row":ROW}`, `{"Model":"m","rows":[ROW]}`, http.StatusOK},
+		{"escaped string", `{"model":"m\u0031","row":ROW}`, `{"model":"m\u0031","rows":[ROW]}`, http.StatusNotFound},
+		{"duplicate key", `{"model":"ghost","row":ROW,"model":"m"}`, `{"model":"ghost","rows":[ROW],"model":"m"}`, http.StatusOK},
+		{"null row", `{"model":"m","row":null}`, `{"model":"m","rows":[null]}`, http.StatusBadRequest},
+		{"float value", `{"model":"m","row":[1.0,REST]}`, `{"model":"m","rows":[[1.0,REST]]}`, http.StatusBadRequest},
+		{"exponent value", `{"model":"m","row":[1e2,REST]}`, `{"model":"m","rows":[[1e2,REST]]}`, http.StatusBadRequest},
+		{"leading zero", `{"model":"m","row":[01,REST]}`, `{"model":"m","rows":[[01,REST]]}`, http.StatusBadRequest},
+		{"lone minus", `{"model":"m","row":[-,REST]}`, `{"model":"m","rows":[[-,REST]]}`, http.StatusBadRequest},
+		{"20-digit value", `{"model":"m","row":[12345678901234567890,REST]}`, `{"model":"m","rows":[[12345678901234567890,REST]]}`, http.StatusBadRequest},
+		{"garbage after the value", `{"model":"m","row":ROW} garbage`, `{"model":"m","rows":[ROW]} garbage`, http.StatusOK},
+		{"leading whitespace", " \n\t{\"model\":\"m\",\"row\":ROW}", " \n\t{\"model\":\"m\",\"rows\":[ROW]}", http.StatusOK},
+		{"empty body", ``, ``, http.StatusBadRequest},
+	} {
+		single, batch := "json boundary: "+d.name, "json batch boundary: "+d.name
+		cases = append(cases,
+			request{single, "/v1/assign", false, []byte(fill.Replace(d.single))},
+			request{batch, "/v1/assign/batch", false, []byte(fill.Replace(d.batch))})
+		status[single], status[batch] = d.status, d.status
+	}
 	if testenv.Nightly() {
 		// Past the bound, 'R' frames need not hold rows: neither tier
 		// decodes a body it could not read whole.
@@ -393,6 +425,12 @@ func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 			huge = append(huge, make([]byte, 8<<20)...)
 		}
 		cases = append(cases, request{"frame batch past the body bound", "/v1/assign/batch", true, append(huge, model.FrameEnd, 0)})
+		// A JSON body is read whole before it is decoded, so one past the
+		// bound is refused even when its first value is a good request.
+		pad := bytes.Repeat([]byte(" "), maxBodyBytes)
+		cases = append(cases,
+			request{"json past the body bound", "/v1/assign", false, append([]byte(`{"model":"m","row":`+string(row)+`}`), pad...)},
+			request{"json batch past the body bound", "/v1/assign/batch", false, append([]byte(`{"model":"m","rows":[`+string(row)+`]}`), pad...)})
 	}
 	for _, tc := range cases {
 		send := func(url string) (*http.Response, []byte) {
@@ -406,7 +444,9 @@ func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 		if gresp.StatusCode != sresp.StatusCode || !bytes.Equal(gdata, sdata) {
 			t.Errorf("%s: gateway %d %q, solo %d %q", tc.name, gresp.StatusCode, gdata, sresp.StatusCode, sdata)
 		}
-		if gresp.StatusCode < 400 {
+		if want, pinned := status[tc.name]; pinned && gresp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", tc.name, gresp.StatusCode, want)
+		} else if !pinned && gresp.StatusCode < 400 {
 			t.Errorf("%s: status %d, want an error", tc.name, gresp.StatusCode)
 		}
 	}

@@ -67,7 +67,7 @@ func (h *httpMetrics) handle(mux *http.ServeMux, o *obs, pattern string, fn http
 	mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
 		rc.requests.Add(1)
 		id := ensureRequestID(r, o.ids)
-		w.Header().Set(RequestIDHeader, id)
+		w.Header().Set(requestIDKey, id)
 		sw := &statusWriter{ResponseWriter: w}
 		started := time.Now()
 		fn(sw, r)

@@ -20,6 +20,11 @@ import (
 // reconstructs a single request's path.
 const RequestIDHeader = "X-MCDC-Request-Id"
 
+// requestIDKey is RequestIDHeader spelled as http.Header stores it. Getting
+// or setting the header under it skips the canonical-key conversion, which
+// allocates for any other spelling.
+var requestIDKey = http.CanonicalHeaderKey(RequestIDHeader)
+
 // idGen mints request ids: a per-process random prefix plus a sequence
 // number. Collision-safe across a fleet without coordination, and cheap —
 // one atomic increment and one small string per minted id.
@@ -61,11 +66,11 @@ func validRequestID(id string) bool {
 // caller sent none (or an invalid one). The id is written back onto
 // r.Header, so a proxying handler forwards exactly the id it logs.
 func ensureRequestID(r *http.Request, ids *idGen) string {
-	if id := r.Header.Get(RequestIDHeader); validRequestID(id) {
+	if id := r.Header.Get(requestIDKey); validRequestID(id) {
 		return id
 	}
 	id := ids.next()
-	r.Header.Set(RequestIDHeader, id)
+	r.Header.Set(requestIDKey, id)
 	return id
 }
 

@@ -346,30 +346,6 @@ type loadModelRequest struct {
 	Path string `json:"path"`
 }
 
-type assignRequest struct {
-	Model   string `json:"model,omitempty"`
-	Session string `json:"session,omitempty"`
-	Row     []int  `json:"row"`
-}
-
-type assignResponse struct {
-	Cluster    int     `json:"cluster"`
-	Similarity float64 `json:"similarity"`
-	Epoch      int     `json:"epoch"`
-	Encoding   []int   `json:"encoding,omitempty"`
-}
-
-type batchRequest struct {
-	Model string  `json:"model"`
-	Rows  [][]int `json:"rows"`
-}
-
-type batchResponse struct {
-	Model       string           `json:"model"`
-	Epoch       int              `json:"epoch"`
-	Assignments []assignResponse `json:"assignments"`
-}
-
 type sessionRequest struct {
 	Session string `json:"session"`
 	// Model names a served model whose feature schema the session adopts.
@@ -492,7 +468,8 @@ func (s *Server) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
 // assigned in request order and answered with an 'a' result or an in-band
 // '!' error.
 func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
-	frames, wire, ok := readAssign(w, r)
+	var single [1]model.Frame // a JSON body's one frame
+	frames, wire, ok := readAssign(w, r, single[:0])
 	if !ok {
 		s.metrics.assignErrors.Add(1)
 		return
@@ -506,7 +483,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// the replay cache absorbs an ambiguous first delivery. Legitimate
 	// duplicate rows within one stream still apply individually — their
 	// sequence numbers differ.
-	reqID := r.Header.Get(RequestIDHeader)
+	reqID := r.Header.Get(requestIDKey)
 	seq := make(map[string]int)
 	// One decoded request, one result buffer and one reply stream serve the
 	// whole request. Every consumer that keeps a row copies it (the traffic
@@ -514,7 +491,7 @@ func (s *Server) handleAssign(w http.ResponseWriter, r *http.Request) {
 	// free again once assignOne returns.
 	var (
 		out     bytes.Buffer
-		scratch []byte
+		scratch = make([]byte, 0, 64) // holds an 'a' payload of a few dozen levels
 		req     model.AssignRequest
 	)
 	_ = model.WriteWireHeader(&out)

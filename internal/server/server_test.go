@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -17,6 +18,22 @@ import (
 	"mcdc/internal/core"
 	"mcdc/internal/datasets"
 	"mcdc/internal/model"
+)
+
+// assignResponse and batchResponse are the JSON assign replies, read back
+// with encoding/json so the tests check the hand-written encoder against it.
+type (
+	assignResponse struct {
+		Cluster    int     `json:"cluster"`
+		Similarity float64 `json:"similarity"`
+		Epoch      int     `json:"epoch"`
+		Encoding   []int   `json:"encoding,omitempty"`
+	}
+	batchResponse struct {
+		Model       string           `json:"model"`
+		Epoch       int              `json:"epoch"`
+		Assignments []assignResponse `json:"assignments"`
+	}
 )
 
 // trainModel trains a snapshot on separable synthetic data and returns it
@@ -286,6 +303,40 @@ func TestModelLifecycleAndErrors(t *testing.T) {
 	resp, _ = post(t, ts.URL+"/v1/assign", map[string]any{"model": "m", "row": rows[0]})
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted model still serves: %d", resp.StatusCode)
+	}
+}
+
+// TestNonFiniteThetaNeverServes pins the daemon side of the finite-θ rule:
+// a snapshot file whose level weights are infinite, or sum past the float64
+// range, is refused at load, so no JSON assign can meet the NaN similarity
+// it would give a row that misses its mode — json.Encoder cannot write one,
+// and the reply would be a 200 with an empty body.
+func TestNonFiniteThetaNeverServes(t *testing.T) {
+	good, err := model.Build([][]int{{0, 0}, {1, 1}}, []int{2, 2}, [][]int{{0, 0}, {1, 1}}, [][]int{{0, 0}}, []float64{1, 1}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	for i, theta := range [][]float64{{math.Inf(1), 1}, {math.MaxFloat64, math.MaxFloat64}} {
+		bad := *good
+		bad.Theta = theta
+		name := fmt.Sprintf("theta%d", i)
+		path := filepath.Join(t.TempDir(), name+".bin")
+		if err := bad.SaveFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if resp, data := post(t, ts.URL+"/v1/models", map[string]string{"name": name, "path": path}); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("theta %v: load answered %d %s, want 400", theta, resp.StatusCode, data)
+		}
+		for _, req := range []struct{ path, body string }{
+			{"/v1/assign", `{"model":"` + name + `","row":[1,1]}`},
+			{"/v1/assign", `{"model":"` + name + `","row":[1,0]}`},
+			{"/v1/assign/batch", `{"model":"` + name + `","rows":[[1,1],[1,0]]}`},
+		} {
+			if resp, data := postJSONRaw(t, ts.URL+req.path, req.body); !json.Valid(data) {
+				t.Errorf("theta %v: %s %s answered %d with body %q", theta, req.path, req.body, resp.StatusCode, data)
+			}
+		}
 	}
 }
 
