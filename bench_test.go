@@ -330,11 +330,11 @@ func BenchmarkServerAssign(b *testing.B) {
 			}
 		})
 	})
-	// rowsThrough sends b.N rows through send, size rows per request. One op
-	// is one assigned row.
-	rowsThrough := func(b *testing.B, size int, send func(ctx context.Context, model string, rows [][]int) ([]client.Assignment, error)) {
+	// rowsThrough sends b.N rows through send, size rows per request, and
+	// returns how many requests that took. One op is one assigned row.
+	rowsThrough := func(b *testing.B, size int, send func(ctx context.Context, model string, rows [][]int) ([]client.Assignment, error)) (requests int) {
 		ctx := context.Background()
-		for done := 0; done < b.N; {
+		for done := 0; done < b.N; requests++ {
 			if done+size > b.N {
 				size = b.N - done
 			}
@@ -351,11 +351,19 @@ func BenchmarkServerAssign(b *testing.B) {
 			}
 			done += size
 		}
+		return requests
 	}
 	// The batch-json request shape against one daemon: the typed client's
 	// JSON AssignBatch of 256 rows, so both ends of the JSON codec are timed.
+	// allocs/op divides a request's allocations over its 256 rows, where
+	// they round to 0, so allocs/req reports them per request: client and
+	// daemon together, as -benchmem counts them.
 	b.Run("http/batch256", func(b *testing.B) {
-		rowsThrough(b, 256, client.New(ts.URL).AssignBatch)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		requests := rowsThrough(b, 256, client.New(ts.URL).AssignBatch)
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(requests), "allocs/req")
 	})
 	// pipelined sends b.N rows through c as 64-frame AssignMany requests.
 	pipelined := func(b *testing.B, c *client.Client) { rowsThrough(b, 64, c.AssignMany) }

@@ -11,7 +11,9 @@
 //
 //	BenchmarkName-8   125   9123456 ns/op   4096 B/op   12 allocs/op
 //
-// plus the goos/goarch/pkg/cpu context lines; anything else is ignored.
+// plus the goos/goarch/pkg/cpu context lines; anything else is ignored. A
+// value with any other unit — a custom b.ReportMetric such as allocs/req —
+// lands in the result's metrics map under that unit.
 package main
 
 import (
@@ -28,7 +30,8 @@ import (
 // without re-deriving it. BytesPerOp/AllocsPerOp are emitted whenever the
 // run carried -benchmem (HaveMem) — including explicit zeros, which are a
 // real measurement (the allocation-free serving probe is gated on exactly
-// 0 allocs/op), not an absence.
+// 0 allocs/op), not an absence. Metrics holds every other reported value,
+// keyed by its unit.
 type Result struct {
 	Name        string  `json:"name"`
 	Pkg         string  `json:"pkg,omitempty"`
@@ -39,6 +42,8 @@ type Result struct {
 	HaveMem     bool    `json:"have_mem"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the full JSON document.
@@ -122,6 +127,11 @@ func parseBenchLine(line string) (Result, bool) {
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
 			r.HaveMem = true
+		default:
+			if r.Metrics == nil {
+				r.Metrics = make(map[string]float64)
+			}
+			r.Metrics[fields[i+1]] = v
 		}
 	}
 	if r.NsPerOp == 0 && !strings.Contains(line, "ns/op") {

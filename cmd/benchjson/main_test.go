@@ -50,8 +50,20 @@ func TestParseSample(t *testing.T) {
 	// An explicit zero-alloc measurement must be distinguishable from a run
 	// without -benchmem: HaveMem marks the difference.
 	zero, ok := parseBenchLine("BenchmarkServerAssign/inprocess/assigner-8 	 1000000 	 1034 ns/op 	 0 B/op 	 0 allocs/op")
-	if !ok || !zero.HaveMem || zero.AllocsPerOp != 0 || zero.BytesPerOp != 0 {
+	if !ok || !zero.HaveMem || zero.AllocsPerOp != 0 || zero.BytesPerOp != 0 || zero.Metrics != nil {
 		t.Errorf("zero-alloc line: %+v (ok=%v)", zero, ok)
+	}
+}
+
+// TestParseCustomMetric pins that a b.ReportMetric value survives into the
+// JSON under its own unit, beside the standard columns.
+func TestParseCustomMetric(t *testing.T) {
+	r, ok := parseBenchLine("BenchmarkServerAssign/http/batch256-2 	 4608 	 5210 ns/op 	 52.50 allocs/req 	 410 B/op 	 0 allocs/op")
+	if !ok || r.NsPerOp != 5210 || r.BytesPerOp != 410 || r.AllocsPerOp != 0 || !r.HaveMem {
+		t.Fatalf("standard columns: %+v (ok=%v)", r, ok)
+	}
+	if len(r.Metrics) != 1 || r.Metrics["allocs/req"] != 52.5 {
+		t.Errorf("metrics = %v, want map[allocs/req:52.5]", r.Metrics)
 	}
 }
 

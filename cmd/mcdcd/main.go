@@ -13,9 +13,13 @@
 //
 // Gateway mode — a consistent-hash front end over a fleet of backends:
 //
-//	mcdcd -backends 127.0.0.1:8081,127.0.0.1:8082 [-ring-replicas 128]
+//	mcdcd -backends 127.0.0.1:8081,127.0.0.1:8082
 //	      [-health 5s] [-addr :8080] [-addr-file path]
 //	      [-retries 2] [-retry-backoff 25ms] [-fleet-secret s]
+//
+// The gateway's hash ring places every backend at 128 virtual points, the
+// count the backends' replicators use, so a session's replica sits on the
+// backend the gateway fails over to first.
 //
 // Drain mode — migrate a backend's sessions away and drop it from the ring
 // (run against the gateway; the drained process can then be stopped safely):
@@ -108,7 +112,6 @@ func run() error {
 		queueDepth = flag.Int("queue-depth", 0, "assignment requests allowed to wait for a slot before shedding with 429")
 		retryAfter = flag.Duration("retry-after", time.Second, "Retry-After delay advertised on shed (429) responses")
 		backends   = flag.String("backends", "", "comma-separated backend addresses: run as a consistent-hash gateway instead of serving models")
-		replicas   = flag.Int("ring-replicas", 128, "virtual nodes per backend on the gateway hash ring")
 		health     = flag.Duration("health", 5*time.Second, "gateway per-backend health-check interval (0 = disabled)")
 		replicate  = flag.Bool("replicate", false, "checkpoint every session assignment and ship it to the ring successor (requires -state-dir; pair with -peers)")
 		peers      = flag.String("peers", "", "comma-separated fleet member addresses (including this daemon) for checkpoint replication")
@@ -174,7 +177,6 @@ func run() error {
 		}
 		gw, err := server.NewGateway(server.GatewayConfig{
 			Backends:     strings.Split(*backends, ","),
-			Replicas:     *replicas,
 			HealthEvery:  *health,
 			Retries:      *retries,
 			RetryBackoff: *retryWait,

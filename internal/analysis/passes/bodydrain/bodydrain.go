@@ -197,10 +197,9 @@ func (c *checker) stmt(stmt ast.Stmt, wrote bool) (bool, bool) {
 			elseWrote, elseTerm = c.stmt(s.Else, wrote)
 		}
 		if thenTerm && !hasElse {
-			// The guard idiom: `if !decodeJSON(w, r, &v) { return }`,
-			// `if !s.checkFleetSecret(w, r) { return }`. The helper writes
-			// only on the path that then terminates, so the continuation
-			// keeps the state from before the guard.
+			// The guard idiom: `if !decodeJSON(w, r, &v) { return }`. The
+			// helper writes only on the path that then terminates, so the
+			// continuation keeps the state from before the guard.
 			return entry, false
 		}
 		out := wrote

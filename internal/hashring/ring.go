@@ -30,12 +30,17 @@ type point struct {
 	node string
 }
 
+// DefaultReplicas is the virtual-point count per node that New falls back
+// to: enough that per-node load imbalance stays within a few percent for
+// typical fleet sizes. mcdcd's gateway and its backends' replicators both
+// build their rings with it, so they read the same successor chains.
+const DefaultReplicas = 128
+
 // New builds an empty ring placing each node at `replicas` virtual points
-// (≤ 0 falls back to 128 — enough that per-node load imbalance stays within
-// a few percent for typical fleet sizes).
+// (≤ 0 falls back to DefaultReplicas).
 func New(replicas int) *Ring {
 	if replicas <= 0 {
-		replicas = 128
+		replicas = DefaultReplicas
 	}
 	return &Ring{replicas: replicas, nodes: make(map[string]struct{})}
 }

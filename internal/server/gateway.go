@@ -63,18 +63,16 @@ type Gateway struct {
 	// session overrides recorded by failover/migration. Request routing takes
 	// it shared; ring join/leave takes it exclusively, which is what makes a
 	// membership cutover atomic — no request can place against a half-updated
-	// ring. stateMu guards the per-backend atomics maps and is never held
-	// across a network call, so membership changes (which do call out while
-	// holding placeMu) can still read counters. Lock order: placeMu → stateMu.
+	// ring. stateMu guards the member map and is never held across a network
+	// call, so membership changes (which do call out while holding placeMu)
+	// can still read counters. Lock order: placeMu → stateMu.
 	placeMu   sync.RWMutex
 	backends  []string // normalized, deduped, sorted
 	ring      *hashring.Ring
 	overrides map[string]string // session id → backend, when off ring placement
 
 	stateMu sync.RWMutex
-	up      map[string]*atomic.Bool  // health verdict per backend
-	sheds   map[string]*atomic.Int64 // 429s observed per backend (admission sheds)
-	retries map[string]*atomic.Int64 // transient-failure retries per backend
+	members map[string]*member // one record per backend (gateway_failover.go)
 
 	failovers atomic.Int64 // sessions promoted onto a replica after owner loss
 
@@ -87,7 +85,9 @@ type Gateway struct {
 type GatewayConfig struct {
 	// Backends are the daemon addresses (host:port) the ring is built over.
 	Backends []string
-	// Replicas is the virtual-node count per backend (≤ 0 → 128).
+	// Replicas is the virtual-node count per backend: 0 or
+	// hashring.DefaultReplicas, the count the backends' replicators place
+	// replicas with. Any other count would put them off the failover chain.
 	Replicas int
 	// HealthEvery is the per-backend health-check cadence (0 disables the
 	// checker; backends then stay marked up). Health feeds /healthz and
@@ -137,6 +137,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		return nil, fmt.Errorf("server: gateway needs at least one backend address")
 	}
 	sort.Strings(backends)
+	if cfg.Replicas != 0 && cfg.Replicas != hashring.DefaultReplicas {
+		return nil, fmt.Errorf("server: gateway ring replicas must be %d, the count the backends' replicators use (got %d)", hashring.DefaultReplicas, cfg.Replicas)
+	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 30 * time.Second
@@ -148,7 +151,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g := &Gateway{
 		cfg:       cfg,
 		backends:  backends,
-		ring:      hashring.New(cfg.Replicas),
+		ring:      hashring.New(hashring.DefaultReplicas),
 		client:    &http.Client{Timeout: timeout, Transport: cfg.Transport},
 		probe:     &http.Client{Timeout: probeTimeout, Transport: cfg.Transport},
 		mux:       http.NewServeMux(),
@@ -156,15 +159,13 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		obs:       newObs(cfg.Logger, cfg.LogSlow),
 		start:     time.Now(),
 		overrides: make(map[string]string),
-		up:        make(map[string]*atomic.Bool, len(backends)),
-		sheds:     make(map[string]*atomic.Int64, len(backends)),
-		retries:   make(map[string]*atomic.Int64, len(backends)),
+		members:   make(map[string]*member, len(backends)),
 		stop:      make(chan struct{}),
 	}
 	g.log = g.obs.log
 	g.ring.Add(backends...)
 	for _, b := range backends {
-		g.initBackendState(b)
+		g.members[b] = newMember()
 	}
 	g.routes()
 	if cfg.HealthEvery > 0 {
@@ -241,24 +242,7 @@ func (g *Gateway) do(method, backend, path string, body []byte, reqID string) (s
 }
 
 func (g *Gateway) doCT(client *http.Client, method, backend, path string, body []byte, ctype, reqID string) (status int, data []byte, hdr http.Header, err error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, "http://"+backend+path, rd)
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", ctype)
-	}
-	if reqID != "" {
-		req.Header.Set(requestIDKey, reqID)
-	}
-	if g.cfg.FleetSecret != "" {
-		req.Header.Set(fleetSecretHeader, g.cfg.FleetSecret)
-	}
-	resp, err := client.Do(req)
+	resp, err := peerCall(client, g.cfg.FleetSecret, method, backend, path, body, ctype, reqID)
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -275,8 +259,8 @@ func (g *Gateway) doCT(client *http.Client, method, backend, path string, body [
 // counters: a 429 means that backend's admission valve shed the request.
 func (g *Gateway) noteStatus(backend string, status int) {
 	if status == http.StatusTooManyRequests {
-		if c := g.shedCounter(backend); c != nil {
-			c.Add(1)
+		if m := g.memberOf(backend); m != nil {
+			m.sheds.Add(1)
 		}
 	}
 }
@@ -367,10 +351,11 @@ func (g *Gateway) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 
 // ---- broadcast endpoints ----
 
-// broadcast sends the same request to every backend in sorted order and
+// broadcast sends the same request through client to every backend at once,
+// so the slowest backend (not the sum of all of them) bounds the round, and
 // returns the membership snapshot it fanned out over plus the per-backend
 // outcomes (aligned by index).
-func (g *Gateway) broadcast(method, path string, body []byte, reqID string) (backends []string, statuses []int, bodies [][]byte, errs []error) {
+func (g *Gateway) broadcast(client *http.Client, method, path string, body []byte, reqID string) (backends []string, statuses []int, bodies [][]byte, errs []error) {
 	backends = g.backendList()
 	statuses = make([]int, len(backends))
 	bodies = make([][]byte, len(backends))
@@ -380,7 +365,7 @@ func (g *Gateway) broadcast(method, path string, body []byte, reqID string) (bac
 		wg.Add(1)
 		go func(i int, b string) {
 			defer wg.Done()
-			statuses[i], bodies[i], _, errs[i] = g.do(method, b, path, body, reqID)
+			statuses[i], bodies[i], _, errs[i] = g.doCT(client, method, b, path, body, "application/json", reqID)
 		}(i, b)
 	}
 	wg.Wait()
@@ -416,30 +401,27 @@ func (g *Gateway) handleBroadcastModels(w http.ResponseWriter, r *http.Request) 
 	if !ok {
 		return
 	}
-	backends, statuses, bodies, errs := g.broadcast(http.MethodPost, "/v1/models", raw, reqIDOf(r))
+	backends, statuses, bodies, errs := g.broadcast(g.client, http.MethodPost, "/v1/models", raw, reqIDOf(r))
 	g.relayBroadcast(w, backends, statuses, bodies, errs)
 }
 
 func (g *Gateway) handleDeleteModel(w http.ResponseWriter, r *http.Request) {
-	backends, statuses, bodies, errs := g.broadcast(http.MethodDelete, "/v1/models/"+r.PathValue("name"), nil, reqIDOf(r))
+	backends, statuses, bodies, errs := g.broadcast(g.client, http.MethodDelete, "/v1/models/"+r.PathValue("name"), nil, reqIDOf(r))
 	g.relayBroadcast(w, backends, statuses, bodies, errs)
 }
 
 func (g *Gateway) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	backends, statuses, bodies, errs := g.broadcast(http.MethodPost, "/v1/checkpoint", nil, reqIDOf(r))
+	backends, statuses, bodies, errs := g.broadcast(g.client, http.MethodPost, "/v1/checkpoint", nil, reqIDOf(r))
 	g.relayBroadcast(w, backends, statuses, bodies, errs)
 }
 
 func (g *Gateway) handleListModels(w http.ResponseWriter, r *http.Request) {
 	// Fleet-identical state: any healthy backend answers for all.
-	backends := g.backendList()
-	for _, b := range backends {
-		if g.isUp(b) {
-			g.forward(w, http.MethodGet, b, "/v1/models", nil, "", reqIDOf(r))
-			return
-		}
+	b := g.backendList()[0]
+	if up := g.placement().up; len(up) > 0 {
+		b = up[0]
 	}
-	g.forward(w, http.MethodGet, backends[0], "/v1/models", nil, "", reqIDOf(r))
+	g.forward(w, http.MethodGet, b, "/v1/models", nil, "", reqIDOf(r))
 }
 
 // ---- health and metrics ----
@@ -453,31 +435,45 @@ func (g *Gateway) healthLoop() {
 		case <-g.stop:
 			return
 		case <-ticker.C:
-			// Probes fan out concurrently so one hung backend cannot slip
-			// the whole fleet's cadence past -health.
-			var wg sync.WaitGroup
-			for _, b := range g.backendList() {
-				wg.Add(1)
-				go func(b string) {
-					defer wg.Done()
-					status, _, _, err := g.doCT(g.probe, http.MethodGet, b, "/v1/healthz", nil, "", "")
-					healthy := err == nil && status == http.StatusOK
-					flag := g.upFlag(b)
-					if flag == nil {
-						return // backend left the ring mid-probe
-					}
-					if was := flag.Swap(healthy); was != healthy {
-						if healthy {
-							g.log.Info("backend recovered", "backend", b)
-						} else {
-							g.log.Warn("backend went down", "backend", b, "status", status, "err", err)
-						}
-					}
-				}(b)
-			}
-			wg.Wait()
+			g.probeAll("")
 		}
 	}
+}
+
+// backendHealth is one backend's entry in the gateway's /v1/healthz: its
+// probe verdict plus the fields of its own /v1/healthz the gateway reports.
+type backendHealth struct {
+	Up          bool           `json:"up"`
+	Models      map[string]int `json:"models,omitempty"`
+	Sessions    int            `json:"sessions"`
+	Replication bool           `json:"replication"`
+}
+
+// probeAll sends every backend GET /v1/healthz on the short-timeout probe
+// client, so a hung backend costs the probe timeout, not the proxy timeout.
+// Each verdict lands in the backend's up flag, logging a transition. It
+// returns the membership probed and each backend's health, aligned by index.
+func (g *Gateway) probeAll(reqID string) (backends []string, health []backendHealth) {
+	backends, statuses, bodies, errs := g.broadcast(g.probe, http.MethodGet, "/v1/healthz", nil, reqID)
+	health = make([]backendHealth, len(backends))
+	for i, b := range backends {
+		h := &health[i]
+		if h.Up = errs[i] == nil && statuses[i] == http.StatusOK; h.Up {
+			_ = json.Unmarshal(bodies[i], h) // a backend's body has no "up" key
+		}
+		m := g.memberOf(b)
+		if m == nil {
+			continue // backend left the ring mid-probe
+		}
+		if was := m.up.Swap(h.Up); was != h.Up {
+			if h.Up {
+				g.log.Info("backend recovered", "backend", b)
+			} else {
+				g.log.Warn("backend went down", "backend", b, "status", statuses[i], "err", errs[i])
+			}
+		}
+	}
+	return backends, health
 }
 
 // handleHealthz distinguishes three fleet states:
@@ -490,52 +486,17 @@ func (g *Gateway) healthLoop() {
 //   - "down" (503): some backend is down and no surviving backend replicates
 //     (its sessions are stranded until it returns), or every backend is down.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	type backendHealth struct {
-		Up          bool           `json:"up"`
-		Models      map[string]int `json:"models,omitempty"`
-		Sessions    int            `json:"sessions"`
-		Replication bool           `json:"replication"`
-	}
 	type gwHealth struct {
 		Status        string                   `json:"status"`
 		UptimeSeconds float64                  `json:"uptime_seconds"`
 		Backends      map[string]backendHealth `json:"backends"`
 		Sessions      int                      `json:"sessions"`
 	}
-	backends := g.backendList()
 	h := gwHealth{Status: "ok", UptimeSeconds: time.Since(g.start).Seconds(), Backends: make(map[string]backendHealth)}
-	// Live probes, concurrent and short-timeout: the slowest backend (not
-	// the sum of all of them) bounds the response, and a hung one costs the
-	// probe timeout, not the proxy timeout.
-	probed := make([]backendHealth, len(backends))
-	var wg sync.WaitGroup
-	for i, b := range backends {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			status, data, _, err := g.doCT(g.probe, http.MethodGet, b, "/v1/healthz", nil, "", reqIDOf(r))
-			if err == nil && status == http.StatusOK {
-				probed[i].Up = true
-				var inner struct {
-					Models      map[string]int `json:"models"`
-					Sessions    int            `json:"sessions"`
-					Replication bool           `json:"replication"`
-				}
-				if json.Unmarshal(data, &inner) == nil {
-					probed[i].Models = inner.Models
-					probed[i].Sessions = inner.Sessions
-					probed[i].Replication = inner.Replication
-				}
-			}
-		}(i, b)
-	}
-	wg.Wait()
+	backends, probed := g.probeAll(reqIDOf(r))
 	anyDown, covered := false, false
 	for i, b := range backends {
 		bh := probed[i]
-		if f := g.upFlag(b); f != nil {
-			f.Store(bh.Up)
-		}
 		h.Backends[b] = bh
 		h.Sessions += bh.Sessions
 		if !bh.Up {
@@ -590,7 +551,7 @@ func (g *Gateway) handleRing(w http.ResponseWriter, r *http.Request) {
 // handleMetrics sums every backend's Prometheus series and appends the
 // gateway's own counters, so one scrape sees fleet-wide traffic.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	backends, _, bodies, errs := g.broadcast(http.MethodGet, "/v1/metrics", nil, reqIDOf(r))
+	backends, _, bodies, errs := g.broadcast(g.client, http.MethodGet, "/v1/metrics", nil, reqIDOf(r))
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	reachable := make([][]byte, 0, len(bodies))
 	sources := make([]string, 0, len(bodies))
@@ -601,29 +562,27 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	_, _ = w.Write(aggregateMetrics(reachable, sources))
+	members := make([]*member, len(backends))
+	for i, b := range backends {
+		if members[i] = g.memberOf(b); members[i] == nil {
+			members[i] = &member{} // left the ring mid-scrape
+		}
+	}
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_backend_up Last health verdict per backend (1 = up).\n# TYPE mcdcd_gateway_backend_up gauge\n")
 	for i, b := range backends {
 		v := 0
-		if g.isUp(b) && errs[i] == nil {
+		if members[i].up.Load() && errs[i] == nil {
 			v = 1
 		}
 		fmt.Fprintf(w, "mcdcd_gateway_backend_up{backend=%q} %d\n", b, v)
 	}
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_backend_sheds_total Backend 429 responses observed by the gateway, per backend.\n# TYPE mcdcd_gateway_backend_sheds_total counter\n")
-	for _, b := range backends {
-		n := int64(0)
-		if c := g.shedCounter(b); c != nil {
-			n = c.Load()
-		}
-		fmt.Fprintf(w, "mcdcd_gateway_backend_sheds_total{backend=%q} %d\n", b, n)
+	for i, b := range backends {
+		fmt.Fprintf(w, "mcdcd_gateway_backend_sheds_total{backend=%q} %d\n", b, members[i].sheds.Load())
 	}
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_retries_total Transient-failure retries issued by the gateway, per backend.\n# TYPE mcdcd_gateway_retries_total counter\n")
-	for _, b := range backends {
-		n := int64(0)
-		if c := g.retryCounter(b); c != nil {
-			n = c.Load()
-		}
-		fmt.Fprintf(w, "mcdcd_gateway_retries_total{backend=%q} %d\n", b, n)
+	for i, b := range backends {
+		fmt.Fprintf(w, "mcdcd_gateway_retries_total{backend=%q} %d\n", b, members[i].retries.Load())
 	}
 	fmt.Fprintf(w, "# HELP mcdcd_gateway_failovers_total Sessions promoted onto a replica after their owner became unreachable.\n# TYPE mcdcd_gateway_failovers_total counter\nmcdcd_gateway_failovers_total %d\n", g.failovers.Load())
 	g.httpm.write(w, "mcdcd_gateway_http_requests_total", "mcdcd_gateway_http_errors_total", "mcdcd_gateway_http_request_duration_seconds")

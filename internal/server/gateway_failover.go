@@ -9,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -43,23 +42,26 @@ import (
 
 // ---- per-backend state ----
 
-// initBackendState registers the health/counter atomics for one backend.
-func (g *Gateway) initBackendState(b string) {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	up := &atomic.Bool{}
-	up.Store(true)
-	g.up[b] = up
-	g.sheds[b] = &atomic.Int64{}
-	g.retries[b] = &atomic.Int64{}
+// member is the gateway's record of one backend, kept while it is a ring
+// member: its health verdict and the counters /v1/metrics reports for it.
+type member struct {
+	up      atomic.Bool  // health verdict
+	sheds   atomic.Int64 // 429s observed (admission sheds)
+	retries atomic.Int64 // transient-failure retries
 }
 
-func (g *Gateway) dropBackendState(b string) {
-	g.stateMu.Lock()
-	defer g.stateMu.Unlock()
-	delete(g.up, b)
-	delete(g.sheds, b)
-	delete(g.retries, b)
+// newMember is the record of a backend entering the ring: up until shown down.
+func newMember() *member {
+	m := &member{}
+	m.up.Store(true)
+	return m
+}
+
+// memberOf returns backend b's record, nil once b has left the ring.
+func (g *Gateway) memberOf(b string) *member {
+	g.stateMu.RLock()
+	defer g.stateMu.RUnlock()
+	return g.members[b]
 }
 
 // backendList snapshots the membership for lock-free iteration.
@@ -69,36 +71,18 @@ func (g *Gateway) backendList() []string {
 	return append([]string(nil), g.backends...)
 }
 
-func (g *Gateway) upFlag(b string) *atomic.Bool {
-	g.stateMu.RLock()
-	defer g.stateMu.RUnlock()
-	return g.up[b]
-}
-
 func (g *Gateway) isUp(b string) bool {
-	f := g.upFlag(b)
-	return f != nil && f.Load()
+	m := g.memberOf(b)
+	return m != nil && m.up.Load()
 }
 
 // markDown records a passively detected failure (a transient transport error
 // on live traffic) so placement stops preferring the backend before the next
 // health-probe tick.
 func (g *Gateway) markDown(b string) {
-	if f := g.upFlag(b); f != nil && f.Swap(false) {
+	if m := g.memberOf(b); m != nil && m.up.Swap(false) {
 		g.log.Warn("backend marked down on transport failure", "backend", b)
 	}
-}
-
-func (g *Gateway) shedCounter(b string) *atomic.Int64 {
-	g.stateMu.RLock()
-	defer g.stateMu.RUnlock()
-	return g.sheds[b]
-}
-
-func (g *Gateway) retryCounter(b string) *atomic.Int64 {
-	g.stateMu.RLock()
-	defer g.stateMu.RUnlock()
-	return g.retries[b]
 }
 
 // ---- placement ----
@@ -137,7 +121,7 @@ func (g *Gateway) placement() placement {
 	g.stateMu.RLock()
 	defer g.stateMu.RUnlock()
 	for _, b := range g.backends {
-		if f := g.up[b]; f != nil && f.Load() {
+		if m := g.members[b]; m != nil && m.up.Load() {
 			p.up = append(p.up, b)
 		}
 	}
@@ -174,11 +158,18 @@ func (g *Gateway) sessionCandidates(id string) []string {
 func (g *Gateway) setOverride(id, backend string) {
 	g.placeMu.Lock()
 	defer g.placeMu.Unlock()
-	if sessionChain(g.ring, id, 1)[0] == backend {
-		delete(g.overrides, id) // back on ring placement; no override needed
+	g.placeOnLocked(g.ring, id, backend)
+}
+
+// placeOnLocked records that session id lives on backend b, as seen against
+// ring: an override, unless ring places id on b anyway. placeMu held
+// exclusively.
+func (g *Gateway) placeOnLocked(ring *hashring.Ring, id, b string) {
+	if sessionChain(ring, id, 1)[0] == b {
+		delete(g.overrides, id) // on ring placement; no override needed
 		return
 	}
-	g.overrides[id] = backend
+	g.overrides[id] = b
 }
 
 func (g *Gateway) clearOverride(id string) {
@@ -257,8 +248,8 @@ func (g *Gateway) doRetry(client *http.Client, method, backend, path string, bod
 	attempts, backoff := g.retryBudget()
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
-			if c := g.retryCounter(backend); c != nil {
-				c.Add(1)
+			if m := g.memberOf(backend); m != nil {
+				m.retries.Add(1)
 			}
 			time.Sleep(backoff)
 			if backoff *= 2; backoff > maxRetryBackoff {
@@ -321,25 +312,23 @@ func (g *Gateway) probeSessionOwner(id, placed string) (string, bool) {
 		if b == placed || !g.isUp(b) {
 			continue
 		}
-		status, data, _, err := g.do(http.MethodGet, b, "/v1/sessions", nil, "")
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var inv struct {
-			Sessions []string `json:"sessions"`
-		}
-		if json.Unmarshal(data, &inv) != nil {
-			continue
-		}
-		for _, have := range inv.Sessions {
-			if have == id {
-				g.setOverride(id, b)
-				g.log.Info("relocated session by fleet probe", "session", id, "backend", b)
-				return b, true
-			}
+		if slices.Contains(g.inventory(b).Sessions, id) {
+			g.setOverride(id, b)
+			g.log.Info("relocated session by fleet probe", "session", id, "backend", b)
+			return b, true
 		}
 	}
 	return "", false
+}
+
+// inventory reads backend b's GET /v1/sessions: the sessions it owns and the
+// replicas it holds, or neither when b does not answer it.
+func (g *Gateway) inventory(b string) (inv sessionInventory) {
+	status, data, _, err := g.do(http.MethodGet, b, "/v1/sessions", nil, "")
+	if err != nil || status != http.StatusOK || json.Unmarshal(data, &inv) != nil {
+		return sessionInventory{}
+	}
+	return inv
 }
 
 // bodyHasCode reports whether an error envelope names the stable code.
@@ -402,13 +391,11 @@ func (g *Gateway) handleRingJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	g.placeMu.Lock()
 	defer g.placeMu.Unlock()
-	for _, have := range g.backends {
-		if have == b {
-			writeError(w, http.StatusConflict, codeConflict, "backend %s is already a ring member", b)
-			return
-		}
+	if slices.Contains(g.backends, b) {
+		writeError(w, http.StatusConflict, codeConflict, "backend %s is already a ring member", b)
+		return
 	}
-	next := hashring.New(g.cfg.Replicas)
+	next := hashring.New(hashring.DefaultReplicas)
 	next.Add(g.backends...)
 	next.Add(b)
 	moved, err := g.migrateSessionsLocked(next, func(id string) (from, to string, migrate bool) {
@@ -420,13 +407,7 @@ func (g *Gateway) handleRingJoin(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, codeBadGateway, "join migration: %v", err)
 		return
 	}
-	g.ring = next
-	g.backends = append(g.backends, b)
-	sort.Strings(g.backends)
-	g.initBackendState(b)
-	g.broadcastFleetLocked()
-	g.log.Info("backend joined ring", "backend", b, "sessions_migrated", len(moved))
-	writeJSON(w, http.StatusOK, map[string]any{"backend": b, "migrated": moved, "members": append([]string(nil), g.backends...)})
+	g.cutOverLocked(w, next, b, moved)
 }
 
 // handleRingLeave removes a backend. A live leaver's sessions are migrated
@@ -441,13 +422,7 @@ func (g *Gateway) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 	b := strings.TrimSpace(req.Backend)
 	g.placeMu.Lock()
 	defer g.placeMu.Unlock()
-	member := false
-	for _, have := range g.backends {
-		if have == b {
-			member = true
-		}
-	}
-	if !member {
+	if !slices.Contains(g.backends, b) {
 		writeError(w, http.StatusNotFound, codeBadRequest, "backend %s is not a ring member", b)
 		return
 	}
@@ -455,12 +430,9 @@ func (g *Gateway) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, codeConflict, "cannot remove the last backend")
 		return
 	}
-	next := hashring.New(g.cfg.Replicas)
-	for _, have := range g.backends {
-		if have != b {
-			next.Add(have)
-		}
-	}
+	next := hashring.New(hashring.DefaultReplicas)
+	next.Add(g.backends...)
+	next.Remove(b)
 	var moved []string
 	var err error
 	if g.isUp(b) {
@@ -475,49 +447,49 @@ func (g *Gateway) handleRingLeave(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, codeBadGateway, "leave migration: %v", err)
 		return
 	}
-	g.ring = next
-	kept := g.backends[:0:0]
-	for _, have := range g.backends {
-		if have != b {
-			kept = append(kept, have)
-		}
-	}
-	g.backends = kept
-	g.dropBackendState(b)
 	for id, ob := range g.overrides {
 		if ob == b {
 			delete(g.overrides, id) // migrated/promoted above; fall back to ring
 		}
 	}
+	g.cutOverLocked(w, next, b, moved)
+}
+
+// cutOverLocked makes next, the ring after b joined or left, the placement:
+// b's member record is added or dropped, every up backend learns the new
+// membership, and the join or leave is answered. placeMu held exclusively.
+func (g *Gateway) cutOverLocked(w http.ResponseWriter, next *hashring.Ring, b string, moved []string) {
+	msg := "backend left ring"
+	g.stateMu.Lock()
+	if next.Len() > len(g.backends) {
+		g.members[b], msg = newMember(), "backend joined ring"
+	} else {
+		delete(g.members, b)
+	}
+	g.stateMu.Unlock()
+	g.ring, g.backends = next, next.Nodes()
 	g.broadcastFleetLocked()
-	g.log.Info("backend left ring", "backend", b, "sessions_migrated", len(moved))
-	writeJSON(w, http.StatusOK, map[string]any{"backend": b, "migrated": moved, "members": append([]string(nil), g.backends...)})
+	g.log.Info(msg, "backend", b, "sessions_migrated", len(moved))
+	writeJSON(w, http.StatusOK, map[string]any{"backend": b, "migrated": moved, "members": g.backends})
 }
 
 // migrateSessionsLocked enumerates every resident session fleet-wide and
 // moves those the plan selects: fetch the current checkpoint from the
 // holder, adopt on the target (which bumps the ownership epoch, fencing the
 // source), delete at the source, and record the new placement against the
-// next ring. placeMu is held exclusively — routing is paused, so no
-// assignment can slip between the checkpoint fetch and the cutover.
+// next ring. placeMu is held exclusively, so no request places against the
+// old ring once the migration starts. Delivery is not paused, though: the
+// router holds placeMu only while it places, so a session frame placed just
+// before may still reach the source and apply there after its checkpoint was
+// fetched. The source copy is then deleted with that assignment in it, and
+// the session's stream forks without an error.
 func (g *Gateway) migrateSessionsLocked(next *hashring.Ring, plan func(id string) (from, to string, migrate bool)) ([]string, error) {
 	moved := []string{}
 	for _, holder := range g.backends {
 		if !g.isUp(holder) {
 			continue
 		}
-		status, data, _, err := g.do(http.MethodGet, holder, "/v1/sessions", nil, "")
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var inv struct {
-			Sessions []string `json:"sessions"`
-		}
-		if json.Unmarshal(data, &inv) != nil {
-			continue
-		}
-		sort.Strings(inv.Sessions)
-		for _, id := range inv.Sessions {
+		for _, id := range g.inventory(holder).Sessions {
 			from, to, migrate := plan(id)
 			if !migrate || from != holder || to == "" || to == from {
 				continue
@@ -535,11 +507,7 @@ func (g *Gateway) migrateSessionsLocked(next *hashring.Ring, plan func(id string
 			if st, _, _, err := g.do(http.MethodDelete, from, "/v1/sessions/"+id, nil, ""); err != nil || st >= 300 {
 				g.log.Warn("source session delete failed after migration", "session", id, "backend", from, "status", st, "err", err)
 			}
-			if sessionChain(next, id, 1)[0] == to {
-				delete(g.overrides, id)
-			} else {
-				g.overrides[id] = to
-			}
+			g.placeOnLocked(next, id, to)
 			moved = append(moved, id)
 		}
 	}
@@ -555,18 +523,7 @@ func (g *Gateway) promoteOrphansLocked(dead string, next *hashring.Ring) ([]stri
 		if holder == dead || !g.isUp(holder) {
 			continue
 		}
-		status, data, _, err := g.do(http.MethodGet, holder, "/v1/sessions", nil, "")
-		if err != nil || status != http.StatusOK {
-			continue
-		}
-		var inv struct {
-			Replicas []string `json:"replicas"`
-		}
-		if json.Unmarshal(data, &inv) != nil {
-			continue
-		}
-		sort.Strings(inv.Replicas)
-		for _, id := range inv.Replicas {
+		for _, id := range g.inventory(holder).Replicas {
 			if g.placeLocked(id) != dead {
 				continue
 			}
@@ -574,11 +531,7 @@ func (g *Gateway) promoteOrphansLocked(dead string, next *hashring.Ring) ([]stri
 			if err != nil || st != http.StatusOK {
 				return moved, fmt.Errorf("promote %q on %s: status %d err %v: %s", id, holder, st, err, strings.TrimSpace(string(body)))
 			}
-			if sessionChain(next, id, 1)[0] == holder {
-				delete(g.overrides, id)
-			} else {
-				g.overrides[id] = holder
-			}
+			g.placeOnLocked(next, id, holder)
 			g.failovers.Add(1)
 			moved = append(moved, id)
 		}

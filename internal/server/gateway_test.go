@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mcdc/internal/hashring"
 )
 
 // gatewayFleet boots n backend daemons serving the same snapshot plus a
@@ -330,8 +332,21 @@ func TestGatewaySessionFailoverByteIdentical(t *testing.T) {
 // the session, which is where a failover first asks to promote when the
 // owner is lost. Sixteen sessions make a replica holder chosen by any other
 // ring key miss that backend for some session on practically every set of
-// test ports.
+// test ports. The replicators always place replicas on rings of
+// hashring.DefaultReplicas points per backend, so a gateway built with any
+// other count would read other chains, and it is refused.
 func TestReplicaOnNextFailoverCandidate(t *testing.T) {
+	for _, n := range []int{16, -1, hashring.DefaultReplicas + 1} {
+		if _, err := NewGateway(GatewayConfig{Backends: []string{"127.0.0.1:1"}, Replicas: n}); err == nil {
+			t.Errorf("gateway accepted %d ring points per backend; its failover chains would miss the replicas", n)
+		}
+	}
+	gw128, err := NewGateway(GatewayConfig{Backends: []string{"127.0.0.1:1"}, Replicas: hashring.DefaultReplicas})
+	if err != nil {
+		t.Fatalf("gateway refused the replicators' own ring point count: %v", err)
+	}
+	gw128.Close()
+
 	snap, rows, _ := trainModel(t, 200, 6, 3, 63)
 	gw, gts, backends, tss := gatewayFleetCfg(t, 3, Config{Replicate: true}, GatewayConfig{})
 	for _, b := range backends {
@@ -451,14 +466,14 @@ func TestGatewayHealthLoopFlipsUpState(t *testing.T) {
 	}
 	defer gw.Close()
 	deadline := time.Now().Add(2 * time.Second)
-	for !gw.up[addr].Load() {
+	for !gw.isUp(addr) {
 		if time.Now().After(deadline) {
 			t.Fatal("live backend never marked up")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 	ts1.Close()
-	for gw.up[addr].Load() {
+	for gw.isUp(addr) {
 		if time.Now().After(deadline) {
 			t.Fatal("dead backend never marked down")
 		}

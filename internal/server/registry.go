@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -68,7 +69,7 @@ func (r *registry) set(name string, snap *model.Snapshot, bufferCap int) (replac
 	if sm, ok := r.models[name]; ok {
 		old := sm.snap.Load()
 		sm.snap.Store(snap)
-		if !sameSchema(old.Cardinalities, snap.Cardinalities) {
+		if !slices.Equal(old.Cardinalities, snap.Cardinalities) {
 			sm.buf.take()
 		}
 		return true
@@ -174,18 +175,6 @@ func (b *trafficBuffer) restore(rows [][]int) {
 		restored = append(restored, append([]int(nil), row...))
 	}
 	b.rows = append(restored, b.rows...)
-}
-
-func sameSchema(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func validateName(name string) error {

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"mcdc/internal/core"
@@ -55,7 +56,7 @@ func (s *Server) RelearnNow() int {
 			// kept the schema the rows were domain-checked against;
 			// otherwise they are invalid training traffic for it (the swap
 			// already cleared the buffer for the same reason).
-			if sameSchema(sm.load().Cardinalities, cur.Cardinalities) {
+			if slices.Equal(sm.load().Cardinalities, cur.Cardinalities) {
 				sm.buf.restore(rows)
 			}
 			s.log.Info("relearn discarded: model hot-swapped during training", "model", sm.name)

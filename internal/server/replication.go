@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,9 +37,34 @@ import (
 // partitioned old primary cannot overwrite the promoted state.
 
 // fleetSecretHeader authenticates intra-fleet endpoints (replica shipping,
-// promotion, adoption, membership pushes). When Config.FleetSecret is set,
-// requests without the matching header are refused with 403.
+// promotion, adoption, membership pushes). When a fleet secret is set,
+// requests without the matching header are refused with 403 (fleetOnly).
 const fleetSecretHeader = "X-MCDC-Fleet-Secret"
+
+// peerCall sends one fleet member's request to another (gateway to backend,
+// replicator to replica holder): body, when non-nil, as Content-Type ctype,
+// the request id when given, and the fleet secret when set. The caller closes
+// the response body.
+func peerCall(client *http.Client, secret, method, addr, path string, body []byte, ctype, reqID string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequest(method, "http://"+addr+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", ctype)
+	}
+	if reqID != "" {
+		req.Header.Set(requestIDKey, reqID)
+	}
+	if secret != "" {
+		req.Header.Set(fleetSecretHeader, secret)
+	}
+	return client.Do(req)
+}
 
 // replicator knows the fleet membership and ships checkpoint bytes to each
 // session's ring successor. It is swapped atomically on membership changes
@@ -64,19 +88,10 @@ type replicator struct {
 // failure (coverage gap in /healthz) instead of a stalled session.
 const shipTimeout = 750 * time.Millisecond
 
-func newReplicator(self string, peers []string, secret string, client *http.Client) *replicator {
-	if client == nil {
-		client = &http.Client{Timeout: shipTimeout}
-	}
-	r := &replicator{self: self, secret: secret, client: client}
-	r.setMembership(peers)
-	return r
-}
-
 // setMembership rebuilds the placement ring from the full fleet list
 // (self included or not — self is added unconditionally).
 func (r *replicator) setMembership(fleet []string) {
-	ring := hashring.New(0)
+	ring := hashring.New(hashring.DefaultReplicas)
 	ring.Add(r.self)
 	ring.Add(fleet...)
 	r.mu.Lock()
@@ -116,16 +131,7 @@ func (r *replicator) ship(id string, data []byte) (string, error) {
 	if t == "" {
 		return "", nil // solo fleet: local checkpoint is all the durability there is
 	}
-	req, err := http.NewRequest(http.MethodPost,
-		"http://"+t+"/v1/replica/checkpoint?session="+id, bytes.NewReader(data))
-	if err != nil {
-		return t, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	if r.secret != "" {
-		req.Header.Set(fleetSecretHeader, r.secret)
-	}
-	resp, err := r.client.Do(req)
+	resp, err := peerCall(r.client, r.secret, http.MethodPost, t, "/v1/replica/checkpoint?session="+id, data, "application/octet-stream", "")
 	if err != nil {
 		return t, err
 	}
@@ -151,14 +157,7 @@ func (r *replicator) dropReplica(id string) {
 	if t == "" {
 		return
 	}
-	req, err := http.NewRequest(http.MethodDelete, "http://"+t+"/v1/replica/"+id, nil)
-	if err != nil {
-		return
-	}
-	if r.secret != "" {
-		req.Header.Set(fleetSecretHeader, r.secret)
-	}
-	if resp, err := r.client.Do(req); err == nil {
+	if resp, err := peerCall(r.client, r.secret, http.MethodDelete, t, "/v1/replica/"+id, nil, "", ""); err == nil {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		resp.Body.Close()
 	}
@@ -180,19 +179,13 @@ func newReplicaStore(dir string) (*replicaStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	rs := &replicaStore{dir: dir, epochs: make(map[string]int64)}
-	entries, err := os.ReadDir(dir)
+	ids, err := checkpointIDs(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), checkpointExt) {
-			continue
-		}
-		id := strings.TrimSuffix(e.Name(), checkpointExt)
-		if validateName(id) == nil {
-			rs.epochs[id] = epochUnknown
-		}
+	rs := &replicaStore{dir: dir, epochs: make(map[string]int64, len(ids))}
+	for _, id := range ids {
+		rs.epochs[id] = epochUnknown
 	}
 	return rs, nil
 }
@@ -288,28 +281,29 @@ func (rs *replicaStore) drop(id string) bool {
 // It may be called again to replace membership (tests, late binding of
 // listener addresses). Requires Config.Replicate and a StateDir.
 func (s *Server) ConfigureReplication(self string, peers []string, secret string) {
-	r := newReplicator(self, peers, secret, nil)
+	r := &replicator{self: self, secret: secret, client: &http.Client{Timeout: shipTimeout}}
+	r.setMembership(peers)
 	s.fleetSecret = secret
 	s.sessions.repl.Store(r)
 	s.log.Info("replication configured", "self", self, "peers", peers)
 }
 
-// checkFleetSecret guards intra-fleet endpoints. Returns false (and writes
-// the 403 envelope) when a configured secret is missing or wrong.
-func (s *Server) checkFleetSecret(w http.ResponseWriter, r *http.Request) bool {
-	if s.fleetSecret == "" || r.Header.Get(fleetSecretHeader) == s.fleetSecret {
-		return true
+// fleetOnly guards an intra-fleet route: with a fleet secret set, a request
+// without the matching header gets the 403 envelope. The secret is read per
+// request, because ConfigureReplication sets it after routes are registered.
+func (s *Server) fleetOnly(fn http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.fleetSecret != "" && r.Header.Get(fleetSecretHeader) != s.fleetSecret {
+			writeError(w, http.StatusForbidden, codeForbidden, "missing or wrong %s", fleetSecretHeader)
+			return
+		}
+		fn(w, r)
 	}
-	writeError(w, http.StatusForbidden, codeForbidden, "missing or wrong %s", fleetSecretHeader)
-	return false
 }
 
 // handleReplicaCheckpoint receives one shipped checkpoint
 // (POST /v1/replica/checkpoint?session=<id>, body = envelope bytes).
 func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	id := r.URL.Query().Get("session")
 	if err := validateName(id); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -357,9 +351,6 @@ func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request)
 
 // handleReplicaDelete drops a replica after its session was deleted.
 func (s *Server) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	if s.sessions.replicas != nil {
 		s.sessions.replicas.drop(id)
@@ -374,9 +365,6 @@ func (s *Server) handleReplicaDelete(w http.ResponseWriter, r *http.Request) {
 // epoch is returned; a stale resident copy (this daemon rejoined with an old
 // state dir after losing the session) is replaced by the newer replica.
 func (s *Server) handlePromoteSession(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	if err := validateName(id); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -401,9 +389,6 @@ func (s *Server) handlePromoteSession(w http.ResponseWriter, r *http.Request) {
 // stale resident copy while keeping a resident copy that is already at the
 // same or a newer epoch.
 func (s *Server) handleAdoptSession(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	if err := validateName(id); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -434,9 +419,6 @@ func (s *Server) handleAdoptSession(w http.ResponseWriter, r *http.Request) {
 // handleSessionCheckpoint serves a session's current checkpoint bytes — the
 // migration source. A session with unsaved state is flushed first.
 func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	id := r.PathValue("id")
 	if err := validateName(id); err != nil {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
@@ -456,29 +438,28 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 	w.Write(data)
 }
 
-// handleListSessions inventories resident sessions and held replicas — the
-// gateway's migration planner reads this.
+// sessionInventory is a daemon's GET /v1/sessions answer, which the gateway
+// reads (inventory): the sessions it owns and the replicas it holds, sorted.
+type sessionInventory struct {
+	Replicas []string `json:"replicas"`
+	Sessions []string `json:"sessions"`
+}
+
+// handleListSessions inventories resident sessions and held replicas.
 func (s *Server) handleListSessions(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
-	resident := s.sessions.ids()
-	replicas := []string{}
+	inv := sessionInventory{Replicas: []string{}, Sessions: s.sessions.ids()}
 	if s.sessions.replicas != nil {
-		replicas = s.sessions.replicas.ids()
+		inv.Replicas = s.sessions.replicas.ids()
 	}
-	sort.Strings(resident)
-	sort.Strings(replicas)
-	writeJSON(w, http.StatusOK, map[string][]string{"sessions": resident, "replicas": replicas})
+	sort.Strings(inv.Replicas)
+	sort.Strings(inv.Sessions)
+	writeJSON(w, http.StatusOK, inv)
 }
 
 // handleFleet replaces this daemon's view of fleet membership (the gateway
 // broadcasts the new list after a ring join/leave), re-aiming replica
 // shipping at the new successors.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if !s.checkFleetSecret(w, r) {
-		return
-	}
 	var req struct {
 		Peers []string `json:"peers"`
 	}

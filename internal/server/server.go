@@ -317,13 +317,13 @@ func (s *Server) routes() {
 	// Fleet endpoints (replication.go): replica shipping, failover promotion,
 	// migration, and membership pushes. Guarded by the fleet secret when one
 	// is configured.
-	handle("GET /v1/sessions", s.handleListSessions)
-	handle("GET /v1/sessions/{id}/checkpoint", s.handleSessionCheckpoint)
-	handle("POST /v1/sessions/{id}/promote", s.handlePromoteSession)
-	handle("POST /v1/sessions/{id}/adopt", s.handleAdoptSession)
-	handle("POST /v1/replica/checkpoint", s.handleReplicaCheckpoint)
-	handle("DELETE /v1/replica/{id}", s.handleReplicaDelete)
-	handle("POST /v1/fleet", s.handleFleet)
+	handle("GET /v1/sessions", s.fleetOnly(s.handleListSessions))
+	handle("GET /v1/sessions/{id}/checkpoint", s.fleetOnly(s.handleSessionCheckpoint))
+	handle("POST /v1/sessions/{id}/promote", s.fleetOnly(s.handlePromoteSession))
+	handle("POST /v1/sessions/{id}/adopt", s.fleetOnly(s.handleAdoptSession))
+	handle("POST /v1/replica/checkpoint", s.fleetOnly(s.handleReplicaCheckpoint))
+	handle("DELETE /v1/replica/{id}", s.fleetOnly(s.handleReplicaDelete))
+	handle("POST /v1/fleet", s.fleetOnly(s.handleFleet))
 }
 
 // ---- wire types ----

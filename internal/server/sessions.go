@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -318,19 +319,6 @@ func (p *sessionPool) assign(id string, row []int, driftThreshold float64, reqID
 	return stream.Assignment{}, false, nil
 }
 
-// rowsEqual compares two rows element-wise.
-func rowsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // addRow feeds one row under the session mutex, tracking drift and recency.
 // In replicated mode it enforces the two fault-tolerance invariants: a
 // retried request id replays the cached response without re-applying the
@@ -344,7 +332,7 @@ func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold fl
 		return stream.Assignment{}, true, nil
 	}
 	s.lastUse = time.Now()
-	if reqID != "" && reqID == s.lastReqID && rowsEqual(row, s.lastRow) {
+	if reqID != "" && reqID == s.lastReqID && slices.Equal(row, s.lastRow) {
 		p.replayed.Add(1)
 		return s.lastA, false, nil
 	}
@@ -405,15 +393,24 @@ func (p *sessionPool) saveLocked(id string, s *session) error {
 	if p.ckpt != nil {
 		p.ckpt.observe(time.Since(started))
 	}
-	if repl := p.repl.Load(); repl != nil {
-		if target, err := repl.ship(id, buf.Bytes()); err != nil {
-			p.shipFailures.Add(1)
-			p.log.Warn("replica ship failed", "session", id, "target", target, "err", err)
-		} else if target != "" {
-			p.shipped.Add(1)
-		}
-	}
+	p.shipLocked(id, buf.Bytes(), "replica ship failed")
 	return nil
+}
+
+// shipLocked ships a session's checkpoint bytes to its replica holder, when
+// replicating, and counts the outcome; a failure is only logged, as msg. The
+// caller holds the session mutex, so one session's ships leave in order.
+func (p *sessionPool) shipLocked(id string, data []byte, msg string) {
+	repl := p.repl.Load()
+	if repl == nil {
+		return
+	}
+	if target, err := repl.ship(id, data); err != nil {
+		p.shipFailures.Add(1)
+		p.log.Warn(msg, "session", id, "target", target, "err", err)
+	} else if target != "" {
+		p.shipped.Add(1)
+	}
 }
 
 // checkpointAll flushes every live session with unsaved state to disk and
@@ -501,25 +498,34 @@ func (p *sessionPool) restoreAll() int {
 	if p.dir == "" {
 		return 0
 	}
-	entries, err := os.ReadDir(p.dir)
+	ids, err := checkpointIDs(p.dir)
 	if err != nil {
 		p.log.Warn("restore sessions failed", "dir", p.dir, "err", err)
 		return 0
 	}
 	n := 0
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), checkpointExt) {
-			continue
-		}
-		id := strings.TrimSuffix(e.Name(), checkpointExt)
-		if validateName(id) != nil {
-			continue
-		}
+	for _, id := range ids {
 		if s, _ := p.get(id); s != nil { // get performs the page-in
 			n++
 		}
 	}
 	return n
+}
+
+// checkpointIDs lists the sessions checkpointed in dir: the names of its
+// *.ckpt files, where the rest of the name is a valid session id.
+func checkpointIDs(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var ids []string
+	for _, e := range entries {
+		if id, ok := strings.CutSuffix(e.Name(), checkpointExt); ok && !e.IsDir() && validateName(id) == nil {
+			ids = append(ids, id)
+		}
+	}
+	return ids, nil
 }
 
 // ids lists the resident session ids (live in memory; checkpointed-only
@@ -539,16 +545,9 @@ func (p *sessionPool) ids() []string {
 		sh.mu.RUnlock()
 	}
 	if p.dir != "" {
-		if entries, err := os.ReadDir(p.dir); err == nil {
-			for _, e := range entries {
-				if e.IsDir() || !strings.HasSuffix(e.Name(), checkpointExt) {
-					continue
-				}
-				id := strings.TrimSuffix(e.Name(), checkpointExt)
-				if validateName(id) == nil {
-					seen[id] = struct{}{}
-				}
-			}
+		onDisk, _ := checkpointIDs(p.dir) // unreadable: list the live sessions only
+		for _, id := range onDisk {
+			seen[id] = struct{}{}
 		}
 	}
 	out := make([]string, 0, len(seen))
@@ -612,7 +611,7 @@ func (p *sessionPool) promote(id string) (int64, error) {
 		}
 		return 0, fs.ErrNotExist
 	}
-	epoch, err := p.install(id, data, true)
+	epoch, err := p.install(id, data)
 	if err != nil {
 		return 0, err
 	}
@@ -625,7 +624,7 @@ func (p *sessionPool) promote(id string) (int64, error) {
 // Idempotent when the session is already resident at the same or a newer
 // epoch; a stale resident copy (lower epoch) is replaced, never kept.
 func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
-	epoch, err := p.install(id, data, true)
+	epoch, err := p.install(id, data)
 	if err != nil {
 		return 0, err
 	}
@@ -637,14 +636,14 @@ func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
 	return epoch, nil
 }
 
-// install decodes checkpoint bytes, optionally bumps the ownership epoch,
-// persists the state, and registers the live session. The persisted bytes
-// are the decoded state re-encoded under the shard lock; the replica ship
-// then sends those same bytes outside it. The new session is locked before
-// it is published (shard → session order) and stays locked through the
-// ship, so ships for one session leave in order: an assignment that finds
-// the session waits behind install's ship instead of racing a newer
-// checkpoint past it to the replica holder.
+// install decodes checkpoint bytes, bumps the ownership epoch, persists the
+// state, and registers the live session. The persisted bytes are the decoded
+// state re-encoded under the shard lock; the replica ship then sends those
+// same bytes outside it. The new session is locked before it is published
+// (shard → session order) and stays locked through the ship, so ships for
+// one session leave in order: an assignment that finds the session waits
+// behind install's ship instead of racing a newer checkpoint past it to the
+// replica holder.
 //
 // Installation is epoch-fenced in both directions: a resident copy — live in
 // memory or checkpointed on disk — whose ownership epoch is at or above the
@@ -654,14 +653,12 @@ func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
 // e.g. it was SIGKILLed and rejoined with its old state dir — and the
 // session moved on elsewhere) and is retired and replaced, so traffic never
 // routes to a state that would silently drop the post-failover suffix.
-func (p *sessionPool) install(id string, data []byte, bumpEpoch bool) (int64, error) {
+func (p *sessionPool) install(id string, data []byte) (int64, error) {
 	st, err := model.LoadStream(bytes.NewReader(data))
 	if err != nil {
 		return 0, err
 	}
-	if bumpEpoch {
-		st.OwnerEpoch++
-	}
+	st.OwnerEpoch++
 	c, err := stream.Restore(st)
 	if err != nil {
 		return 0, err
@@ -709,13 +706,8 @@ func (p *sessionPool) install(id string, data []byte, bumpEpoch bool) (int64, er
 	sh.mu.Unlock()
 	// Give the promoted/adopted session a replica of its own right away: ship
 	// the epoch-bumped state to this node's successor.
-	if repl := p.repl.Load(); repl != nil && p.dir != "" {
-		if target, err := repl.ship(id, buf.Bytes()); err != nil {
-			p.shipFailures.Add(1)
-			p.log.Warn("replica ship failed after install", "session", id, "target", target, "err", err)
-		} else if target != "" {
-			p.shipped.Add(1)
-		}
+	if p.dir != "" {
+		p.shipLocked(id, buf.Bytes(), "replica ship failed after install")
 	}
 	return st.OwnerEpoch, nil
 }

@@ -570,3 +570,76 @@ func postRaw(url string, body []byte, reqID string) string {
 	}
 	return ""
 }
+
+// TestFleetRoutesRequireSecret pins the guard on every intra-fleet route of
+// a daemon that has a fleet secret: a request without the secret header, or
+// with a wrong one, is answered 403 with the forbidden envelope, and the
+// right one reaches the route. It also pins the bytes of the session
+// inventory the gateway reads from GET /v1/sessions.
+func TestFleetRoutesRequireSecret(t *testing.T) {
+	snap, rows, _ := trainModel(t, 120, 5, 3, 71)
+	srv, ts := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+	if err := srv.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	const secret = "s3cret"
+	srv.ConfigureReplication(addr, []string{addr}, secret)
+	createSession(t, ts.URL, "own", 40, 1)
+	feedSession(t, ts.URL, "own", rows, 0, 3)
+
+	send := func(method, path string, body []byte, key string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key != "" {
+			req.Header.Set(fleetSecretHeader, key)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+	// The owned session's checkpoint is the body sent to the routes that
+	// take one, so that with the right secret they succeed.
+	status, ckpt := send(http.MethodGet, "/v1/sessions/own/checkpoint", nil, secret)
+	if status != http.StatusOK {
+		t.Fatalf("checkpoint with the secret: %d %s", status, ckpt)
+	}
+	routes := []struct {
+		method, path string
+		body         []byte
+	}{
+		{http.MethodGet, "/v1/sessions", nil},
+		{http.MethodGet, "/v1/sessions/own/checkpoint", nil},
+		{http.MethodPost, "/v1/sessions/held/promote", nil}, // no replica yet: 404
+		{http.MethodPost, "/v1/sessions/moved/adopt", ckpt},
+		{http.MethodPost, "/v1/replica/checkpoint?session=held", ckpt},
+		{http.MethodDelete, "/v1/replica/gone", nil},
+		{http.MethodPost, "/v1/fleet", []byte(`{"peers":["` + addr + `"]}`)},
+	}
+	for _, rt := range routes {
+		for _, key := range []string{"", "wrong"} {
+			status, data := send(rt.method, rt.path, rt.body, key)
+			var env struct{ Code string }
+			if status != http.StatusForbidden || json.Unmarshal(data, &env) != nil || env.Code != codeForbidden {
+				t.Errorf("%s %s with secret %q: %d %s, want 403 %s", rt.method, rt.path, key, status, data, codeForbidden)
+			}
+		}
+		if status, data := send(rt.method, rt.path, rt.body, secret); status == http.StatusForbidden {
+			t.Errorf("%s %s with the right secret: %d %s", rt.method, rt.path, status, data)
+		}
+	}
+	status, data := send(http.MethodGet, "/v1/sessions", nil, secret)
+	if want := `{"replicas":["held"],"sessions":["moved","own"]}` + "\n"; status != http.StatusOK || string(data) != want {
+		t.Fatalf("inventory: %d %q, want 200 %q", status, data, want)
+	}
+}
