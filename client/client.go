@@ -5,7 +5,7 @@
 //
 //	c := client.New("127.0.0.1:8080", client.WithBinary())
 //	a, err := c.Assign(ctx, "nodes", []int{0, 1, 2})
-//	as, err := c.AssignBatch(ctx, "nodes", rows) // streamed in binary mode
+//	as, err := c.AssignBatch(ctx, "nodes", rows) // one request in either mode
 //
 // Every server-side error surfaces as *APIError carrying the stable code
 // from the v1 error envelope (bad_request, unknown_model, unknown_session,
@@ -15,7 +15,6 @@
 package client
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -54,11 +53,6 @@ func requestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(ctxKeyRequestID{}).(string)
 	return id
 }
-
-// batchChunk is the row count per 'R' frame in binary batch streaming —
-// large enough to amortize framing, small enough to bound both sides'
-// memory per chunk.
-const batchChunk = 1024
 
 // Assignment is one cluster-assignment result.
 type Assignment struct {
@@ -148,28 +142,40 @@ func New(addr string, opts ...Option) *Client {
 
 // ---- request plumbing ----
 
-// doRetry performs a request built fresh per attempt (a consumed body
-// cannot be resent), transparently retrying 429s after the advertised
-// Retry-After delay. Any non-429 response returns to the caller, who owns
-// resp.Body.
-func (c *Client) doRetry(ctx context.Context, build func() (*http.Request, error)) (*http.Response, error) {
+// call sends one request, with body as Content-Type ctype when body is
+// non-nil, and returns the whole reply body of a success. A 429 is retried
+// with the same bytes after the advertised Retry-After delay; any other
+// failure, or a 429 past the retry budget, returns as an *APIError.
+func (c *Client) call(ctx context.Context, method, path, ctype string, body []byte) ([]byte, error) {
 	reqID := requestIDFrom(ctx)
 	for attempt := 0; ; attempt++ {
-		req, err := build()
+		var rd io.Reader
+		if body != nil {
+			rd = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
 			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", ctype)
 		}
 		if reqID != "" {
 			req.Header.Set(RequestIDHeader, reqID)
 		}
-		resp, err := c.hc.Do(req.WithContext(ctx))
+		resp, err := c.hc.Do(req)
 		if err != nil {
 			return nil, err
 		}
-		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.maxRetries {
-			return resp, nil
+		if resp.StatusCode < http.StatusBadRequest {
+			data, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			return data, err
 		}
 		apiErr := decodeAPIError(resp) // drains and closes the body
+		if resp.StatusCode != http.StatusTooManyRequests || attempt >= c.maxRetries {
+			return nil, apiErr
+		}
 		select {
 		case <-time.After(apiErr.RetryAfter):
 		case <-ctx.Done():
@@ -198,33 +204,6 @@ func decodeAPIError(resp *http.Response) *APIError {
 	return e
 }
 
-// post round-trips one request whose body, when there is one, is JSON, and
-// returns the whole reply body of a success.
-func (c *Client) post(ctx context.Context, method, path string, body []byte) ([]byte, error) {
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, c.base+path, rd)
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		return req, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= http.StatusBadRequest {
-		return nil, decodeAPIError(resp)
-	}
-	defer resp.Body.Close()
-	return io.ReadAll(resp.Body)
-}
-
 // postJSON round-trips one JSON request; in and out may be nil.
 func (c *Client) postJSON(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
@@ -234,7 +213,7 @@ func (c *Client) postJSON(ctx context.Context, method, path string, in, out any)
 			return err
 		}
 	}
-	data, err := c.post(ctx, method, path, body)
+	data, err := c.call(ctx, method, path, "application/json", body)
 	if err != nil || out == nil {
 		return err
 	}
@@ -262,7 +241,7 @@ func (c *Client) assign(ctx context.Context, modelName, session string, row []in
 		}
 		return as[0], nil
 	}
-	data, err := c.post(ctx, http.MethodPost, "/v1/assign", model.AppendAssignJSON(nil, modelName, session, row))
+	data, err := c.call(ctx, http.MethodPost, "/v1/assign", "application/json", model.AppendAssignJSON(nil, modelName, session, row))
 	if err != nil {
 		return Assignment{}, err
 	}
@@ -309,74 +288,62 @@ func (c *Client) assignWire(ctx context.Context, reqs []wireAssignReq) ([]Assign
 		payload = model.AppendAssignRequest(payload[:0], r.model, r.session, r.row)
 		_ = model.WriteFrame(&body, model.FrameAssign, payload)
 	}
-	raw := body.Bytes()
-	resp, err := c.doRetry(ctx, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/assign", bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", wireContentType)
-		return req, nil
-	})
+	data, err := c.call(ctx, http.MethodPost, "/v1/assign", wireContentType, body.Bytes())
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode >= http.StatusBadRequest {
-		return nil, decodeAPIError(resp)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	if err := model.ReadWireHeader(br); err != nil {
-		return nil, err
-	}
-	// The reply's frames are read through payload's storage, and their
-	// encodings are carved from one shared slice.
+	// A cut reply still answers the frames before the cut.
+	frames, err := model.SplitFrames(data, make([]model.Frame, 0, len(reqs)))
 	out := make([]Assignment, 0, len(reqs))
-	var enc []int
-	for {
-		kind, p, err := model.ReadFrame(br, payload)
-		if err == io.EOF {
-			if len(out) != len(reqs) {
-				return out, io.ErrUnexpectedEOF
-			}
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		payload = p
-		switch kind {
+	var enc []int // every encoding is carved from this one slice
+	for _, f := range frames {
+		switch f.Kind {
 		case model.FrameResult:
-			var a model.Assignment
-			var epoch int
-			if a, epoch, enc, err = model.DecodeResultAppend(payload, enc); err != nil {
-				return out, err
+			a, epoch, e, derr := model.DecodeResultAppend(f.Payload, enc)
+			if derr != nil {
+				return out, derr
 			}
+			enc = e
 			out = append(out, Assignment{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding})
 		case model.FrameError:
-			code, msg, derr := model.DecodeError(payload)
+			code, msg, derr := model.DecodeError(f.Payload)
 			if derr != nil {
 				return out, derr
 			}
 			return out, &APIError{Status: http.StatusOK, Code: code, Message: msg}
 		default:
-			return out, fmt.Errorf("client: unexpected frame kind %q", kind)
+			return out, fmt.Errorf("client: unexpected frame kind %q", f.Kind)
 		}
 	}
+	if err == nil && len(out) != len(reqs) {
+		err = io.ErrUnexpectedEOF
+	}
+	return out, err
 }
 
-// AssignBatch assigns a batch of rows against one model. In binary mode the
-// request streams from the client as row chunks and results decode as they
-// arrive; in JSON mode it posts the standard batch request. Either way the
-// server reads the whole request before it answers, and refuses one larger
-// than 64 MiB (400 bad_request), so split a larger batch into several
-// calls. All returned assignments carry the snapshot epoch that served the
-// batch.
+// AssignBatch assigns a batch of rows against one model in one request: in
+// binary mode a frame stream whose rows travel in chunks of at most
+// 1 MiB, in JSON mode the standard batch body. Either way the server reads
+// the whole request before it answers, and refuses one larger than 64 MiB
+// (400 bad_request), so split a larger batch into several calls. All
+// returned assignments carry the snapshot epoch that served the batch.
 func (c *Client) AssignBatch(ctx context.Context, modelName string, rows [][]int) ([]Assignment, error) {
 	if c.binary {
-		return c.assignBatchWire(ctx, modelName, rows)
+		data, err := c.call(ctx, http.MethodPost, "/v1/assign/batch", wireContentType, model.AppendBatchFrames(nil, modelName, rows))
+		if err != nil {
+			return nil, err
+		}
+		epoch, asgs, err := model.DecodeBatchReplyFrames(data)
+		if err != nil {
+			return nil, fmt.Errorf("client: batch stream: %w", err)
+		}
+		out := make([]Assignment, len(asgs))
+		for i, a := range asgs {
+			out[i] = Assignment{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding}
+		}
+		return out, nil
 	}
-	data, err := c.post(ctx, http.MethodPost, "/v1/assign/batch", model.AppendBatchJSON(nil, modelName, rows))
+	data, err := c.call(ctx, http.MethodPost, "/v1/assign/batch", "application/json", model.AppendBatchJSON(nil, modelName, rows))
 	if err != nil {
 		return nil, err
 	}
@@ -387,88 +354,6 @@ func (c *Client) AssignBatch(ctx context.Context, modelName string, rows [][]int
 	out := make([]Assignment, len(replies))
 	for i, r := range replies {
 		out[i] = Assignment(r)
-	}
-	return out, nil
-}
-
-func (c *Client) assignBatchWire(ctx context.Context, modelName string, rows [][]int) ([]Assignment, error) {
-	// The body is regenerated per attempt via an io.Pipe so a shed-and-retry
-	// still streams instead of buffering the whole batch.
-	build := func() (*http.Request, error) {
-		pr, pw := io.Pipe()
-		go func() {
-			var buf []byte
-			bw := bufio.NewWriter(pw)
-			_ = model.WriteWireHeader(bw)
-			_ = model.WriteFrame(bw, model.FrameBatchStart, model.AppendBatchStart(nil, modelName))
-			for off := 0; off < len(rows); off += batchChunk {
-				end := off + batchChunk
-				if end > len(rows) {
-					end = len(rows)
-				}
-				buf = model.AppendRows(buf[:0], rows[off:end])
-				if err := model.WriteFrame(bw, model.FrameRows, buf); err != nil {
-					pw.CloseWithError(err)
-					return
-				}
-			}
-			_ = model.WriteFrame(bw, model.FrameEnd, nil)
-			pw.CloseWithError(bw.Flush())
-		}()
-		req, err := http.NewRequest(http.MethodPost, c.base+"/v1/assign/batch", pr)
-		if err != nil {
-			pr.Close()
-			return nil, err
-		}
-		req.Header.Set("Content-Type", wireContentType)
-		return req, nil
-	}
-	resp, err := c.doRetry(ctx, build)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode >= http.StatusBadRequest {
-		return nil, decodeAPIError(resp)
-	}
-	defer resp.Body.Close()
-	br := bufio.NewReader(resp.Body)
-	if err := model.ReadWireHeader(br); err != nil {
-		return nil, err
-	}
-	epoch := 0
-	var results []model.Assignment
-	sawEnd := false
-	var payload []byte // one buffer for every frame of the reply
-	for !sawEnd {
-		kind, p, err := model.ReadFrame(br, payload)
-		if err != nil {
-			return nil, fmt.Errorf("client: batch stream: %w", err)
-		}
-		payload = p
-		switch kind {
-		case model.FrameBatchInfo:
-			if _, epoch, err = model.DecodeBatchInfo(payload); err != nil {
-				return nil, err
-			}
-		case model.FrameResults:
-			if results, err = model.DecodeResults(payload, results); err != nil {
-				return nil, err
-			}
-		case model.FrameEnd:
-			sawEnd = true
-		case model.FrameError:
-			code, msg, derr := model.DecodeError(payload)
-			if derr != nil {
-				return nil, derr
-			}
-			return nil, &APIError{Status: http.StatusOK, Code: code, Message: msg}
-		default:
-			return nil, fmt.Errorf("client: unexpected frame kind %q in batch stream", kind)
-		}
-	}
-	out := make([]Assignment, len(results))
-	for i, a := range results {
-		out[i] = Assignment{Cluster: a.Cluster, Similarity: a.Similarity, Epoch: epoch, Encoding: a.Encoding}
 	}
 	return out, nil
 }

@@ -1,19 +1,24 @@
 package client_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"mcdc"
 	"mcdc/client"
+	"mcdc/internal/model"
 	"mcdc/internal/server"
 )
 
@@ -101,6 +106,70 @@ func TestClientProtocols(t *testing.T) {
 	}
 	if !reflect.DeepEqual(batch[0], aj) {
 		t.Fatalf("batch row 0 %+v != single assign %+v", batch[0], aj)
+	}
+}
+
+// chunkCounter counts the 'R' frames of the binary batch requests it
+// carries.
+type chunkCounter struct {
+	chunks atomic.Int64
+}
+
+func (cc *chunkCounter) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.URL.Path == "/v1/assign/batch" && r.Header.Get("Content-Type") == server.WireContentType {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		frames, err := model.SplitFrames(body, nil)
+		if err != nil {
+			return nil, err
+		}
+		for _, f := range frames {
+			if f.Kind == model.FrameRows {
+				cc.chunks.Add(1)
+			}
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+	}
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClientLargeBatchMatchesJSON pins a binary AssignBatch whose rows take
+// several chunks against JSON AssignBatch, through a daemon and through a
+// 2-backend gateway: the answers must be identical.
+func TestClientLargeBatchMatchesJSON(t *testing.T) {
+	addr, train := serveModel(t)
+	second, _ := serveModel(t)
+	gw, err := server.NewGateway(server.GatewayConfig{Backends: []string{strings.TrimPrefix(addr, "http://"), strings.TrimPrefix(second, "http://")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gts := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() { gts.Close(); gw.Close() })
+
+	rows := make([][]int, 20000) // (6 + 1) × 10 bytes counted per row: ~15,000 rows a chunk
+	for i := range rows {
+		rows[i] = train[i%len(train)]
+	}
+	ctx := context.Background()
+	for _, url := range []string{addr, gts.URL} {
+		cc := &chunkCounter{}
+		binary := client.New(url, client.WithBinary(), client.WithHTTPClient(&http.Client{Transport: cc}))
+		got, err := binary.AssignBatch(ctx, "nodes", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := client.New(url).AssignBatch(ctx, "nodes", rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := cc.chunks.Load(); n < 2 {
+			t.Fatalf("%s: the binary batch went as %d chunks, want several", url, n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: binary and JSON batches answer differently", url)
+		}
 	}
 }
 
@@ -208,6 +277,54 @@ func TestClientRetriesOverload(t *testing.T) {
 	if _, err := c0.Assign(context.Background(), "m", []int{1}); !client.IsCode(err, "overloaded") {
 		t.Fatalf("exhausted retries: %v, want overloaded", err)
 	}
+
+	// A binary batch shed twice is resent with the same bytes each time.
+	var mu sync.Mutex
+	var bodies [][]byte
+	bts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		mu.Lock()
+		bodies = append(bodies, body)
+		n := len(bodies)
+		mu.Unlock()
+		if n <= 2 {
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusTooManyRequests)
+			fmt.Fprintln(w, `{"error":"server at capacity","code":"overloaded"}`)
+			return
+		}
+		frames, err := model.SplitFrames(body, nil)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		name, chunks, err := model.DecodeBatchFrames(frames)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		var asgs []model.Assignment
+		for _, chunk := range chunks {
+			for _, row := range chunk {
+				asgs = append(asgs, model.Assignment{Cluster: row[0], Similarity: 0.5})
+			}
+		}
+		w.Header().Set("Content-Type", server.WireContentType)
+		_, _ = w.Write(model.AppendBatchReplyFrames(nil, name, 4, chunks, asgs))
+	}))
+	defer bts.Close()
+	batch, err := client.New(bts.URL, client.WithBinary()).AssignBatch(context.Background(), "m", [][]int{{2}, {0, 1}, {1}})
+	if err != nil {
+		t.Fatalf("binary batch should survive two sheds: %v", err)
+	}
+	if want := []client.Assignment{{Cluster: 2, Similarity: 0.5, Epoch: 4}, {Cluster: 0, Similarity: 0.5, Epoch: 4}, {Cluster: 1, Similarity: 0.5, Epoch: 4}}; !reflect.DeepEqual(batch, want) {
+		t.Fatalf("binary batch answered %+v, want %+v", batch, want)
+	}
+	mu.Lock()
+	if len(bodies) != 3 || !bytes.Equal(bodies[1], bodies[0]) || !bytes.Equal(bodies[2], bodies[0]) {
+		t.Fatalf("%d attempts; the resent bodies differ from the first", len(bodies))
+	}
+	mu.Unlock()
 
 	// A canceled context cuts the retry wait short.
 	hits.Store(0)

@@ -59,6 +59,21 @@ func main() {
 		b(append(header, model.FrameAssign, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02)))
 	write("internal/model/testdata/fuzz/FuzzWireFrames/payload-past-end", b(append(header, model.FrameRows, 0x05, 0x01, 0x00)))
 	write("internal/model/testdata/fuzz/FuzzWireFrames/short-header", b([]byte("MCDCWI")))
+	// Batch streams for the two stream decoders (mirrors fuzzSeedBatches):
+	// a request and its reply, a request with no rows, a request with a
+	// frame after its 'E', and a reply cut before its 'E'.
+	chunks := [][][]int{{{0, 1}, {-1, -9}, nil}}
+	batch := model.AppendBatchFrames(nil, "m", chunks[0])
+	batchReply := model.AppendBatchReplyFrames(nil, "m", 3, chunks, []model.Assignment{
+		{Cluster: 1, Similarity: 0.25, Encoding: []int{0, 2}},
+		{Cluster: 0, Similarity: math.NaN()},
+		{Cluster: 2, Similarity: math.Inf(-1), Encoding: []int{-1}},
+	})
+	write("internal/model/testdata/fuzz/FuzzWireFrames/batch-request", b(batch))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/batch-reply", b(batchReply))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/batch-no-rows", b(model.AppendBatchFrames(nil, "m", nil)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/batch-frame-after-end", b(append(batch, model.FrameEnd, 0)))
+	write("internal/model/testdata/fuzz/FuzzWireFrames/batch-reply-no-end", b(batchReply[:len(batchReply)-2]))
 
 	write("internal/model/testdata/fuzz/FuzzAssignRoundTrip/basic",
 		s("m"), s(""), b([]byte{1, 2, 3}), i(2), fl(0.75), i(7))

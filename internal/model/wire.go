@@ -525,3 +525,128 @@ func DecodeError(payload []byte) (code, message string, err error) {
 	message = c.str("error message")
 	return code, message, c.done()
 }
+
+// ---- batch streams ----
+//
+// A batch travels as one whole stream each way, and this is the one place
+// its grammar is spelled:
+//
+//	request  header | 'B' model | 'R' rows … | 'E'
+//	reply    header | 'b' model, epoch | 'r' assignments … | 'E'
+//
+// The reply carries one 'r' per non-empty 'R' of its request, in order.
+
+// MaxBatchChunk bounds the row data of one 'R' frame AppendBatchFrames
+// writes, counting every varint at its 10-byte maximum, so chunks stay far
+// under MaxFramePayload whatever the values: a JSON batch body alone may hold
+// 64 MiB of rows.
+const MaxBatchChunk = 1 << 20
+
+// AppendBatchFrames appends a whole batch request stream to b: the header, 'B'
+// naming the model, the rows in order as 'R' chunks of at most MaxBatchChunk
+// bytes of row data (a row past the bound on its own travels alone), and 'E'.
+// No rows means no 'R' frame.
+func AppendBatchFrames(b []byte, modelName string, rows [][]int) []byte {
+	buf := bytes.NewBuffer(b)
+	_ = WriteWireHeader(buf)
+	payload := AppendBatchStart(nil, modelName)
+	_ = WriteFrame(buf, FrameBatchStart, payload)
+	for len(rows) > 0 {
+		n, size := 0, binary.MaxVarintLen64 // the chunk's row count
+		for ; n < len(rows); n++ {
+			rowSize := (len(rows[n]) + 1) * binary.MaxVarintLen64 // its length and values
+			if n > 0 && size+rowSize > MaxBatchChunk {
+				break
+			}
+			size += rowSize
+		}
+		payload = AppendRows(payload[:0], rows[:n])
+		_ = WriteFrame(buf, FrameRows, payload)
+		rows = rows[n:]
+	}
+	_ = WriteFrame(buf, FrameEnd, nil)
+	return buf.Bytes()
+}
+
+// DecodeBatchFrames decodes a batch request stream that SplitFrames split:
+// 'B', any number of 'R' row chunks, and 'E' as its last frame. It returns
+// the model and every chunk in order, empty ones included, so a reply can
+// mirror them.
+func DecodeBatchFrames(frames []Frame) (modelName string, chunks [][][]int, err error) {
+	if len(frames) == 0 || frames[0].Kind != FrameBatchStart {
+		return "", nil, errors.New("batch stream must open with a batch-start frame")
+	}
+	if modelName, err = DecodeBatchStart(frames[0].Payload); err != nil {
+		return "", nil, err
+	}
+	for i, f := range frames[1:] {
+		switch {
+		case f.Kind == FrameRows:
+			chunk, err := DecodeRows(f.Payload)
+			if err != nil {
+				return "", nil, err
+			}
+			chunks = append(chunks, chunk)
+		case f.Kind != FrameEnd:
+			return "", nil, fmt.Errorf("unexpected frame kind %q in batch stream", f.Kind)
+		case i != len(frames)-2:
+			return "", nil, errors.New("frames after the end frame")
+		}
+	}
+	if frames[len(frames)-1].Kind != FrameEnd {
+		return "", nil, errors.New("batch stream ended without an end frame")
+	}
+	return modelName, chunks, nil
+}
+
+// AppendBatchReplyFrames appends the whole reply to a batch request whose row
+// chunks were chunks: the header, 'b' with the model and the epoch, one 'r'
+// per non-empty chunk holding the next len(chunk) of asgs, and 'E'.
+func AppendBatchReplyFrames(b []byte, modelName string, epoch int, chunks [][][]int, asgs []Assignment) []byte {
+	buf := bytes.NewBuffer(b)
+	_ = WriteWireHeader(buf)
+	payload := AppendBatchInfo(nil, modelName, epoch)
+	_ = WriteFrame(buf, FrameBatchInfo, payload)
+	for _, chunk := range chunks {
+		if len(chunk) == 0 {
+			continue
+		}
+		payload = AppendResults(payload[:0], asgs[:len(chunk)])
+		asgs = asgs[len(chunk):]
+		_ = WriteFrame(buf, FrameResults, payload)
+	}
+	_ = WriteFrame(buf, FrameEnd, nil)
+	return buf.Bytes()
+}
+
+// DecodeBatchReplyFrames decodes a whole batch reply stream: 'b', any number
+// of 'r' chunks, and 'E' as its last frame. It returns the epoch and the
+// assignments of every chunk in order.
+func DecodeBatchReplyFrames(data []byte) (epoch int, asgs []Assignment, err error) {
+	frames, err := SplitFrames(data, nil)
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(frames) == 0 || frames[0].Kind != FrameBatchInfo {
+		return 0, nil, errors.New("batch reply must open with a batch-info frame")
+	}
+	if _, epoch, err = DecodeBatchInfo(frames[0].Payload); err != nil {
+		return 0, nil, err
+	}
+	for i, f := range frames[1:] {
+		switch {
+		case f.Kind == FrameResults:
+			if asgs, err = DecodeResults(f.Payload, asgs); err != nil {
+				return 0, nil, err
+			}
+		case f.Kind != FrameEnd:
+			return 0, nil, fmt.Errorf("unexpected frame kind %q in batch reply", f.Kind)
+		case i != len(frames)-2:
+			return 0, nil, errors.New("frames after the end frame")
+		}
+	}
+	if frames[len(frames)-1].Kind != FrameEnd {
+		return 0, nil, errors.New("batch reply ended without an end frame")
+	}
+	return epoch, asgs, nil
+}

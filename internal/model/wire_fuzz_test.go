@@ -52,17 +52,34 @@ func sameAssignment(a, b Assignment) bool {
 		reflect.DeepEqual(a.Encoding, b.Encoding)
 }
 
+// fuzzSeedBatches returns a batch request stream and its reply stream, used
+// both as f.Add seeds and by the committed corpus generator.
+func fuzzSeedBatches() (request, reply []byte) {
+	chunks := [][][]int{{{0, 1}, {-1, -9}, nil}}
+	request = AppendBatchFrames(nil, "m", chunks[0])
+	reply = AppendBatchReplyFrames(nil, "m", 3, chunks, []Assignment{
+		{Cluster: 1, Similarity: 0.25, Encoding: []int{0, 2}},
+		{Cluster: 0, Similarity: math.NaN()},
+		{Cluster: 2, Similarity: math.Inf(-1), Encoding: []int{-1}},
+	})
+	return request, reply
+}
+
 // FuzzWireFrames throws arbitrary bytes at the stream reader, the in-place
-// splitter, and every payload decoder. Invariants: no panics, no runaway
-// allocations (the MaxFramePayload guard), SplitFrames agrees with
-// ReadWireHeader+ReadFrame frame for frame — same kinds, same payload
-// bytes, same error text — and, whenever a payload decodes cleanly, the
-// decode→re-encode→re-decode round trip is lossless. (Byte-level
-// canonicality is NOT an invariant: uvarints accept non-minimal encodings,
-// so the second decode is compared, not the re-encoded bytes.)
+// splitter, the two batch stream decoders, and every payload decoder.
+// Invariants: no panics, no runaway allocations (the MaxFramePayload guard),
+// SplitFrames agrees with ReadWireHeader+ReadFrame frame for frame — same
+// kinds, same payload bytes, same error text — and, whenever a stream or a
+// payload decodes cleanly, the decode→re-encode→re-decode round trip is
+// lossless. (Byte-level canonicality is NOT an invariant: uvarints accept
+// non-minimal encodings, and a batch is re-chunked, so the second decode is
+// compared, not the re-encoded bytes.)
 func FuzzWireFrames(f *testing.F) {
 	valid := fuzzSeedStream()
 	f.Add(valid)
+	batch, batchReply := fuzzSeedBatches()
+	f.Add(batch)
+	f.Add(batchReply)
 	f.Add(valid[:len(valid)-3]) // truncated mid-frame
 	f.Add([]byte("MCDCWIRE\x02"))
 	f.Add([]byte("NOTAWIRE\x01"))
@@ -94,6 +111,28 @@ func FuzzWireFrames(f *testing.F) {
 		for i := range read {
 			if split[i].Kind != read[i].Kind || !bytes.Equal(split[i].Payload, read[i].Payload) {
 				t.Fatalf("frame %d: SplitFrames (%q, %x), ReadFrame (%q, %x)", i, split[i].Kind, split[i].Payload, read[i].Kind, read[i].Payload)
+			}
+		}
+		if splitErr == nil {
+			if name, chunks, err := DecodeBatchFrames(split); err == nil {
+				rows := slices.Concat(chunks...)
+				frames2, err2 := SplitFrames(AppendBatchFrames(nil, name, rows), nil)
+				name2, chunks2, err3 := DecodeBatchFrames(frames2)
+				rows2 := slices.Concat(chunks2...)
+				if err2 != nil || err3 != nil || name2 != name || !slices.EqualFunc(rows2, rows, slices.Equal) {
+					t.Fatalf("batch round trip: (%q,%v) → (%q,%v), err %v %v", name, rows, name2, rows2, err2, err3)
+				}
+			}
+		}
+		if epoch, as, err := DecodeBatchReplyFrames(data); err == nil {
+			epoch2, as2, err2 := DecodeBatchReplyFrames(AppendBatchReplyFrames(nil, "", epoch, [][][]int{make([][]int, len(as))}, as))
+			if err2 != nil || epoch2 != epoch || len(as2) != len(as) {
+				t.Fatalf("batch reply round trip: %d assignments at epoch %d → %d at %d, err %v", len(as), epoch, len(as2), epoch2, err2)
+			}
+			for i := range as {
+				if !sameAssignment(as[i], as2[i]) {
+					t.Fatalf("batch reply round trip: assignment %d: %+v → %+v", i, as[i], as2[i])
+				}
 			}
 		}
 		if len(read) > 1<<10 {

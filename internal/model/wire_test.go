@@ -6,7 +6,9 @@ import (
 	"errors"
 	"io"
 	"math"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -259,6 +261,204 @@ func TestBatchFramesRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeResults([]byte{0xFF, 0xFF, 0xFF, 0x7F}, nil); err == nil {
 		t.Fatal("corrupt results count accepted")
+	}
+}
+
+// randomBatch draws a batch for the stream property tests: no rows, a few
+// short rows, or a batch of several MaxBatchChunk chunks; values may be
+// negative and rows empty.
+func randomBatch(rng *rand.Rand) [][]int {
+	var n, width int
+	switch rng.Intn(3) {
+	case 0:
+		return nil
+	case 1:
+		n, width = 1+rng.Intn(40), 8
+	default:
+		n, width = 2500+rng.Intn(1500), 120
+	}
+	rows := make([][]int, n)
+	for i := range rows {
+		row := make([]int, rng.Intn(width+1))
+		for f := range row {
+			row[f] = rng.Intn(1<<20) - 1<<19
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+// randomAssignments draws n assignments whose similarities include NaN, ±Inf
+// and -0; an empty encoding is nil, as it decodes.
+func randomAssignments(rng *rand.Rand, n int) []Assignment {
+	sims := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0.5}
+	as := make([]Assignment, n)
+	for i := range as {
+		as[i] = Assignment{Cluster: rng.Intn(9) - 2, Similarity: rng.Float64()}
+		if rng.Intn(4) == 0 {
+			as[i].Similarity = sims[rng.Intn(len(sims))]
+		}
+		for range rng.Intn(4) {
+			as[i].Encoding = append(as[i].Encoding, rng.Intn(7)-1)
+		}
+	}
+	return as
+}
+
+// TestBatchStreamsRoundTrip is the property test for the batch stream
+// grammar: random batches survive AppendBatchFrames → SplitFrames →
+// DecodeBatchFrames with every 'R' payload within MaxBatchChunk, and their
+// replies survive AppendBatchReplyFrames → DecodeBatchReplyFrames with one
+// 'r' per non-empty chunk and NaN-safe float identity. Both appenders leave
+// the bytes already in their buffer alone.
+func TestBatchStreamsRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	multi := 0
+	for trial := 0; trial < 60; trial++ {
+		rows := randomBatch(rng)
+		prefix := []byte("keep")
+		stream := AppendBatchFrames(prefix, "vote", rows)
+		if !bytes.HasPrefix(stream, prefix) {
+			t.Fatalf("trial %d: AppendBatchFrames overwrote its buffer", trial)
+		}
+		frames, err := SplitFrames(stream[len(prefix):], nil)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		chunkFrames := 0
+		for _, f := range frames {
+			if f.Kind == FrameRows {
+				chunkFrames++
+				if len(f.Payload) > MaxBatchChunk {
+					t.Fatalf("trial %d: 'R' payload of %d bytes past the %d bound", trial, len(f.Payload), MaxBatchChunk)
+				}
+			}
+		}
+		if len(rows) == 0 && chunkFrames != 0 {
+			t.Fatalf("trial %d: %d 'R' frames for no rows", trial, chunkFrames)
+		}
+		if chunkFrames > 1 {
+			multi++
+		}
+		name, chunks, err := DecodeBatchFrames(frames)
+		if err != nil || name != "vote" || len(chunks) != chunkFrames {
+			t.Fatalf("trial %d: %q, %d chunks for %d 'R' frames, err %v", trial, name, len(chunks), chunkFrames, err)
+		}
+		got := slices.Concat(chunks...)
+		if len(got) != len(rows) {
+			t.Fatalf("trial %d: %d rows back, want %d", trial, len(got), len(rows))
+		}
+		for i := range rows {
+			if !slices.Equal(got[i], rows[i]) {
+				t.Fatalf("trial %d: row %d = %v, want %v", trial, i, got[i], rows[i])
+			}
+		}
+
+		asgs := randomAssignments(rng, len(rows))
+		epoch := rng.Intn(1<<40) - 1<<39
+		reply := AppendBatchReplyFrames(prefix, "vote", epoch, chunks, asgs)
+		if !bytes.HasPrefix(reply, prefix) {
+			t.Fatalf("trial %d: AppendBatchReplyFrames overwrote its buffer", trial)
+		}
+		replyFrames, err := SplitFrames(reply[len(prefix):], nil)
+		if err != nil {
+			t.Fatalf("trial %d: reply: %v", trial, err)
+		}
+		results := 0
+		for _, f := range replyFrames {
+			if f.Kind == FrameResults {
+				results++
+			}
+		}
+		nonEmpty := 0
+		for _, c := range chunks {
+			if len(c) > 0 {
+				nonEmpty++
+			}
+		}
+		if results != nonEmpty {
+			t.Fatalf("trial %d: %d 'r' frames for %d non-empty chunks", trial, results, nonEmpty)
+		}
+		epoch2, asgs2, err := DecodeBatchReplyFrames(reply[len(prefix):])
+		if err != nil || epoch2 != epoch || len(asgs2) != len(asgs) {
+			t.Fatalf("trial %d: reply epoch %d (want %d), %d assignments (want %d), err %v", trial, epoch2, epoch, len(asgs2), len(asgs), err)
+		}
+		for i := range asgs {
+			if !sameAssignment(asgs2[i], asgs[i]) {
+				t.Fatalf("trial %d: assignment %d = %+v, want %+v", trial, i, asgs2[i], asgs[i])
+			}
+		}
+	}
+	if multi == 0 {
+		t.Fatal("no trial spanned several chunks")
+	}
+
+	// A row whose own data passes the bound travels alone.
+	huge := make([]int, MaxBatchChunk/10)
+	frames, err := SplitFrames(AppendBatchFrames(nil, "vote", [][]int{{1}, huge, {2}}), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for _, f := range frames {
+		if f.Kind == FrameRows {
+			rows, err := DecodeRows(f.Payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, len(rows))
+		}
+	}
+	if !slices.Equal(sizes, []int{1, 1, 1}) {
+		t.Fatalf("chunk row counts %v around an oversized row, want [1 1 1]", sizes)
+	}
+}
+
+// TestBatchStreamsRefuseBadGrammar pins what each stream decoder says about
+// a stream outside its grammar.
+func TestBatchStreamsRefuseBadGrammar(t *testing.T) {
+	frame := func(kind byte, payload []byte) Frame { return Frame{Kind: kind, Payload: payload} }
+	start, rows := frame(FrameBatchStart, AppendBatchStart(nil, "m")), frame(FrameRows, AppendRows(nil, [][]int{{1}}))
+	end := frame(FrameEnd, nil)
+	for _, tc := range []struct {
+		frames []Frame
+		want   string
+	}{
+		{nil, "batch stream must open with a batch-start frame"},
+		{[]Frame{rows, end}, "batch stream must open with a batch-start frame"},
+		{[]Frame{start, rows}, "batch stream ended without an end frame"},
+		{[]Frame{start, end, rows, end}, "frames after the end frame"},
+		{[]Frame{start, frame(FrameAssign, nil), end}, `unexpected frame kind 'A' in batch stream`},
+		{[]Frame{start, frame(FrameRows, []byte{0xff}), end}, "model: truncated wire payload at rows count"},
+	} {
+		if _, _, err := DecodeBatchFrames(tc.frames); errText(err) != tc.want {
+			t.Errorf("DecodeBatchFrames(%q): %v, want %q", tc.frames, err, tc.want)
+		}
+	}
+
+	stream := func(frames ...Frame) []byte {
+		var buf bytes.Buffer
+		_ = WriteWireHeader(&buf)
+		for _, f := range frames {
+			_ = WriteFrame(&buf, f.Kind, f.Payload)
+		}
+		return buf.Bytes()
+	}
+	info, results := frame(FrameBatchInfo, AppendBatchInfo(nil, "m", 1)), frame(FrameResults, AppendResults(nil, []Assignment{{Cluster: 1}}))
+	for _, tc := range []struct {
+		data []byte
+		want string
+	}{
+		{[]byte("MCDCWIRE\x02"), "model: wire protocol version 2, this build speaks version 1 — upgrade one side or fall back to JSON"},
+		{stream(), "batch reply must open with a batch-info frame"},
+		{stream(results, end), "batch reply must open with a batch-info frame"},
+		{stream(info, results), "batch reply ended without an end frame"},
+		{stream(info, end, results, end), "frames after the end frame"},
+		{stream(info, frame(FrameError, AppendError(nil, "bad_request", "no")), end), `unexpected frame kind '!' in batch reply`},
+	} {
+		if _, _, err := DecodeBatchReplyFrames(tc.data); errText(err) != tc.want {
+			t.Errorf("DecodeBatchReplyFrames(%q): %v, want %q", tc.data, err, tc.want)
+		}
 	}
 }
 

@@ -127,6 +127,41 @@ func TestChaosOwnerFaultsMidStream(t *testing.T) {
 	}
 }
 
+// TestChaosDownOwnerGetsOneAttempt pins that the gateway spends no retry on
+// a backend it already knows is down: once the health probe has marked a
+// session's killed owner down, the session's next assign tries the owner
+// once, fails over to the replica, and answers as the reference daemon
+// does, with no retry counted against the owner.
+func TestChaosDownOwnerGetsOneAttempt(t *testing.T) {
+	frt, gw, gwURL, _, _, soloURL := chaosFleet(t)
+	_, rows, _ := trainModel(t, 200, 6, 3, 71)
+	createSession(t, gwURL, "down", 40, 5)
+	createSession(t, soloURL, "down", 40, 5)
+	feedSession(t, gwURL, "down", rows, 0, 10)
+	feedSession(t, soloURL, "down", rows, 0, 10)
+
+	owner := sessionOwner(t, gwURL, "down")
+	rule := frt.Add(&testenv.FaultRule{Host: owner, Kind: testenv.FaultKill})
+	defer frt.Remove(rule)
+	gw.probeAll("")
+	if gw.isUp(owner) {
+		t.Fatal("the probe did not mark the killed owner down")
+	}
+	retries := fmt.Sprintf("mcdcd_gateway_retries_total{backend=%q}", owner)
+	retriesBefore, failoversBefore := seriesValue(t, scrape(t, gwURL), retries), gw.failovers.Load()
+	got := feedSession(t, gwURL, "down", rows, 10, 11) // fails the test on any non-200
+	want := feedSession(t, soloURL, "down", rows, 10, 11)
+	if got[0] != want[0] {
+		t.Fatalf("answer after failover diverged:\n fleet %q\n solo  %q", got[0], want[0])
+	}
+	if n := gw.failovers.Load() - failoversBefore; n != 1 {
+		t.Fatalf("%d failovers, want 1", n)
+	}
+	if n := seriesValue(t, scrape(t, gwURL), retries) - retriesBefore; n != 0 {
+		t.Fatalf("%d retries against the owner already marked down, want 0", n)
+	}
+}
+
 // TestChaosStatelessTrafficReroutes blackholes one backend under pure
 // stateless load: every row still answers 200 (rows re-place along the ring
 // chain) and the answers match the reference daemon byte for byte.
@@ -164,25 +199,38 @@ func TestChaosStatelessTrafficReroutes(t *testing.T) {
 // re-places and matches the solo answer.
 func TestChaosSessionFramesInFlight(t *testing.T) {
 	frt, gw, gwURL, _, _, soloURL := chaosFleet(t)
-	_, rows, _ := trainModel(t, 200, 6, 3, 71)
+	snap, rows, _ := trainModel(t, 200, 6, 3, 71)
 	createSession(t, gwURL, "inflight", 40, 7)
 	createSession(t, soloURL, "inflight", 40, 7)
 	owner := sessionOwner(t, gwURL, "inflight")
 
-	// Stateless rows, the first few of them placed on the owner too.
+	// Stateless rows: one to five placed on the owner too, drawn from all
+	// the training rows (65 distinct ones; which land on the owner depends
+	// on the test's ports) and, should none land there, from in-domain rows
+	// in order; then rows placed elsewhere, up to 19.
+	placedOnOwner := func(row []int) bool {
+		return gw.placement().stateless(hashring.Hash(rowKey("m", row))) == owner
+	}
 	var stateless [][]int
-	onOwner := 0
 	for _, row := range rows {
-		if len(stateless) == 19 {
-			break
+		if len(stateless) < 5 && placedOnOwner(row) {
+			stateless = append(stateless, row)
 		}
-		if gw.placement().stateless(hashring.Hash(rowKey("m", row))) == owner {
-			if onOwner == 5 {
-				continue
-			}
-			onOwner++
+	}
+	for v := 0; len(stateless) == 0; v++ {
+		row := make([]int, len(snap.Cardinalities))
+		for f, rest := 0, v; f < len(row); f++ {
+			row[f], rest = rest%snap.Cardinalities[f], rest/snap.Cardinalities[f]
 		}
-		stateless = append(stateless, row)
+		if placedOnOwner(row) {
+			stateless = append(stateless, row)
+		}
+	}
+	onOwner := len(stateless)
+	for _, row := range rows {
+		if len(stateless) < 19 && !placedOnOwner(row) {
+			stateless = append(stateless, row)
+		}
 	}
 	if onOwner == 0 {
 		t.Fatal("no stateless row placed on the session owner")

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -123,56 +122,34 @@ type assignBatch struct {
 	rows   int       // over all chunks
 }
 
-// readAssignBatch decodes a POST /v1/assign/batch body. A frame body must be
-// 'B', any number of 'R' row chunks, and 'E' as its last frame. The caller
-// then judges the model, and only after that whether the batch is empty.
+// readAssignBatch decodes a POST /v1/assign/batch body; a frame body goes
+// through model.DecodeBatchFrames. The caller then judges the model, and
+// only after that whether the batch is empty.
 func readAssignBatch(w http.ResponseWriter, r *http.Request) (b assignBatch, ok bool) {
-	if b.wire = r.Header.Get("Content-Type") == WireContentType; !b.wire {
+	var err error
+	if b.wire = r.Header.Get("Content-Type") == WireContentType; b.wire {
+		frames, ok := readWire(w, r, nil)
+		if !ok {
+			return b, false
+		}
+		if b.model, b.chunks, err = model.DecodeBatchFrames(frames); err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "%v", err)
+			return b, false
+		}
+	} else {
 		body, ok := readBody(w, r)
 		if !ok {
 			return b, false
 		}
 		var rows [][]int
-		var err error
 		if b.model, rows, err = model.DecodeBatchJSON(body); err != nil {
 			writeError(w, http.StatusBadRequest, codeBadRequest, "bad request body: %v", err)
 			return b, false
 		}
-		b.chunks, b.rows = [][][]int{rows}, len(rows)
-		return b, true
+		b.chunks = [][][]int{rows}
 	}
-	frames, ok := readWire(w, r, nil)
-	if !ok {
-		return b, false
-	}
-	refuse := func(format string, args ...any) (assignBatch, bool) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, format, args...)
-		return b, false
-	}
-	if len(frames) == 0 || frames[0].Kind != model.FrameBatchStart {
-		return refuse("batch stream must open with a batch-start frame")
-	}
-	var err error
-	if b.model, err = model.DecodeBatchStart(frames[0].Payload); err != nil {
-		return refuse("%v", err)
-	}
-	for i, f := range frames[1:] {
-		switch {
-		case f.Kind == model.FrameRows:
-			chunk, err := model.DecodeRows(f.Payload)
-			if err != nil {
-				return refuse("%v", err)
-			}
-			b.chunks = append(b.chunks, chunk)
-			b.rows += len(chunk)
-		case f.Kind != model.FrameEnd:
-			return refuse("unexpected frame kind %q in batch stream", f.Kind)
-		case i != len(frames)-2:
-			return refuse("frames after the end frame")
-		}
-	}
-	if frames[len(frames)-1].Kind != model.FrameEnd {
-		return refuse("batch stream ended without an end frame")
+	for _, chunk := range b.chunks {
+		b.rows += len(chunk)
 	}
 	return b, true
 }
@@ -223,33 +200,20 @@ func writeReplyJSON(w http.ResponseWriter, reply model.Frame) {
 
 // writeBatchReply answers POST /v1/assign/batch with asgs, one per row in
 // request order, row i served by a snapshot of epoch(i). A JSON client gets
-// every row with its epoch; a frame client gets 'b', one 'r' frame per
-// non-empty client chunk and 'E'. The top-level epoch is row 0's.
+// every row with its epoch; a frame client gets the reply stream
+// model.AppendBatchReplyFrames builds. The top-level epoch is row 0's.
 func writeBatchReply(w http.ResponseWriter, in *assignBatch, asgs []model.Assignment, epoch func(i int) int) {
-	if !in.wire {
-		// A snapshot's similarities are always finite, so one that JSON
-		// cannot spell came from a gateway's backend.
-		body, err := model.AppendBatchReplyJSON(nil, in.model, asgs, epoch)
-		if err != nil {
-			writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer: %v", err)
-			return
-		}
-		writeJSONBody(w, http.StatusOK, body)
+	if in.wire {
+		w.Header().Set("Content-Type", WireContentType)
+		_, _ = w.Write(model.AppendBatchReplyFrames(nil, in.model, epoch(0), in.chunks, asgs))
 		return
 	}
-	w.Header().Set("Content-Type", WireContentType)
-	bw := bufio.NewWriter(w)
-	_ = model.WriteWireHeader(bw)
-	_ = model.WriteFrame(bw, model.FrameBatchInfo, model.AppendBatchInfo(nil, in.model, epoch(0)))
-	var buf []byte
-	for _, chunk := range in.chunks {
-		if len(chunk) == 0 {
-			continue
-		}
-		buf = model.AppendResults(buf[:0], asgs[:len(chunk)])
-		asgs = asgs[len(chunk):]
-		_ = model.WriteFrame(bw, model.FrameResults, buf)
+	// A snapshot's similarities are always finite, so one that JSON
+	// cannot spell came from a gateway's backend.
+	body, err := model.AppendBatchReplyJSON(nil, in.model, asgs, epoch)
+	if err != nil {
+		writeError(w, http.StatusBadGateway, codeBadGateway, "malformed backend answer: %v", err)
+		return
 	}
-	_ = model.WriteFrame(bw, model.FrameEnd, nil)
-	_ = bw.Flush()
+	writeJSONBody(w, http.StatusOK, body)
 }

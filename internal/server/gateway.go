@@ -319,7 +319,7 @@ func (g *Gateway) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		if lastErr != nil && !g.isUp(b) {
 			continue // skip known-down candidates once the owner has failed
 		}
-		status, data, hdr, err := g.doRetry(g.client, http.MethodPost, b, "/v1/sessions", raw, "application/json", reqID)
+		status, data, hdr, err := g.doRetry(http.MethodPost, b, "/v1/sessions", raw, "application/json", reqID, false)
 		if err != nil {
 			lastErr = fmt.Errorf("backend %s: %w", b, err)
 			if _, transient := classifyTransient(err); transient {

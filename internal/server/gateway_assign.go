@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"net/http"
 	"slices"
@@ -28,17 +27,12 @@ import (
 //     backend would have given.
 //  2. The router groups the pending items by backend and delivers each group
 //     as a binary frame sub-stream, whatever codec the client spoke: 'A'
-//     frames for singles; 'B', bounded 'R' chunks and 'E' for a batch.
+//     frames for singles; for a batch, the stream model.AppendBatchFrames
+//     writes.
 //     Retry, failover and the fleet probe live there, once.
 //  3. The edge encodes the merged answers back in the client's codec. The
 //     frame codec is deterministic and carries floats bit-exactly, so either
 //     codec's answer is byte-identical to a solo backend's.
-
-// maxUpstreamChunk bounds the row data of one 'R' frame the gateway sends a
-// backend, counting every varint at its 10-byte maximum. It keeps upstream
-// frames far under model.MaxFramePayload however the client chunked its
-// rows — a JSON batch body alone may hold 64 MiB of them.
-const maxUpstreamChunk = 1 << 20
 
 // routedItem is one assignment on its way through the gateway.
 type routedItem struct {
@@ -345,19 +339,14 @@ func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
 	for _, n := range sessionCounts(job, idxs) {
 		multi = multi || n > 1
 	}
-	if multi {
-		res.status, res.data, res.hdr, res.err = g.doCT(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
-		if _, transient := classifyTransient(res.err); transient {
-			g.markDown(b)
-		}
-	} else {
-		res.status, res.data, res.hdr, res.err = g.doRetry(g.client, http.MethodPost, b, path, body, WireContentType, job.reqID)
-	}
+	res.status, res.data, res.hdr, res.err = g.doRetry(http.MethodPost, b, path, body, WireContentType, job.reqID, multi)
 	if res.err != nil || res.status != http.StatusOK {
 		return res
 	}
 	if job.batch {
-		res.epoch, res.asgs, res.err = parseBatchReply(res.data, len(idxs))
+		if res.epoch, res.asgs, res.err = model.DecodeBatchReplyFrames(res.data); res.err == nil && len(res.asgs) != len(idxs) {
+			res.err = fmt.Errorf("%d results for %d rows", len(res.asgs), len(idxs))
+		}
 	} else if res.frames, res.err = model.SplitFrames(res.data, make([]model.Frame, 0, len(idxs))); res.err == nil && len(res.frames) != len(idxs) {
 		res.err = fmt.Errorf("%d response frames for %d assigns", len(res.frames), len(idxs))
 	}
@@ -365,66 +354,19 @@ func (g *Gateway) deliver(job *assignJob, b string, idxs []int) exchange {
 }
 
 // subStream encodes the items idxs as the upstream frame stream: 'A' frames
-// for singles; for a batch 'B', 'R' chunks of at most maxUpstreamChunk bytes
-// of row data, and 'E'.
+// for singles, model.AppendBatchFrames for a batch's rows.
 func (job *assignJob) subStream(idxs []int) (path string, body []byte) {
+	if job.batch {
+		rows := make([][]int, len(idxs))
+		for k, i := range idxs {
+			rows[k] = job.items[i].row
+		}
+		return "/v1/assign/batch", model.AppendBatchFrames(nil, job.model, rows)
+	}
 	var buf bytes.Buffer
 	_ = model.WriteWireHeader(&buf)
-	if !job.batch {
-		for _, i := range idxs {
-			_ = model.WriteFrame(&buf, model.FrameAssign, job.items[i].payload)
-		}
-		return "/v1/assign", buf.Bytes()
-	}
-	_ = model.WriteFrame(&buf, model.FrameBatchStart, model.AppendBatchStart(nil, job.model))
-	var chunk [][]int
-	var payload []byte
-	size := binary.MaxVarintLen64 // the chunk's row count
-	flush := func() {
-		payload = model.AppendRows(payload[:0], chunk)
-		_ = model.WriteFrame(&buf, model.FrameRows, payload)
-		chunk, size = chunk[:0], binary.MaxVarintLen64
-	}
 	for _, i := range idxs {
-		row := job.items[i].row
-		n := (len(row) + 1) * binary.MaxVarintLen64 // the row's length and values
-		if len(chunk) > 0 && size+n > maxUpstreamChunk {
-			flush()
-		}
-		chunk = append(chunk, row)
-		size += n
+		_ = model.WriteFrame(&buf, model.FrameAssign, job.items[i].payload)
 	}
-	flush()
-	_ = model.WriteFrame(&buf, model.FrameEnd, nil)
-	return "/v1/assign/batch", buf.Bytes()
-}
-
-// parseBatchReply decodes a backend's binary batch response — 'b' info,
-// 'r' result frames, 'E' — expecting want results in total.
-func parseBatchReply(data []byte, want int) (epoch int, results []model.Assignment, err error) {
-	frames, err := model.SplitFrames(data, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(frames) == 0 || frames[0].Kind != model.FrameBatchInfo {
-		return 0, nil, fmt.Errorf("batch reply missing info frame")
-	}
-	if _, epoch, err = model.DecodeBatchInfo(frames[0].Payload); err != nil {
-		return 0, nil, err
-	}
-	for _, f := range frames[1:] {
-		switch f.Kind {
-		case model.FrameResults:
-			if results, err = model.DecodeResults(f.Payload, results); err != nil {
-				return 0, nil, err
-			}
-		case model.FrameEnd:
-		default:
-			return 0, nil, fmt.Errorf("unexpected frame kind %q in batch reply", f.Kind)
-		}
-	}
-	if len(results) != want {
-		return 0, nil, fmt.Errorf("%d results for %d rows", len(results), want)
-	}
-	return epoch, results, nil
+	return "/v1/assign", buf.Bytes()
 }

@@ -508,8 +508,8 @@ func TestGatewayLargeBatchChunked(t *testing.T) {
 					continue
 				}
 				chunks++
-				if len(f.Payload) > maxUpstreamChunk {
-					t.Fatalf("%s: upstream 'R' frame of %d bytes exceeds the %d-byte chunk bound", name, len(f.Payload), maxUpstreamChunk)
+				if len(f.Payload) > model.MaxBatchChunk {
+					t.Fatalf("%s: upstream 'R' frame of %d bytes exceeds the %d-byte chunk bound", name, len(f.Payload), model.MaxBatchChunk)
 				}
 			}
 		}

@@ -242,10 +242,15 @@ func (g *Gateway) retryBudget() (attempts int, backoff time.Duration) {
 
 // doRetry is doCT plus the transient-failure retry loop: capped exponential
 // backoff against the same backend, counting mcdcd_gateway_retries_total per
-// re-attempt. It returns the last error once the budget is exhausted
-// (marking the backend down) or immediately on a non-transient failure.
-func (g *Gateway) doRetry(client *http.Client, method, backend, path string, body []byte, ctype, reqID string) (status int, data []byte, hdr http.Header, err error) {
+// re-attempt. A call made once, or to a backend already marked down, gets a
+// single attempt, so a dead owner costs its sessions no retry budget before
+// failover. It returns the last error once the attempts are spent (marking
+// the backend down) or immediately on a non-transient failure.
+func (g *Gateway) doRetry(method, backend, path string, body []byte, ctype, reqID string, once bool) (status int, data []byte, hdr http.Header, err error) {
 	attempts, backoff := g.retryBudget()
+	if once || !g.isUp(backend) {
+		attempts = 1
+	}
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			if m := g.memberOf(backend); m != nil {
@@ -256,7 +261,7 @@ func (g *Gateway) doRetry(client *http.Client, method, backend, path string, bod
 				backoff = maxRetryBackoff
 			}
 		}
-		status, data, hdr, err = g.doCT(client, method, backend, path, body, ctype, reqID)
+		status, data, hdr, err = g.doCT(g.client, method, backend, path, body, ctype, reqID)
 		if err == nil {
 			return status, data, hdr, nil
 		}
@@ -342,11 +347,11 @@ func bodyHasCode(data []byte, code string) bool {
 // probe for a relocated session.
 func (g *Gateway) forwardSession(w http.ResponseWriter, method, id, path, reqID string) {
 	backend := g.placeSession(id)
-	status, data, hdr, err := g.doRetry(g.client, method, backend, path, nil, "", reqID)
+	status, data, hdr, err := g.doRetry(method, backend, path, nil, "", reqID, false)
 	if err != nil {
 		if _, transient := classifyTransient(err); transient {
 			if next, ok := g.failoverSession(id, reqID, backend); ok {
-				status, data, hdr, err = g.doRetry(g.client, method, next, path, nil, "", reqID)
+				status, data, hdr, err = g.doRetry(method, next, path, nil, "", reqID, false)
 			}
 		}
 		if err != nil {
@@ -360,7 +365,7 @@ func (g *Gateway) forwardSession(w http.ResponseWriter, method, id, path, reqID 
 		// The placed backend does not know the session. It may live elsewhere
 		// under an override this gateway no longer remembers; ask the fleet.
 		if owner, ok := g.probeSessionOwner(id, backend); ok {
-			if s2, d2, h2, err2 := g.doRetry(g.client, method, owner, path, nil, "", reqID); err2 == nil {
+			if s2, d2, h2, err2 := g.doRetry(method, owner, path, nil, "", reqID, false); err2 == nil {
 				relay(w, s2, h2, d2)
 				return
 			}

@@ -26,10 +26,13 @@ import (
 // The ordering invariant that makes failover lossless is
 // checkpoint-before-respond: an assignment's response is not written until
 // its post-apply checkpoint is durable locally and shipped (best-effort) to
-// the successor, so the replica always holds the state that produced the
-// last delivered response. A checkpoint has no effect on the session's
-// answers, so the promoted replica continues exactly as the owner would
-// have, and as a daemon that never checkpoints does.
+// the successor, so the replica holds the state that produced the last
+// delivered response — unless that ship failed. A failed ship is only
+// logged and counted, the response still goes out, and the replica stays
+// behind until a later ship lands; a promotion in that window resumes the
+// older state. A checkpoint has no effect on the session's answers, so a
+// promoted replica that did receive the last ship continues exactly as the
+// owner would have, and as a daemon that never checkpoints does.
 //
 // Zombie fencing: checkpoints carry an ownership epoch (model.StreamState,
 // format v2 onward). Promotion bumps the epoch; a replica receiver rejects any
@@ -405,8 +408,6 @@ func (s *Server) handleAdoptSession(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.As(err, &verr):
 			writeError(w, http.StatusUnprocessableEntity, codeVersionMismatch, "%v", err)
-		case errors.Is(err, errStaleOwner):
-			writeError(w, http.StatusConflict, codeConflict, "%v", err)
 		default:
 			writeError(w, http.StatusBadRequest, codeBadRequest, "adopt %q: %v", id, err)
 		}

@@ -88,7 +88,7 @@ type sessionPool struct {
 
 	evicted      atomic.Int64 // sessions evicted by the TTL sweeper
 	restored     atomic.Int64 // sessions paged in from checkpoints
-	checkpoints  atomic.Int64 // checkpoint files written (every saveLocked)
+	checkpoints  atomic.Int64 // checkpoint files written (every writeLocked)
 	lowSimRetire atomic.Int64 // drift counts of evicted/deleted sessions
 
 	shipped      atomic.Int64 // checkpoints shipped to a replica holder
@@ -379,22 +379,32 @@ func (p *sessionPool) stateLocked(s *session) *model.StreamState {
 // checkpoint — the local file stays authoritative and /healthz surfaces the
 // coverage gap.
 func (p *sessionPool) saveLocked(id string, s *session) error {
-	started := time.Now()
-	st := p.stateLocked(s)
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
+	data, err := p.writeLocked(id, s)
+	if err != nil {
 		return err
 	}
+	p.shipLocked(id, data, "replica ship failed")
+	return nil
+}
+
+// writeLocked encodes a session's state and writes it as its checkpoint
+// file, counting and timing the write, and returns the bytes written; the
+// caller holds s.mu. Every checkpoint file goes through it.
+func (p *sessionPool) writeLocked(id string, s *session) ([]byte, error) {
+	started := time.Now()
+	var buf bytes.Buffer
+	if err := p.stateLocked(s).Save(&buf); err != nil {
+		return nil, err
+	}
 	if err := model.WriteFileAtomic(p.path(id), buf.Bytes()); err != nil {
-		return err
+		return nil, err
 	}
 	s.dirty = false
 	p.checkpoints.Add(1)
 	if p.ckpt != nil {
 		p.ckpt.observe(time.Since(started))
 	}
-	p.shipLocked(id, buf.Bytes(), "replica ship failed")
-	return nil
+	return buf.Bytes(), nil
 }
 
 // shipLocked ships a session's checkpoint bytes to its replica holder, when
@@ -637,9 +647,10 @@ func (p *sessionPool) adopt(id string, data []byte) (int64, error) {
 }
 
 // install decodes checkpoint bytes, bumps the ownership epoch, persists the
-// state, and registers the live session. The persisted bytes are the decoded
-// state re-encoded under the shard lock; the replica ship then sends those
-// same bytes outside it. The new session is locked before it is published
+// state, and registers the live session. The restored session is
+// checkpointed by writeLocked under the shard lock, so the write counts as
+// every checkpoint does; the replica ship then sends those same bytes
+// outside it. The new session is locked before it is published
 // (shard → session order) and stays locked through the ship, so ships for
 // one session leave in order: an assignment that finds the session waits
 // behind install's ship instead of racing a newer checkpoint past it to the
@@ -682,7 +693,9 @@ func (p *sessionPool) install(id string, data []byte) (int64, error) {
 		cur.mu.Unlock()
 		delete(sh.m, id)
 	}
-	var buf bytes.Buffer
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var saved []byte
 	if p.dir != "" {
 		// An evicted or pre-restart checkpoint may also hold a newer epoch
 		// than the incoming state; compare before overwriting the file (lazy
@@ -691,23 +704,17 @@ func (p *sessionPool) install(id string, data []byte) (int64, error) {
 			sh.mu.Unlock()
 			return old.OwnerEpoch, nil
 		}
-		if err := st.Save(&buf); err != nil {
-			sh.mu.Unlock()
-			return 0, err
-		}
-		if err := model.WriteFileAtomic(p.path(id), buf.Bytes()); err != nil {
+		if saved, err = p.writeLocked(id, s); err != nil {
 			sh.mu.Unlock()
 			return 0, err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	sh.m[id] = s
 	sh.mu.Unlock()
 	// Give the promoted/adopted session a replica of its own right away: ship
 	// the epoch-bumped state to this node's successor.
-	if p.dir != "" {
-		p.shipLocked(id, buf.Bytes(), "replica ship failed after install")
+	if saved != nil {
+		p.shipLocked(id, saved, "replica ship failed after install")
 	}
 	return st.OwnerEpoch, nil
 }

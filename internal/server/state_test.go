@@ -548,6 +548,44 @@ func TestInstallShipPrecedesNextAssignment(t *testing.T) {
 	}
 }
 
+// TestInstallCountsItsCheckpoint pins that the checkpoint a promotion or an
+// adoption writes counts as every other checkpoint write does: each adds one
+// to the installing daemon's mcdcd_session_checkpoints_total and to its
+// checkpoint stage histogram.
+func TestInstallCountsItsCheckpoint(t *testing.T) {
+	snap, rows, _ := trainModel(t, 200, 6, 3, 61)
+	src, srcTS := newTestServer(t, Config{StateDir: t.TempDir()})
+	if err := src.AddModel("m", snap); err != nil {
+		t.Fatal(err)
+	}
+	createSession(t, srcTS.URL, "mv", 30, 11)
+	feedSession(t, srcTS.URL, "mv", rows, 0, 5)
+	resp, ckpt := get(t, srcTS.URL+"/v1/sessions/mv/checkpoint")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint fetch: %d %s", resp.StatusCode, ckpt)
+	}
+	for _, via := range []string{"adopt", "promote"} {
+		t.Run(via, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Replicate: true, StateDir: t.TempDir()})
+			if via == "promote" {
+				if msg := postRaw(ts.URL+"/v1/replica/checkpoint?session=mv", ckpt, ""); msg != "" {
+					t.Fatal(msg)
+				}
+			}
+			before := scrape(t, ts.URL)
+			if msg := postRaw(ts.URL+"/v1/sessions/mv/"+via, ckpt, ""); msg != "" {
+				t.Fatal(msg)
+			}
+			after := scrape(t, ts.URL)
+			for _, series := range []string{"mcdcd_session_checkpoints_total", `mcdcd_stage_duration_seconds_count{stage="checkpoint"}`} {
+				if d := seriesValue(t, after, series) - seriesValue(t, before, series); d != 1 {
+					t.Errorf("%s rose by %d over the %s, want 1", series, d, via)
+				}
+			}
+		})
+	}
+}
+
 // postRaw posts body, with a request id header when reqID is non-empty,
 // and returns "" on a 2xx answer or else what went wrong. Unlike post it is
 // safe to call off the test goroutine.
