@@ -488,7 +488,9 @@ func AppendResults(b []byte, as []Assignment) []byte {
 	return b
 }
 
-// DecodeResults decodes a FrameResults payload, appending to dst.
+// DecodeResults decodes a FrameResults payload, appending to dst. The
+// encodings are carved from one backing array, each capped so that an
+// append to one cannot reach its neighbour, and nil when empty.
 func DecodeResults(payload []byte, dst []Assignment) ([]Assignment, error) {
 	c := wireCursor{b: payload}
 	n := c.uint("results count")
@@ -498,11 +500,19 @@ func DecodeResults(payload []byte, dst []Assignment) ([]Assignment, error) {
 	if n > uint64(len(payload)) {
 		return dst, fmt.Errorf("model: results chunk claims %d assignments in %d bytes", n, len(payload))
 	}
+	// An assignment takes at least 10 bytes besides its encoding values
+	// (cluster, similarity, length), and every value at least one, so the
+	// bytes left bound both the assignments and the values they hold.
+	dst = slices.Grow(dst, min(int(n), len(c.b)/10))
+	enc := make([]int, 0, max(len(c.b)-10*int(n), 0))
 	for i := uint64(0); i < n; i++ {
 		var a Assignment
 		a.Cluster = c.int("result cluster")
 		a.Similarity = c.float("result similarity")
-		a.Encoding = c.ints("result encoding")
+		start := len(enc)
+		if enc = c.appendInts(enc, "result encoding"); len(enc) > start {
+			a.Encoding = enc[start:len(enc):len(enc)]
+		}
 		if c.err != nil {
 			break
 		}

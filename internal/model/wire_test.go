@@ -462,6 +462,40 @@ func TestBatchStreamsRefuseBadGrammar(t *testing.T) {
 	}
 }
 
+// TestDecodeResultsCarvesEncodings pins what the batch reply decoder costs
+// and what it hands out: a 256-assignment reply decodes in a handful of
+// allocations, not one per encoding, and the encodings it carves from one
+// backing array stay apart — appending to one leaves its neighbour intact.
+func TestDecodeResultsCarvesEncodings(t *testing.T) {
+	asgs := make([]Assignment, 256)
+	for i := range asgs {
+		asgs[i] = Assignment{Cluster: i % 7, Similarity: float64(i) / 256, Encoding: []int{i % 5, -i, 1000 * i}}
+	}
+	asgs[3].Encoding = nil
+	reply := AppendBatchReplyFrames(nil, "m", 4, [][][]int{make([][]int, len(asgs))}, asgs)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := DecodeBatchReplyFrames(reply); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("decoding a %d-assignment reply costs %.0f allocations, want ≤ 8", len(asgs), allocs)
+	}
+	_, got, err := DecodeBatchReplyFrames(reply)
+	if err != nil || len(got) != len(asgs) {
+		t.Fatalf("decoded %d assignments, err %v", len(got), err)
+	}
+	if got[3].Encoding != nil {
+		t.Errorf("an empty encoding decodes as %#v, want nil", got[3].Encoding)
+	}
+	_ = append(got[0].Encoding, 7, 7, 7)
+	for i := range asgs {
+		if !sameAssignment(got[i], asgs[i]) {
+			t.Fatalf("assignment %d: %+v, want %+v", i, got[i], asgs[i])
+		}
+	}
+}
+
 func TestErrorFrameRoundTrip(t *testing.T) {
 	code, msg, err := DecodeError(AppendError(nil, "unknown_model", `no model "ghost"`))
 	if err != nil {

@@ -168,10 +168,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		g.members[b] = newMember()
 	}
 	g.routes()
-	if cfg.HealthEvery > 0 {
-		g.wg.Add(1)
-		go g.healthLoop()
-	}
+	every(&g.wg, g.stop, cfg.HealthEvery, func() { g.probeAll("") })
 	return g, nil
 }
 
@@ -425,20 +422,6 @@ func (g *Gateway) handleListModels(w http.ResponseWriter, r *http.Request) {
 }
 
 // ---- health and metrics ----
-
-func (g *Gateway) healthLoop() {
-	defer g.wg.Done()
-	ticker := time.NewTicker(g.cfg.HealthEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-g.stop:
-			return
-		case <-ticker.C:
-			g.probeAll("")
-		}
-	}
-}
 
 // backendHealth is one backend's entry in the gateway's /v1/healthz: its
 // probe verdict plus the fields of its own /v1/healthz the gateway reports.

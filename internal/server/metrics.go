@@ -179,7 +179,7 @@ func (m *metrics) write(w io.Writer, reg *registry, pool *sessionPool, adm *admi
 	counter("mcdcd_admitted_total", "Assignment requests admitted past the valve.", admittedN)
 	gauge("mcdcd_queue_depth", "Assignment requests waiting for an in-flight slot.", depth)
 	gauge("mcdcd_inflight", "Assignment requests currently executing.", inflight)
-	counter("mcdcd_session_drift_total", "Session assignments below the drift similarity threshold.", pool.lowSimTotal())
+	counter("mcdcd_session_drift_total", "Session assignments below the drift similarity threshold.", pool.drift.Load())
 	counter("mcdcd_sessions_evicted_total", "Streaming sessions evicted by the idle TTL sweeper.", pool.evicted.Load())
 	counter("mcdcd_sessions_restored_total", "Streaming sessions paged in from checkpoints.", pool.restored.Load())
 	counter("mcdcd_session_checkpoints_total", "Session checkpoint files written.", pool.checkpoints.Load())

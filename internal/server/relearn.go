@@ -10,22 +10,6 @@ import (
 	"mcdc/internal/model"
 )
 
-// relearnLoop is the background worker: every RelearnEvery it sweeps the
-// registry and re-learns any model whose traffic buffer holds enough rows.
-func (s *Server) relearnLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.RelearnEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.RelearnNow()
-		}
-	}
-}
-
 // RelearnNow runs one re-learn sweep: each served model with at least
 // RelearnMin buffered traffic rows is re-trained on that window and
 // hot-swapped under a bumped epoch. The swap is a compare-and-swap against

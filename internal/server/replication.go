@@ -249,21 +249,8 @@ func (rs *replicaStore) accept(id string, data []byte, epoch int64) error {
 	return nil
 }
 
-// take removes id from the store and returns its checkpoint bytes — the
-// promotion path. Returns fs.ErrNotExist when no replica is held.
-func (rs *replicaStore) take(id string) ([]byte, error) {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	data, err := os.ReadFile(rs.path(id))
-	if err != nil {
-		return nil, err
-	}
-	os.Remove(rs.path(id))
-	delete(rs.epochs, id)
-	return data, nil
-}
-
-// drop deletes id's replica (after the session was deleted fleet-wide).
+// drop deletes id's replica (after the session was deleted fleet-wide, moved
+// here, or was promoted here).
 func (rs *replicaStore) drop(id string) bool {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()

@@ -183,7 +183,6 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: replica store: %w", err)
 		}
-		s.sessions.replicate = true
 		s.sessions.replicas = rs
 	}
 	s.assigners.New = func() any { return &model.Assigner{} }
@@ -191,19 +190,44 @@ func New(cfg Config) (*Server, error) {
 	if n := s.sessions.restoreAll(); n > 0 {
 		s.log.Info("restored streaming sessions", "count", n, "dir", sessionsDir)
 	}
-	if cfg.RelearnEvery > 0 {
-		s.wg.Add(1)
-		go s.relearnLoop()
+	every(&s.wg, s.stop, cfg.RelearnEvery, func() { s.RelearnNow() })
+	if cfg.StateDir != "" {
+		every(&s.wg, s.stop, cfg.CheckpointEvery, func() { s.sessions.checkpointAll() })
 	}
-	if cfg.StateDir != "" && cfg.CheckpointEvery > 0 {
-		s.wg.Add(1)
-		go s.checkpointLoop()
-	}
-	if cfg.SessionTTL > 0 {
-		s.wg.Add(1)
-		go s.sweepLoop()
+	if ttl := cfg.SessionTTL; ttl > 0 {
+		// Sweep on a cadence of TTL/4, clamped so tests with millisecond TTLs
+		// and deployments with day-long ones both behave.
+		every(&s.wg, s.stop, min(max(ttl/4, 10*time.Millisecond), time.Minute), func() {
+			if n := s.sessions.sweep(ttl); n > 0 {
+				s.log.Info("evicted idle sessions", "count", n)
+			}
+		})
 	}
 	return s, nil
+}
+
+// every runs fn once per period on a goroutine of its own, counted in wg,
+// until stop closes; a period ≤ 0 starts nothing. It is the one loop behind
+// the daemon's re-learn, checkpoint and TTL sweeps and the gateway's health
+// probe.
+func every(wg *sync.WaitGroup, stop <-chan struct{}, period time.Duration, fn func()) {
+	if period <= 0 {
+		return
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ticker := time.NewTicker(period)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // Close stops the background workers, waits for them, and — when running
@@ -226,46 +250,6 @@ func (s *Server) CheckpointSessions() int { return s.sessions.checkpointAll() }
 // SweepSessions evicts sessions idle longer than ttl (see Config.SessionTTL)
 // and returns how many were evicted.
 func (s *Server) SweepSessions(ttl time.Duration) int { return s.sessions.sweep(ttl) }
-
-// checkpointLoop periodically flushes session checkpoints.
-func (s *Server) checkpointLoop() {
-	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			s.sessions.checkpointAll()
-		}
-	}
-}
-
-// sweepLoop evicts idle sessions on a cadence of TTL/4 (clamped so tests
-// with millisecond TTLs and deployments with day-long ones both behave).
-func (s *Server) sweepLoop() {
-	defer s.wg.Done()
-	every := s.cfg.SessionTTL / 4
-	if every < 10*time.Millisecond {
-		every = 10 * time.Millisecond
-	}
-	if every > time.Minute {
-		every = time.Minute
-	}
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-ticker.C:
-			if n := s.sessions.sweep(s.cfg.SessionTTL); n > 0 {
-				s.log.Info("evicted idle sessions", "count", n)
-			}
-		}
-	}
-}
 
 // Handler returns the daemon's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }

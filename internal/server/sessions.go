@@ -34,19 +34,20 @@ const checkpointExt = ".ckpt"
 // proceed in parallel.
 //
 // Lock order: a goroutine holding a session mutex must not acquire a shard
-// mutex (shard → session only). The TTL sweeper, which needs both, takes the
-// session mutex via TryLock outside any shard lock and re-acquires the shard
-// lock only after releasing nothing it still holds.
+// mutex (shard → session only). Only remove and install take a session mutex
+// under a shard lock; the TTL sweeper takes it via TryLock outside any shard
+// lock, and the metrics and inventory reads take none, so a scrape never
+// waits on a session's checkpoint or replica ship.
 type session struct {
 	mu      sync.Mutex
 	c       *stream.Clusterer
-	lowSim  int64     // drift counter, guarded by mu
 	lastUse time.Time // guarded by mu; drives TTL eviction
 	// gone marks a session that was evicted or deleted after a caller already
 	// held its pointer: the late operation must fail and retry through the
 	// pool (which pages a checkpointed session back in) instead of mutating
-	// an orphan whose state would silently vanish.
-	gone bool // guarded by mu
+	// an orphan whose state would silently vanish. It is set only under mu;
+	// the inventory reads it without mu to skip a session being retired.
+	gone atomic.Bool
 	// dirty marks state not yet checkpointed; flushes and evictions skip
 	// clean sessions, whose checkpoint file is already current.
 	dirty bool // guarded by mu
@@ -72,24 +73,28 @@ type session struct {
 // file always holds the newest snapshot), idle-evicted sessions spill to
 // disk instead of being lost, and a lookup miss pages a checkpointed session
 // back in transparently.
+//
+// Its counters are atomics, and its inventory skips a retired session by an
+// atomic flag, so the metrics and inventory reads take no session mutex:
+// only remove and install lock a session under a shard lock.
 type sessionPool struct {
 	shards []*sessionShard
 	dir    string // "" → memory-only (eviction discards, restarts forget)
 	log    *slog.Logger
 	ckpt   *histogram // checkpoint-write durations (nil = not recorded)
 
-	// replicate enables checkpoint-before-respond: every assignment
-	// checkpoints (and ships to the ring successor, when a replicator is
-	// configured) before its response is written. replicas holds checkpoints
-	// shipped here by peers; repl is swapped on fleet membership changes.
-	replicate bool
-	replicas  *replicaStore
-	repl      atomic.Pointer[replicator]
+	// replicas, set exactly when the daemon replicates, holds checkpoints
+	// shipped here by peers and turns on checkpoint-before-respond: every
+	// assignment checkpoints (and ships to the ring successor, when a
+	// replicator is configured) before its response is written. repl is
+	// swapped on fleet membership changes.
+	replicas *replicaStore
+	repl     atomic.Pointer[replicator]
 
-	evicted      atomic.Int64 // sessions evicted by the TTL sweeper
-	restored     atomic.Int64 // sessions paged in from checkpoints
-	checkpoints  atomic.Int64 // checkpoint files written (every writeLocked)
-	lowSimRetire atomic.Int64 // drift counts of evicted/deleted sessions
+	evicted     atomic.Int64 // sessions evicted by the TTL sweeper
+	restored    atomic.Int64 // sessions paged in from checkpoints
+	checkpoints atomic.Int64 // checkpoint files written (every writeLocked)
+	drift       atomic.Int64 // non-replayed assignments below the drift threshold
 
 	shipped      atomic.Int64 // checkpoints shipped to a replica holder
 	shipFailures atomic.Int64 // ships that failed (coverage gap until repaired)
@@ -233,14 +238,14 @@ func (p *sessionPool) create(id string, cardinalities []int, window int, seed in
 	s := &session{c: c, lastUse: time.Now(), dirty: true}
 	sh.m[id] = s
 	sh.mu.Unlock()
-	if p.replicate {
+	if p.replicas != nil {
 		// Checkpoint (and ship) the newborn session immediately, so a replica
 		// exists before the first assignment and a create survives an owner
 		// loss with zero arrivals.
 		s.mu.Lock()
 		err := p.saveLocked(id, s)
 		if err != nil {
-			s.gone = true // undo the create: an unpersistable session must not serve
+			s.gone.Store(true) // undo the create: an unpersistable session must not serve
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -266,10 +271,7 @@ func (p *sessionPool) remove(id string) bool {
 	delete(sh.m, id)
 	if ok {
 		s.mu.Lock()
-		if !s.gone { // an eviction may have retired it in parallel
-			s.gone = true
-			p.lowSimRetire.Add(s.lowSim)
-		}
+		s.gone.Store(true)
 		s.mu.Unlock()
 	}
 	// The validateName guard keeps a crafted id from unlinking files
@@ -328,7 +330,7 @@ func (p *sessionPool) assign(id string, row []int, driftThreshold float64, reqID
 func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold float64, reqID string) (stream.Assignment, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gone {
+	if s.gone.Load() {
 		return stream.Assignment{}, true, nil
 	}
 	s.lastUse = time.Now()
@@ -341,13 +343,13 @@ func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold fl
 		return a, false, err
 	}
 	if a.Similarity < driftThreshold {
-		s.lowSim++
+		p.drift.Add(1)
 	}
 	s.lastReqID = reqID
 	s.lastRow = append(s.lastRow[:0], row...)
 	s.lastA = a
 	s.dirty = true
-	if p.replicate {
+	if p.replicas != nil {
 		// Checkpoint-before-respond. A local write failure is fatal for the
 		// request: answering without a durable checkpoint would let a later
 		// failover replay this row and diverge.
@@ -431,26 +433,17 @@ func (p *sessionPool) checkpointAll() int {
 		return 0
 	}
 	n := 0
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		ids := make([]string, 0, len(sh.m))
-		ss := make([]*session, 0, len(sh.m))
-		for id, s := range sh.m {
-			ids = append(ids, id)
-			ss = append(ss, s)
-		}
-		sh.mu.RUnlock()
-		for i, s := range ss {
-			s.mu.Lock()
-			if !s.gone && s.dirty {
-				if err := p.saveLocked(ids[i], s); err != nil {
-					p.log.Warn("session checkpoint failed", "session", ids[i], "err", err)
-				} else {
-					n++
-				}
+	ids, ss := p.resident()
+	for i, s := range ss {
+		s.mu.Lock()
+		if !s.gone.Load() && s.dirty {
+			if err := p.saveLocked(ids[i], s); err != nil {
+				p.log.Warn("session checkpoint failed", "session", ids[i], "err", err)
+			} else {
+				n++
 			}
-			s.mu.Unlock()
 		}
+		s.mu.Unlock()
 	}
 	return n
 }
@@ -466,39 +459,44 @@ func (p *sessionPool) sweep(ttl time.Duration) int {
 	}
 	cutoff := time.Now().Add(-ttl)
 	n := 0
+	ids, ss := p.resident()
+	for i, s := range ss {
+		if !s.mu.TryLock() {
+			continue
+		}
+		if s.gone.Load() || s.lastUse.After(cutoff) {
+			s.mu.Unlock()
+			continue
+		}
+		if p.dir != "" && s.dirty {
+			if err := p.saveLocked(ids[i], s); err != nil {
+				p.log.Warn("eviction checkpoint failed; keeping session in memory", "session", ids[i], "err", err)
+				s.mu.Unlock()
+				continue
+			}
+		}
+		s.gone.Store(true)
+		s.mu.Unlock()
+		p.dropIfSame(ids[i], s)
+		n++
+	}
+	p.evicted.Add(int64(n))
+	return n
+}
+
+// resident snapshots the sessions held in memory, each shard under its read
+// lock only; it is the one walk behind checkpointAll, sweep and ids. A
+// session may be retired after the snapshot, so callers check gone.
+func (p *sessionPool) resident() (ids []string, ss []*session) {
 	for _, sh := range p.shards {
 		sh.mu.RLock()
-		ids := make([]string, 0, len(sh.m))
-		ss := make([]*session, 0, len(sh.m))
 		for id, s := range sh.m {
 			ids = append(ids, id)
 			ss = append(ss, s)
 		}
 		sh.mu.RUnlock()
-		for i, s := range ss {
-			if !s.mu.TryLock() {
-				continue
-			}
-			if s.gone || s.lastUse.After(cutoff) {
-				s.mu.Unlock()
-				continue
-			}
-			if p.dir != "" && s.dirty {
-				if err := p.saveLocked(ids[i], s); err != nil {
-					p.log.Warn("eviction checkpoint failed; keeping session in memory", "session", ids[i], "err", err)
-					s.mu.Unlock()
-					continue
-				}
-			}
-			s.gone = true
-			p.lowSimRetire.Add(s.lowSim)
-			s.mu.Unlock()
-			p.dropIfSame(ids[i], s)
-			n++
-		}
 	}
-	p.evicted.Add(int64(n))
-	return n
+	return ids, ss
 }
 
 // restoreAll pages every checkpointed session back in — the startup path
@@ -539,20 +537,15 @@ func checkpointIDs(dir string) ([]string, error) {
 }
 
 // ids lists the resident session ids (live in memory; checkpointed-only
-// sessions are enumerated from disk when the pool is durable).
+// sessions are enumerated from disk when the pool is durable). It takes no
+// session mutex, so it never waits on a session's checkpoint or ship.
 func (p *sessionPool) ids() []string {
 	seen := make(map[string]struct{})
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for id, s := range sh.m {
-			s.mu.Lock()
-			gone := s.gone
-			s.mu.Unlock()
-			if !gone {
-				seen[id] = struct{}{}
-			}
+	ids, ss := p.resident()
+	for i, s := range ss {
+		if !s.gone.Load() {
+			seen[ids[i]] = struct{}{}
 		}
-		sh.mu.RUnlock()
 	}
 	if p.dir != "" {
 		onDisk, _ := checkpointIDs(p.dir) // unreadable: list the live sessions only
@@ -576,7 +569,7 @@ func (p *sessionPool) residentEpoch(id string) (int64, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.gone {
+	if s.gone.Load() {
 		return 0, false
 	}
 	return s.ownerEpoch, true
@@ -590,7 +583,7 @@ func (p *sessionPool) checkpointBytes(id string) ([]byte, error) {
 	}
 	if s, _ := p.get(id); s != nil {
 		s.mu.Lock()
-		if !s.gone && s.dirty {
+		if !s.gone.Load() && s.dirty {
 			if err := p.saveLocked(id, s); err != nil {
 				s.mu.Unlock()
 				return nil, err
@@ -606,11 +599,12 @@ func (p *sessionPool) checkpointBytes(id string) ([]byte, error) {
 
 // promote turns this pool's replica of id into the live, owned session with
 // a bumped ownership epoch. Idempotent when the session is already resident
-// at the same or a newer epoch.
+// at the same or a newer epoch. The replica is dropped only once install
+// succeeds: until then it may be the session's only copy.
 func (p *sessionPool) promote(id string) (int64, error) {
 	var data []byte
 	if p.replicas != nil {
-		data, _ = p.replicas.take(id)
+		data, _ = os.ReadFile(p.replicas.path(id))
 	}
 	if data == nil {
 		// No replica held: this promote can only succeed if the session is
@@ -625,6 +619,7 @@ func (p *sessionPool) promote(id string) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
+	p.replicas.drop(id)
 	p.promoted.Add(1)
 	return epoch, nil
 }
@@ -679,7 +674,7 @@ func (p *sessionPool) install(id string, data []byte) (int64, error) {
 	sh.mu.Lock()
 	if cur, ok := sh.m[id]; ok {
 		cur.mu.Lock()
-		if !cur.gone {
+		if !cur.gone.Load() {
 			if cur.ownerEpoch >= st.OwnerEpoch {
 				e := cur.ownerEpoch
 				cur.mu.Unlock()
@@ -687,8 +682,7 @@ func (p *sessionPool) install(id string, data []byte) (int64, error) {
 				return e, nil
 			}
 			// Stale resident copy: the incoming epoch fences it.
-			cur.gone = true
-			p.lowSimRetire.Add(cur.lowSim)
+			cur.gone.Store(true)
 		}
 		cur.mu.Unlock()
 		delete(sh.m, id)
@@ -724,23 +718,6 @@ func (p *sessionPool) count() int {
 	for _, sh := range p.shards {
 		sh.mu.RLock()
 		n += len(sh.m)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// lowSimTotal sums the drift counters across live sessions plus the retired
-// counts of evicted and deleted ones, so the exported counter stays
-// monotone when sessions leave memory.
-func (p *sessionPool) lowSimTotal() int64 {
-	n := p.lowSimRetire.Load()
-	for _, sh := range p.shards {
-		sh.mu.RLock()
-		for _, s := range sh.m {
-			s.mu.Lock()
-			n += s.lowSim
-			s.mu.Unlock()
-		}
 		sh.mu.RUnlock()
 	}
 	return n
