@@ -9,9 +9,9 @@
 //
 // Every server-side error surfaces as *APIError carrying the stable code
 // from the v1 error envelope (bad_request, unknown_model, unknown_session,
-// conflict, version_mismatch, overloaded, bad_gateway). Overload (429) is
-// retried transparently, honoring the server's Retry-After delay, up to the
-// configured attempt budget; all waiting respects the context.
+// conflict, version_mismatch, overloaded, internal, bad_gateway). Overload
+// (429) is retried transparently, honoring the server's Retry-After delay,
+// up to the configured attempt budget; all waiting respects the context.
 package client
 
 import (

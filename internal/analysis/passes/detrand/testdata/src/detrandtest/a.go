@@ -34,6 +34,11 @@ func drawInParallelClosure(rng *rand.Rand, out []float64) {
 		}
 		return nil
 	})
+	_ = parallel.ForEachTurns(0, len(out), func(i int, yield func()) error {
+		yield()
+		out[i] = rng.Float64() // want `closure passed to internal/parallel\.ForEachTurns`
+		return nil
+	})
 }
 
 func drawOutsideClosureIsFine(rng *rand.Rand, out []float64) {

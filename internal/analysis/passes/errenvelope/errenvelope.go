@@ -27,9 +27,9 @@ are untouched — and (3) any writeError call, or errorFrame call (the one
 constructor of in-band '!' error frames), whose code argument is not a
 compile-time constant from the stable code table
 (bad_request, unknown_model, unknown_session, conflict, version_mismatch,
-overloaded, bad_gateway, forbidden). A local variable is accepted when every
-assignment to it in the enclosing function is a table constant — the
-status/code pair-selection idiom. Adding a code is an API change: extend
+overloaded, bad_gateway, forbidden, internal). A local variable is accepted
+when every assignment to it in the enclosing function is a table constant —
+the status/code pair-selection idiom. Adding a code is an API change: extend
 the table in internal/server/errors.go and here, in the same commit.`,
 	Run: run,
 }
@@ -45,6 +45,7 @@ var stableCodes = map[string]bool{
 	"overloaded":       true,
 	"bad_gateway":      true,
 	"forbidden":        true,
+	"internal":         true,
 }
 
 // StableCodes returns a copy of the analyzer's code table (for the lockstep

@@ -41,12 +41,17 @@ type MCDCResult struct {
 // returned alongside for inspection.
 //
 // The repeats are independent analyses, so they fan out across cfg.Workers
-// goroutines (≤ 0 → GOMAXPROCS, 1 → sequential). Determinism contract: one
-// sub-seed per repeat is drawn from cfg.Rand up front, in repeat order, and
-// each repeat runs on its own rand.Rand — cfg.Rand therefore advances by
-// exactly `repeats` draws and every repeat's stream is fixed by the master
-// seed alone, making the pooled encoding bit-for-bit identical at any
-// parallelism level. Columns are concatenated in repeat order.
+// goroutines (≤ 0 → GOMAXPROCS, 1 → sequential). With fewer workers than
+// repeats, every repeat starts at once and they take turns on the workers,
+// one MGCPL pass per turn (parallel.ForEachTurns): on 2 workers, 3 repeats
+// finish in about 1.5 repeat-times instead of the 2 that waves would take.
+// Determinism contract: one sub-seed per repeat is drawn from cfg.Rand up
+// front, in repeat order, and each repeat runs on its own rand.Rand and its
+// own state — cfg.Rand therefore advances by exactly `repeats` draws, every
+// repeat's stream is fixed by the master seed alone, and the order in which
+// repeats compute never reaches their results, making the pooled encoding
+// bit-for-bit identical at any parallelism level. Columns are concatenated
+// in repeat order.
 func PooledEncoding(rows [][]int, cardinalities []int, cfg MGCPLConfig, repeats int) ([][]int, *MGCPLResult, error) {
 	if repeats <= 0 {
 		repeats = DefaultRepeats
@@ -69,19 +74,19 @@ func PooledEncoding(rows [][]int, cardinalities []int, cfg MGCPLConfig, repeats 
 	}
 	// Inner budget per repeat, with the division remainder handed out as one
 	// extra worker to the first repeats so no core idles when repeats does
-	// not divide the budget (at most `concurrent` repeats run at once, so
+	// not divide the budget (at most `concurrent` repeats compute at once, so
 	// the total never exceeds `resolved`).
 	innerWorkers := resolved / concurrent // ≥ 1 since resolved ≥ concurrent
 	extra := resolved % concurrent
 	results := make([]*MGCPLResult, repeats)
-	err := parallel.ForEach(concurrent, repeats, func(r int) error {
+	err := parallel.ForEachTurns(concurrent, repeats, func(r int, yield func()) error {
 		sub := cfg
 		sub.Rand = rand.New(rand.NewSource(seeds[r]))
 		sub.Workers = innerWorkers
 		if r < extra {
 			sub.Workers++
 		}
-		mg, err := RunMGCPL(rows, cardinalities, sub)
+		mg, err := runMGCPL(rows, cardinalities, sub, yield)
 		if err != nil {
 			return fmt.Errorf("mgcpl repeat %d: %w", r, err)
 		}

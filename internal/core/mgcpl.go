@@ -201,6 +201,12 @@ func sigmoidWeight(delta float64) float64 {
 // epoch starts with k_initial = k_new and fresh parameters; the procedure
 // stops when an epoch eliminates no further cluster (k_new = k_old).
 func RunMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig) (*MGCPLResult, error) {
+	return runMGCPL(rows, cardinalities, cfg, func() {})
+}
+
+// runMGCPL is RunMGCPL calling yield after every pass of the competitive
+// loop, so that PooledEncoding's repeats can take turns on the workers.
+func runMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig, yield func()) (*MGCPLResult, error) {
 	n := len(rows)
 	if n == 0 {
 		return nil, errors.New("core: empty data")
@@ -217,7 +223,7 @@ func RunMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig) (*MGCPLResult,
 		if err != nil {
 			return nil, err
 		}
-		if err := st.learnLevel(rows, c.MaxInnerIters); err != nil {
+		if err := st.learnLevel(rows, c.MaxInnerIters, yield); err != nil {
 			return nil, err
 		}
 		level := st.compact()
@@ -293,7 +299,8 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 // half of its starting clusters have been eliminated: one epoch represents
 // one granularity stage, and letting a single epoch cascade further would
 // skip the intermediate granularities the next (re-seeded) epochs explore.
-func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
+// yield is called once after every pass.
+func (st *mgcplState) learnLevel(rows [][]int, maxIters int, yield func()) error {
 	n := len(rows)
 	minAlive := (len(st.live) + 1) / 2
 	for iter := 0; iter < maxIters; iter++ {
@@ -334,13 +341,16 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 			// [0,1] (Eq. 11), so winning restores a cluster to full weight
 			// rather than banking unbounded credit — otherwise win credit
 			// would always swamp the rival penalties and no cluster could
-			// ever be eliminated.
+			// ever be eliminated. A winner already at the cap keeps δ_v,
+			// and with it u_v = sigmoidWeight(1), as they are.
 			st.gCur[v]++
 			gCurTotal++
-			if st.delta[v] += st.eta; st.delta[v] > 1 {
-				st.delta[v] = 1
+			if st.delta[v] < 1 {
+				if st.delta[v] += st.eta; st.delta[v] > 1 {
+					st.delta[v] = 1
+				}
+				st.u[v] = sigmoidWeight(st.delta[v])
 			}
-			st.u[v] = sigmoidWeight(st.delta[v])
 			if h >= 0 && iter > 0 {
 				// The penalty strength is the rival's similarity *relative
 				// to the winner's*: it approaches the full award η exactly
@@ -369,6 +379,7 @@ func (st *mgcplState) learnLevel(rows [][]int, maxIters int) error {
 		}
 		copy(st.g, st.gCur)
 		st.refreshWeights()
+		yield()
 		// Clusters emptied this pass are out of the competition. Each
 		// elimination clears the guidance statistics of the survivors
 		// (g←0, δ←1, ω←1/d): the fight that killed the loser also battered

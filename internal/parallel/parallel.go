@@ -5,9 +5,10 @@
 // here rather than hand-rolled goroutines, which gives them a uniform
 // contract:
 //
-//   - Bounded workers. At most W goroutines run the callback at a time; W ≤ 0
+//   - Bounded workers. At most W goroutines compute at a time; W ≤ 0
 //     resolves to runtime.GOMAXPROCS(0) and W = 1 executes inline on the
-//     calling goroutine with no concurrency at all.
+//     calling goroutine with no concurrency at all. ForEachTurns may start
+//     more goroutines than W, but only W of them hold a turn to compute.
 //   - Deterministic results. Work is identified by index; callbacks write
 //     only to their own index (or chunk) and chunk boundaries depend only on
 //     the problem size, never on W. Reductions fold per-chunk values in chunk
@@ -99,6 +100,50 @@ func chunkSize(n int) int {
 	return size
 }
 
+// firstError folds task failures into the one a sequential early-exit loop
+// would report: the error of the lowest failing task.
+type firstError struct {
+	mu  sync.Mutex
+	idx int
+	err error
+}
+
+func (f *firstError) record(task int, err error) {
+	f.mu.Lock()
+	if f.err == nil || task < f.idx {
+		f.idx, f.err = task, err
+	}
+	f.mu.Unlock()
+}
+
+// below reports whether a failure below task is recorded: only then may a
+// claimed task be abandoned. Abandoning on ANY failure would let a
+// descheduled worker drop a lower-index task whose error the contract
+// promises to report — the lowest failing task must always run.
+func (f *firstError) below(task int) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err != nil && f.idx < task
+}
+
+func (f *firstError) result() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// safeCall runs fn(task), returning a panic as a *PanicError.
+func safeCall(fn func(task int) error, task int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			buf := make([]byte, 4096)
+			buf = buf[:runtime.Stack(buf, false)]
+			err = &PanicError{Value: r, Stack: buf}
+		}
+	}()
+	return fn(task)
+}
+
 // run dispatches tasks 0..tasks-1 to at most `workers` goroutines and returns
 // the error of the lowest failing task. Tasks are claimed in index order via
 // an atomic cursor, and a claimed task is abandoned only when a failure
@@ -114,70 +159,39 @@ func run(workers, tasks int, fn func(task int) error) error {
 		workers = tasks
 	}
 
-	var (
-		mu       sync.Mutex
-		firstIdx int
-		firstErr error
-	)
-	record := func(task int, err error) {
-		mu.Lock()
-		if firstErr == nil || task < firstIdx {
-			firstIdx, firstErr = task, err
-		}
-		mu.Unlock()
-	}
-	// skip reports whether a claimed task may be abandoned: only when a
-	// failure below it is already recorded. Abandoning on ANY failure would
-	// let a descheduled worker drop a lower-index task whose error the
-	// contract promises to report — the lowest failing task must always run.
-	skip := func(task int) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil && firstIdx < task
-	}
-	safeCall := func(task int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				buf := make([]byte, 4096)
-				buf = buf[:runtime.Stack(buf, false)]
-				err = &PanicError{Value: r, Stack: buf}
-			}
-		}()
-		return fn(task)
-	}
-
 	if workers == 1 {
 		// Inline fast path: no goroutines, sequential early-exit semantics.
 		for task := 0; task < tasks; task++ {
-			if err := safeCall(task); err != nil {
+			if err := safeCall(fn, task); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
+	var (
+		first  firstError
+		cursor atomic.Int64
+		wg     sync.WaitGroup
+	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
 				task := int(cursor.Add(1)) - 1
-				if task >= tasks || skip(task) {
+				if task >= tasks || first.below(task) {
 					return
 				}
-				if err := safeCall(task); err != nil {
-					record(task, err)
+				if err := safeCall(fn, task); err != nil {
+					first.record(task, err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return firstErr
+	return first.result()
 }
 
 // ForEach runs fn(i) for every i in [0, n) on at most `workers` goroutines
@@ -186,6 +200,62 @@ func run(workers, tasks int, fn func(task int) error) error {
 func ForEach(workers, n int, fn func(i int) error) error {
 	return run(workers, n, fn)
 }
+
+// ForEachTurns is ForEach for long tasks that can pause. fn(i, yield) runs
+// for every i in [0, n); when 1 < workers < n, all n tasks start and take
+// turns, at most `workers` of them computing at a time. Calling yield hands
+// the caller's turn to the task that has waited longest and blocks until a
+// turn comes back. Tasks that yield often therefore share the workers
+// round-robin instead of running in waves: n equal tasks on W workers take
+// about n/W task-times, not ⌈n/W⌉. With workers = 1 or workers ≥ n it is
+// ForEach, and yield does nothing.
+//
+// fn may call yield only from its own goroutine. Tasks are dispatched in
+// index order, each with its first turn, and once a task fails no further
+// task is dispatched (tasks already dispatched run to the end); the
+// returned error follows first-error semantics.
+func ForEachTurns(workers, n int, fn func(i int, yield func()) error) error {
+	workers = Resolve(workers)
+	if workers == 1 || workers >= n {
+		return run(workers, n, func(i int) error { return fn(i, noYield) })
+	}
+	// A send takes a turn and a receive gives one back. Blocked senders
+	// queue in FIFO order, and a receive from the full channel moves the
+	// longest-waiting sender's value into it, so yield's turn goes to that
+	// task before yield queues for the next one.
+	turns := make(chan struct{}, workers)
+	yield := func() {
+		<-turns
+		turns <- struct{}{}
+	}
+	task := func(i int) error { return fn(i, yield) }
+	var (
+		first firstError
+		wg    sync.WaitGroup
+	)
+	// Tasks are dispatched in index order, so a recorded failure is always
+	// below the next task: the dispatch stops at the first turn taken after
+	// one, which is often the failed task's own.
+	for i := 0; i < n; i++ {
+		turns <- struct{}{} // task i's first turn
+		if first.result() != nil {
+			<-turns
+			break
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-turns }()
+			if err := safeCall(task, i); err != nil {
+				first.record(i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first.result()
+}
+
+func noYield() {}
 
 // ForEachChunk splits [0, n) into contiguous chunks and runs fn(lo, hi) for
 // each. Chunk boundaries depend only on n — never on workers — so code that

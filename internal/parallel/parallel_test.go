@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestResolve(t *testing.T) {
@@ -296,5 +297,175 @@ func TestPoolForEachChunk(t *testing.T) {
 	}
 	if err := p.ForEach(10, func(i int) error { return nil }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// spinLimit bounds yieldUntil. The turn scheduler reaches every condition
+// the tests below wait for within a few yields; the wave schedule of ForEach,
+// whose yield does nothing, never does, and gives up after spinLimit spins.
+const spinLimit = 100_000
+
+// yieldUntil yields until cond holds and reports whether it did before
+// spinLimit spins.
+func yieldUntil(yield func(), cond func() bool) bool {
+	for spins := 0; !cond(); spins++ {
+		if spins == spinLimit {
+			return false
+		}
+		yield()
+		runtime.Gosched()
+	}
+	return true
+}
+
+// returnsWithin runs call and fails the test if it has not returned by the
+// deadline: a turn that a failure path never gives back hangs the tasks
+// still waiting for it.
+func returnsWithin(t *testing.T, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(30 * time.Second):
+		t.Fatal("ForEachTurns did not return: a turn was never given back")
+		return nil
+	}
+}
+
+// TestForEachTurnsBound pins the concurrency bound: however the tasks yield,
+// at most `workers` of them compute at once, and every task runs once. At
+// workers = 1 (inline) and workers ≥ n (ForEach), yield does nothing.
+func TestForEachTurnsBound(t *testing.T) {
+	for _, workers := range []int{1, 2, 3} {
+		for _, n := range []int{3, 5, 7} {
+			var computing, peak atomic.Int64
+			hits := make([]int, n)
+			err := ForEachTurns(workers, n, func(i int, yield func()) error {
+				hits[i]++
+				for y := 0; y < 100; y++ {
+					cur := computing.Add(1)
+					for p := peak.Load(); cur > p && !peak.CompareAndSwap(p, cur); p = peak.Load() {
+					}
+					runtime.Gosched()
+					computing.Add(-1)
+					yield()
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := peak.Load(); p > int64(workers) {
+				t.Errorf("workers=%d n=%d: %d tasks computed at once", workers, n, p)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Errorf("workers=%d n=%d: task %d ran %d times", workers, n, i, h)
+				}
+			}
+		}
+	}
+}
+
+// TestForEachTurnsSharesWorkers pins what the turns are for: with 3 tasks
+// on 2 workers, every task takes its first turn before any task finishes.
+// ForEach runs the third task only after one of the first two has finished.
+func TestForEachTurnsSharesWorkers(t *testing.T) {
+	const n = 3
+	var (
+		mu      sync.Mutex
+		events  []string
+		started atomic.Int64
+	)
+	note := func(e string) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}
+	err := returnsWithin(t, func() error {
+		return ForEachTurns(2, n, func(i int, yield func()) error {
+			note(fmt.Sprintf("start %d", i))
+			started.Add(1)
+			yieldUntil(yield, func() bool { return started.Load() == n })
+			note(fmt.Sprintf("finish %d", i))
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range events[:n] {
+		if !strings.HasPrefix(e, "start ") {
+			t.Fatalf("a task finished before every task started: %v", events)
+		}
+	}
+}
+
+// TestForEachTurnsErrorStopsDispatch pins that no task starts after a
+// failure is recorded: with task 0 failing at once, far fewer than all
+// tasks run. The other tasks yield until task 0 has run, so the turns
+// cannot pass among them while it waits to be scheduled.
+func TestForEachTurnsErrorStopsDispatch(t *testing.T) {
+	var ran atomic.Int64
+	var failed atomic.Bool
+	err := ForEachTurns(2, 1000, func(i int, yield func()) error {
+		ran.Add(1)
+		if i == 0 {
+			failed.Store(true)
+			return errors.New("stop")
+		}
+		yieldUntil(yield, failed.Load)
+		return nil
+	})
+	if err == nil || err.Error() != "stop" {
+		t.Fatalf("err = %v, want task 0's", err)
+	}
+	if ran.Load() > 100 {
+		t.Errorf("%d tasks ran after task 0 failed", ran.Load())
+	}
+}
+
+// TestForEachTurnsFailures pins ForEach's contract on the turn-taking path:
+// the lowest failing index is reported, a panic becomes *PanicError, and
+// the call returns. Both failing tasks fail while holding the only two
+// turns, after every task has started, so a failure path that kept its turn
+// would leave task 0 waiting forever.
+func TestForEachTurnsFailures(t *testing.T) {
+	for _, mode := range []string{"error", "panic"} {
+		t.Run(mode, func(t *testing.T) {
+			const n = 3
+			var started atomic.Int64
+			err := returnsWithin(t, func() error {
+				return ForEachTurns(2, n, func(i int, yield func()) error {
+					started.Add(1)
+					if !yieldUntil(yield, func() bool { return started.Load() == n }) {
+						return fmt.Errorf("task %d: not every task started", i)
+					}
+					if i == 0 {
+						for y := 0; y < 100; y++ {
+							yield()
+						}
+						return nil
+					}
+					if mode == "panic" {
+						panic(fmt.Sprintf("task %d", i))
+					}
+					return fmt.Errorf("task %d failed", i)
+				})
+			})
+			switch mode {
+			case "error":
+				if err == nil || err.Error() != "task 1 failed" {
+					t.Fatalf("err = %v, want task 1's", err)
+				}
+			case "panic":
+				var pe *PanicError
+				if !errors.As(err, &pe) || pe.Value != "task 1" {
+					t.Fatalf("err = %v, want task 1's *PanicError", err)
+				}
+			}
+		})
 	}
 }

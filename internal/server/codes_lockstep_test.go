@@ -22,6 +22,7 @@ func TestStableCodeTable(t *testing.T) {
 		codeOverloaded,
 		codeBadGateway,
 		codeForbidden,
+		codeInternal,
 	}
 	table := errenvelope.StableCodes()
 	for _, code := range declared {

@@ -38,6 +38,10 @@ const (
 	// codeForbidden: an intra-fleet endpoint (replica shipping, promotion,
 	// membership) was called without the configured fleet secret.
 	codeForbidden = "forbidden"
+	// codeInternal: the daemon failed on its own side, not the request — a
+	// write to or read from its state dir failed (storing a replica,
+	// installing a promoted session, flushing a checkpoint to serve it).
+	codeInternal = "internal"
 )
 
 // codeStatus is the HTTP status the code table pairs with a stable code: the
@@ -57,6 +61,8 @@ func codeStatus(code string) int {
 		return http.StatusTooManyRequests
 	case codeBadGateway:
 		return http.StatusBadGateway
+	case codeInternal:
+		return http.StatusInternalServerError
 	}
 	return http.StatusBadRequest
 }

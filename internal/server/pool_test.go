@@ -179,8 +179,9 @@ func TestPromoteFailureKeepsReplica(t *testing.T) {
 	if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if resp, data := post(t, ts.URL+"/v1/sessions/mv/promote", nil); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("promote with a failing checkpoint write: %d %s, want 500", resp.StatusCode, data)
+	if resp, data := post(t, ts.URL+"/v1/sessions/mv/promote", nil); resp.StatusCode != http.StatusInternalServerError ||
+		!strings.Contains(string(data), `"code":"internal"`) {
+		t.Fatalf("promote with a failing checkpoint write: %d %s, want 500 with code internal", resp.StatusCode, data)
 	}
 	if err := os.RemoveAll(obstacle); err != nil {
 		t.Fatal(err)

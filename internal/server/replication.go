@@ -332,7 +332,7 @@ func (s *Server) handleReplicaCheckpoint(w http.ResponseWriter, r *http.Request)
 			writeError(w, http.StatusConflict, codeConflict, "stale checkpoint for %q (epoch %d)", id, st.OwnerEpoch)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeBadRequest, "store replica: %v", err)
+		writeError(w, http.StatusInternalServerError, codeInternal, "store replica: %v", err)
 		return
 	}
 	s.sessions.replicaRecv.Add(1)
@@ -366,7 +366,7 @@ func (s *Server) handlePromoteSession(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, codeUnknownSession, "no replica of session %q held here", id)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeBadRequest, "promote %q: %v", id, err)
+		writeError(w, http.StatusInternalServerError, codeInternal, "promote %q: %v", id, err)
 		return
 	}
 	s.log.Info("promoted session from replica", "session", id, "epoch", epoch)
@@ -418,7 +418,7 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request)
 			writeError(w, http.StatusNotFound, codeUnknownSession, "no session %q", id)
 			return
 		}
-		writeError(w, http.StatusInternalServerError, codeBadRequest, "checkpoint %q: %v", id, err)
+		writeError(w, http.StatusInternalServerError, codeInternal, "checkpoint %q: %v", id, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

@@ -56,11 +56,14 @@ func WithEnsemble(repeats int) Option {
 	return func(o *options) { o.ensemble = repeats }
 }
 
-// WithParallelism bounds how many goroutines the pipeline's CPU-bound
-// fan-outs may use: the ensemble MGCPL repeats, the per-cluster
+// WithParallelism bounds how many goroutines compute at once in the
+// pipeline's CPU-bound fan-outs: the ensemble MGCPL repeats, the per-cluster
 // feature-weight refreshes, CAME's assignment/mode/θ sweeps, and the
 // farthest-first seeding scans. n ≤ 0 (the default) resolves to
-// runtime.GOMAXPROCS(0); n = 1 runs fully sequentially.
+// runtime.GOMAXPROCS(0); n = 1 runs fully sequentially, on the caller's
+// goroutine. When n is above 1 but below the number of ensemble repeats,
+// every repeat starts at once and they take turns, n computing at a time and
+// one MGCPL pass per turn, so no worker idles while the last repeats run.
 //
 // Determinism contract: parallelism never changes results. For a fixed seed,
 // every parallelism level produces bit-for-bit identical labels, κ series,

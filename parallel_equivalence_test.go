@@ -31,22 +31,29 @@ func equalIntSlices(a, b []int) bool {
 
 func TestClusterParallelismEquivalence(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		k    int
+		name     string
+		k        int
+		ensemble int // 0 keeps the default, 3 repeats
+		workers  []int
 	}{
-		{"Vot.", 2},
-		{"Bal.", 3},
+		{"Vot.", 2, 0, []int{2, 8, 0}},
+		{"Bal.", 3, 0, []int{2, 8, 0}},
+		// Five repeats on 2 or 3 workers take turns: 2 or 3 of the 5
+		// compute at once, whatever GOMAXPROCS is.
+		{"Vot.", 2, 5, []int{2, 3}},
+		{"Bal.", 3, 5, []int{2, 3}},
 	} {
 		ds, err := mcdc.Builtin(tc.name, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq, err := mcdc.Cluster(ds, tc.k, mcdc.WithSeed(7), mcdc.WithParallelism(1))
+		opts := []mcdc.Option{mcdc.WithSeed(7), mcdc.WithEnsemble(tc.ensemble)}
+		seq, err := mcdc.Cluster(ds, tc.k, append(opts, mcdc.WithParallelism(1))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, workers := range []int{2, 8, 0} {
-			par, err := mcdc.Cluster(ds, tc.k, mcdc.WithSeed(7), mcdc.WithParallelism(workers))
+		for _, workers := range tc.workers {
+			par, err := mcdc.Cluster(ds, tc.k, append(opts, mcdc.WithParallelism(workers))...)
 			if err != nil {
 				t.Fatal(err)
 			}
