@@ -30,9 +30,7 @@ import (
 	"mcdc/client"
 	"mcdc/internal/datasets"
 	"mcdc/internal/experiments"
-	"mcdc/internal/linkage"
 	"mcdc/internal/server"
-	"mcdc/internal/similarity"
 	"mcdc/internal/stats"
 )
 
@@ -144,64 +142,6 @@ func BenchmarkMGCPLScan(b *testing.B) {
 				if _, err := mcdc.Explore(ds, mcdc.WithSeed(1)); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
-	}
-}
-
-// BenchmarkSimilarityParallel measures the O(n²·d) pairwise similarity
-// matrix at n = 2000 in condensed form (n·(n−1)/2 stored entries),
-// sequential versus tiled across all cores. On a machine with ≥ 4 cores the
-// workers=all sub-benchmark should run ≥ 2× faster than workers=1 (the
-// computation is embarrassingly parallel and cache-friendly); on a
-// single-core runner the two coincide.
-func BenchmarkSimilarityParallel(b *testing.B) {
-	ds := mcdc.SyntheticDataset("syn_sim", 2000, 25, 3, 1)
-	rows := ds.Rows
-	gmp := runtime.GOMAXPROCS(0)
-	for _, bc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"condensed/workers=1", func() { similarity.PairwiseCondensed(rows, 1) }},
-		{fmt.Sprintf("condensed/workers=%d", gmp), func() { similarity.PairwiseCondensed(rows, 0) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bc.fn()
-			}
-		})
-	}
-}
-
-// BenchmarkPackedPairwise pins the bit-packed popcount kernel against the
-// per-feature unpacked oracle on the same n=2000 categorical rows as
-// BenchmarkSimilarityParallel: PairwiseCondensed auto-selects the packed
-// fill (one-hot bit planes, AND + bits.OnesCount64 per word), while
-// PairwiseCondensedUnpacked is the branchy original kept as cross-check
-// oracle and fallback. The packed/unpacked sec/op ratio is the ≥4× tentpole
-// acceptance bar; both are part of the benchmark-regression CI gate so
-// neither kernel can quietly rot. The outputs are bit-for-bit identical
-// (pinned by TestPackedPairwiseEquivalence and the similarity property
-// tests).
-func BenchmarkPackedPairwise(b *testing.B) {
-	ds := mcdc.SyntheticDataset("syn_sim", 2000, 25, 3, 1)
-	rows := ds.Rows
-	gmp := runtime.GOMAXPROCS(0)
-	for _, bc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"packed/workers=1", func() { similarity.PairwiseCondensed(rows, 1) }},
-		{fmt.Sprintf("packed/workers=%d", gmp), func() { similarity.PairwiseCondensed(rows, 0) }},
-		{"unpacked/workers=1", func() { similarity.PairwiseCondensedUnpacked(rows, 1) }},
-		{fmt.Sprintf("unpacked/workers=%d", gmp), func() { similarity.PairwiseCondensedUnpacked(rows, 0) }},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				bc.fn()
 			}
 		})
 	}
@@ -478,61 +418,6 @@ func BenchmarkStreamCheckpoint(b *testing.B) {
 		}
 		b.ReportMetric(float64(ckpt.Len()), "B/ckpt")
 	})
-}
-
-// BenchmarkLinkageScale measures the two linkage engines on the same
-// condensed Hamming matrix as n grows: the O(n³) per-step nearest-pair scan
-// (the PR-2 baseline, kept as the cross-check oracle) against the O(n²)
-// nearest-neighbour chain that replaced it on every consumer. Part of the
-// benchmark-regression CI gate; the scan is omitted at n=5000, where its
-// cubic cost (~minutes per run) would blow the gate's time budget — the
-// chain covers the full sweep. ReportAllocs surfaces the working-set story:
-// both engines allocate one condensed clone plus O(n) bookkeeping,
-// regardless of how many merges they perform. 16 features keep the Hamming
-// grid dyadic, where chain and scan are bit-for-bit identical (pinned by
-// TestChainLinkageEquivalence and the linkage equivalence suite).
-func BenchmarkLinkageScale(b *testing.B) {
-	for _, n := range []int{500, 2000, 5000} {
-		n := n
-		run := func(name string, build func(*similarity.Condensed) (*linkage.Dendrogram, error)) {
-			b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
-				// Matrix setup is lazy (filtered-out sizes are never built)
-				// and cached across -count repetitions, then excluded from
-				// the timing.
-				cond := linkBenchCondensed(n)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := build(cond); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		if n <= 2000 {
-			run("scan", func(cond *similarity.Condensed) (*linkage.Dendrogram, error) {
-				return linkage.BuildCondensedWorkers(cond, linkage.Average, 0)
-			})
-		}
-		run("chain", func(cond *similarity.Condensed) (*linkage.Dendrogram, error) {
-			return linkage.BuildChainWorkers(cond, linkage.Average, 0)
-		})
-	}
-}
-
-// linkBenchCache memoizes the O(n²·d) Hamming matrices of
-// BenchmarkLinkageScale so -count repetitions and filtered runs never
-// rebuild them.
-var linkBenchCache = map[int]*similarity.Condensed{}
-
-func linkBenchCondensed(n int) *similarity.Condensed {
-	if c, ok := linkBenchCache[n]; ok {
-		return c
-	}
-	ds := mcdc.SyntheticDataset("syn_link", n, 16, 4, 1)
-	c := linkage.HammingCondensedWorkers(ds.Rows, 0)
-	linkBenchCache[n] = c
-	return c
 }
 
 // BenchmarkFig6_ScaleN reproduces the shape of Fig. 6a: MCDC execution time

@@ -8,7 +8,6 @@
 //	experiments -exp fig4   [-runs 5]
 //	experiments -exp fig5
 //	experiments -exp fig6   [-quick]
-//	experiments -exp linkage [-quick]
 //	experiments -exp all
 package main
 
@@ -29,7 +28,7 @@ func main() {
 
 func run() error {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table3, table4, fig4, fig5, fig6, linkage, sensitivity, all")
+		exp      = flag.String("exp", "all", "experiment: table3, table4, fig4, fig5, fig6, sensitivity, all")
 		runs     = flag.Int("runs", 5, "runs per method per data set (paper: 50)")
 		seed     = flag.Int64("seed", 1, "base random seed")
 		dsFlag   = flag.String("datasets", "", "comma-separated subset of data sets (default: all eight)")
@@ -62,8 +61,6 @@ func run() error {
 		return runFig5(*seed, names, *par)
 	case "fig6":
 		return runFig6(*seed, *quick)
-	case "linkage":
-		return runLinkageScale(*seed, *quick, *par)
 	case "sensitivity":
 		return runSensitivity(*runs, *seed, names, *par)
 	case "all":
@@ -78,9 +75,6 @@ func run() error {
 			return err
 		}
 		if err := runFig6(*seed, *quick); err != nil {
-			return err
-		}
-		if err := runLinkageScale(*seed, *quick, *par); err != nil {
 			return err
 		}
 		return runSensitivity(*runs, *seed, names, *par)

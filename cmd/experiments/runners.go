@@ -87,21 +87,6 @@ func runFig6(seed int64, quick bool) error {
 	return nil
 }
 
-func runLinkageScale(seed int64, quick bool, workers int) error {
-	cfg := experiments.LinkageScaleConfig{Seed: seed, Workers: workers}
-	if quick {
-		cfg.Ns = []int{200, 500, 1000}
-		cfg.ScanCap = 1000
-	}
-	ls, err := experiments.RunLinkageScale(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println("=== Linkage scaling: O(n³) scan vs O(n²) nearest-neighbour chain ===")
-	ls.Write(os.Stdout)
-	return nil
-}
-
 func runSensitivity(runs int, seed int64, names []string, workers int) error {
 	sw, err := experiments.RunSensitivity(runs, seed, names, nil, workers)
 	if err != nil {

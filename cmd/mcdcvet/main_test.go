@@ -7,13 +7,12 @@ import (
 	"mcdc/internal/analysis/registry"
 )
 
-// TestRegistersAllAnalyzers pins the suite's roster: the six analyzers that
+// TestRegistersAllAnalyzers pins the suite's roster: the five analyzers that
 // mechanize the ROADMAP standing constraints must all be registered, so a
 // refactor that drops one out of the binary fails here, not in review.
 func TestRegistersAllAnalyzers(t *testing.T) {
 	want := []string{
 		"bodydrain",
-		"densematrix",
 		"detrand",
 		"errenvelope",
 		"lockorder",

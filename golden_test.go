@@ -107,11 +107,14 @@ func goldenHash(rows ...[]int) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// goldenFloatHash hashes the IEEE-754 bits of xs.
+// goldenFloatHash hashes the IEEE-754 bits of xs in goldenHash's layout: the
+// length, then each value's 64 bits, little-endian. The bits stay uint64
+// throughout, so a 32-bit int cannot truncate them.
 func goldenFloatHash(xs []float64) string {
-	bits := make([]int, len(xs))
-	for i, x := range xs {
-		bits[i] = int(math.Float64bits(x))
+	h := sha256.New()
+	h.Write(binary.LittleEndian.AppendUint64(nil, uint64(len(xs))))
+	for _, x := range xs {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)))
 	}
-	return goldenHash(bits)
+	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -11,11 +11,10 @@
 // be ported to x/tools mechanically if the dependency policy ever changes.
 //
 // The suite exists to mechanize the repo's standing constraints (see
-// ROADMAP.md): determinism of rng use under internal/parallel, condensed-only
-// similarity storage, slog-only logging in the serving layer, the
-// {"error","code"} envelope, the placeMu→stateMu lock order, and the
-// drain-body-before-first-write HTTP rule. cmd/mcdcvet bundles every pass
-// and runs in CI over ./....
+// ROADMAP.md): determinism of rng use under internal/parallel, slog-only
+// logging in the serving layer, the {"error","code"} envelope, the
+// placeMu→stateMu lock order, and the drain-body-before-first-write HTTP
+// rule. cmd/mcdcvet bundles every pass and runs in CI over ./....
 //
 // Deliberate exceptions are suppressed in source with
 //

@@ -7,7 +7,6 @@ package registry
 import (
 	"mcdc/internal/analysis"
 	"mcdc/internal/analysis/passes/bodydrain"
-	"mcdc/internal/analysis/passes/densematrix"
 	"mcdc/internal/analysis/passes/detrand"
 	"mcdc/internal/analysis/passes/errenvelope"
 	"mcdc/internal/analysis/passes/lockorder"
@@ -18,7 +17,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		bodydrain.Analyzer,
-		densematrix.Analyzer,
 		detrand.Analyzer,
 		errenvelope.Analyzer,
 		lockorder.Analyzer,

@@ -36,10 +36,15 @@ type Coordinator struct {
 }
 
 // NewCoordinator prepares a coordinator serving the placement's shards over
-// the given data set rows.
+// the given data set rows. It refuses rows that do not fit the schema: every
+// worker would refuse the shards that hold them, and Wait would block
+// forever.
 func NewCoordinator(rows [][]int, cardinalities []int, plan *Placement) (*Coordinator, error) {
 	if plan == nil || len(plan.Shards) == 0 {
 		return nil, errors.New("distsim: empty placement")
+	}
+	if err := checkRows(rows, cardinalities); err != nil {
+		return nil, fmt.Errorf("distsim: %w", err)
 	}
 	c := &Coordinator{
 		rows:      rows,

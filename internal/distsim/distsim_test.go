@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"mcdc/internal/categorical"
 )
 
 func TestPlanPreservesLocalityAndBalances(t *testing.T) {
@@ -120,9 +122,11 @@ func newTestJob(t *testing.T, nodes int) ([][]int, []int, *Placement) {
 	return rows, []int{4, 3, 3}, p
 }
 
-// TestComputeStatsCohesion pins the condensed-similarity cohesion summary a
-// worker attaches to every shard: mean pairwise simple-matching similarity,
-// with singletons perfectly cohesive by convention.
+// TestComputeStatsCohesion pins the cohesion summary a worker attaches to
+// every shard: mean pairwise simple-matching similarity, with singletons
+// perfectly cohesive by convention. Beyond three exact cases, the closed
+// form over value counts must agree with a brute-force loop over all pairs
+// of rows on random shards with Missing cells.
 func TestComputeStatsCohesion(t *testing.T) {
 	card := []int{2, 3}
 	uniform := [][]int{{1, 2}, {1, 2}, {1, 2}}
@@ -136,6 +140,44 @@ func TestComputeStatsCohesion(t *testing.T) {
 	mixed := [][]int{{0, 1}, {0, 2}, {1, 2}}
 	if st := computeStats(2, mixed, card); st.Cohesion != 1.0/3.0 {
 		t.Errorf("mixed shard cohesion = %v, want 1/3", st.Cohesion)
+	}
+
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 200; trial++ {
+		n, d := 2+rng.Intn(150), 1+rng.Intn(20)
+		card := make([]int, d)
+		for r := range card {
+			card[r] = 1 + rng.Intn(5)
+		}
+		rows := make([][]int, n)
+		for i := range rows {
+			rows[i] = make([]int, d)
+			for r := range rows[i] {
+				rows[i][r] = rng.Intn(card[r])
+				if rng.Intn(10) == 0 {
+					rows[i][r] = categorical.Missing
+				}
+			}
+		}
+		// The oracle walks every pair of rows and counts the features on
+		// which both hold the same non-missing value. Summing the counts as
+		// integers keeps it exact, so the mean is the correctly rounded
+		// quotient, which the closed form must reproduce bit for bit (a
+		// float sum of per-pair ratios drifts by ~n·ε on its own).
+		matches := 0
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				for r := 0; r < d; r++ {
+					if rows[i][r] == rows[j][r] && rows[i][r] != categorical.Missing {
+						matches++
+					}
+				}
+			}
+		}
+		want := float64(matches) / float64(d*n*(n-1)/2)
+		if got := computeStats(trial, rows, card).Cohesion; got != want {
+			t.Fatalf("trial %d (n=%d, d=%d): cohesion %v, pair loop %v", trial, n, d, got, want)
+		}
 	}
 }
 
@@ -327,6 +369,74 @@ func TestWorkerRejectsUnversionedCoordinator(t *testing.T) {
 	_, err = (&Worker{}).Run(ln.Addr().String())
 	if err == nil || !strings.Contains(err.Error(), "version handshake") {
 		t.Fatalf("unversioned coordinator not refused by name: %v", err)
+	}
+}
+
+// TestWorkerRejectsMalformedTask pins the worker's schema check: a task row
+// with the wrong number of values, a value outside its feature's domain, or
+// a negative cardinality is refused with an error naming the shard, row and
+// feature, and no result is sent. Without the check such a task indexes
+// past the value histograms, or sizes one negatively, and the worker panics.
+func TestWorkerRejectsMalformedTask(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		card []int
+		rows [][]int
+		want []string
+	}{
+		{"long row", []int{2, 2}, [][]int{{0, 1, 1}, {1, 0, 0}}, []string{"shard 5", "row 0", "3 values"}},
+		{"short row", []int{2, 2}, [][]int{{0, 1}, {1}}, []string{"shard 5", "row 1", "1 values"}},
+		{"value past domain", []int{2, 2}, [][]int{{0, 1}, {1, 2}}, []string{"shard 5", "row 1 feature 1", "value 2"}},
+		{"negative value", []int{2, 2}, [][]int{{-2, 1}}, []string{"shard 5", "row 0 feature 0", "value -2"}},
+		{"negative cardinality", []int{2, -1}, [][]int{{0, -1}}, []string{"shard 5", "feature 1", "cardinality -1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			replied := make(chan bool, 1)
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					replied <- false
+					return
+				}
+				defer conn.Close()
+				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+				var hello message
+				_ = enc.Encode(message{Kind: kindHello, Proto: ProtocolVersion})
+				_ = dec.Decode(&hello)
+				_ = enc.Encode(message{Kind: kindTask, ShardID: 5, Rows: tc.rows, Cardinalities: tc.card})
+				var reply message
+				replied <- dec.Decode(&reply) == nil
+			}()
+			_, err = (&Worker{}).Run(ln.Addr().String())
+			if err == nil {
+				t.Fatal("malformed task accepted")
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not contain %q", err, want)
+				}
+			}
+			if <-replied {
+				t.Error("worker sent a result for a malformed task")
+			}
+		})
+	}
+}
+
+// TestNewCoordinatorRejectsMalformedRows: a data set whose rows do not fit
+// its schema is refused up front, naming the row and feature, instead of
+// leaving every worker to refuse its shards while Wait blocks.
+func TestNewCoordinatorRejectsMalformedRows(t *testing.T) {
+	rows, card, plan := newTestJob(t, 2)
+	rows[17] = []int{0, 3, 1}
+	_, err := NewCoordinator(rows, card, plan)
+	if err == nil || !strings.Contains(err.Error(), "row 17 feature 1") {
+		t.Fatalf("NewCoordinator on a value outside its domain: %v", err)
 	}
 }
 

@@ -57,6 +57,9 @@ func (w *Worker) Run(addr string) (int, error) {
 			if card == nil {
 				return processed, errors.New("distsim: task frame arrived before any cardinalities")
 			}
+			if err := checkRows(task.Rows, card); err != nil {
+				return processed, fmt.Errorf("distsim: shard %d: %w", task.ShardID, err)
+			}
 			stats := computeStats(task.ShardID, task.Rows, card)
 			if err := enc.Encode(message{Kind: kindResult, Stats: stats}); err != nil {
 				return processed, fmt.Errorf("distsim: send result: %w", err)

@@ -177,35 +177,3 @@ func TestFig4Write(t *testing.T) {
 		t.Errorf("Fig4 output: %s", out)
 	}
 }
-
-func TestLinkageScaleSmall(t *testing.T) {
-	ls, err := RunLinkageScale(LinkageScaleConfig{Ns: []int{120, 260}, Seed: 1, ScanCap: 260})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ls.Ns) != 2 || len(ls.ChainSec) != 2 || len(ls.ScanSec) != 2 || len(ls.Verified) != 2 {
-		t.Fatalf("shape: %+v", ls)
-	}
-	for i, n := range ls.Ns {
-		if !ls.Checked[i] || !ls.Verified[i] {
-			t.Errorf("n=%d: chain not verified against the scan oracle", n)
-		}
-		if ls.ChainSec[i] <= 0 || ls.ScanSec[i] <= 0 {
-			t.Errorf("n=%d: non-positive timings %v / %v", n, ls.ScanSec[i], ls.ChainSec[i])
-		}
-		if ls.ARI[i] < 0.5 {
-			t.Errorf("n=%d: chain Cut ARI %v below planted-structure floor", n, ls.ARI[i])
-		}
-		if ls.Medoid[i] < 0 || ls.Medoid[i] >= n {
-			t.Errorf("n=%d: medoid %d out of range", n, ls.Medoid[i])
-		}
-	}
-	var buf bytes.Buffer
-	ls.Write(&buf)
-	if !strings.Contains(buf.String(), "chain") || !strings.Contains(buf.String(), "speedup") {
-		t.Error("Write output missing expected columns")
-	}
-	if _, err := RunLinkageScale(LinkageScaleConfig{Ns: []int{1}}); err == nil {
-		t.Error("n=1: want error")
-	}
-}

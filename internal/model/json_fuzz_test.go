@@ -129,7 +129,7 @@ func checkJSONDecoders(t *testing.T, body []byte) {
 func checkJSONEncoders(t *testing.T, name string, cluster int, sim float64, epoch int, encoding []int) {
 	t.Helper()
 	// Every int the scanners read back has at most 18 digits.
-	small := func(v int) bool { return v > -1e18 && v < 1e18 }
+	small := func(v int) bool { return int64(v) > -1e18 && int64(v) < 1e18 }
 	plain := small(cluster) && small(epoch) && small(epoch+1) && small(cluster+1)
 
 	a := Assignment{Cluster: cluster, Similarity: sim, Encoding: encoding}

@@ -214,7 +214,8 @@ func FuzzWireFrames(f *testing.F) {
 func FuzzAssignRoundTrip(f *testing.F) {
 	f.Add("m", "", []byte{1, 2, 3}, 2, 0.75, 7)
 	f.Add("", "s-1", []byte{255, 0, 128}, 0, math.Inf(-1), -1)
-	f.Add("x", "y", []byte{}, -5, math.NaN(), 1<<40)
+	wide := int64(1) << 40 // past 32 bits; int(wide) is 0 where int is 32 bits
+	f.Add("x", "y", []byte{}, -5, math.NaN(), int(wide))
 	f.Fuzz(func(t *testing.T, modelName, session string, rowBytes []byte, cluster int, sim float64, epoch int) {
 		if len(rowBytes) > 4096 {
 			t.Skip()

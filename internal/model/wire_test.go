@@ -355,7 +355,7 @@ func TestBatchStreamsRoundTrip(t *testing.T) {
 		}
 
 		asgs := randomAssignments(rng, len(rows))
-		epoch := rng.Intn(1<<40) - 1<<39
+		epoch := int(rng.Int63n(1<<40) - 1<<39)
 		reply := AppendBatchReplyFrames(prefix, "vote", epoch, chunks, asgs)
 		if !bytes.HasPrefix(reply, prefix) {
 			t.Fatalf("trial %d: AppendBatchReplyFrames overwrote its buffer", trial)

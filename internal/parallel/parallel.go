@@ -1,9 +1,8 @@
 // Package parallel is the shared bounded-concurrency execution layer of the
-// repository. Every CPU-bound fan-out in the MCDC pipeline (pairwise
-// similarity matrices, per-cluster feature-weight refreshes, CAME assignment
-// sweeps, ensemble MGCPL runs, one-hot expansion) runs through the primitives
-// here rather than hand-rolled goroutines, which gives them a uniform
-// contract:
+// repository. Every CPU-bound fan-out in the MCDC pipeline (per-cluster
+// feature-weight refreshes, CAME assignment sweeps, ensemble MGCPL runs,
+// farthest-first seeding, batch assignment) runs through the primitives here
+// rather than hand-rolled goroutines, which gives them a uniform contract:
 //
 //   - Bounded workers. At most W goroutines compute at a time; W ≤ 0
 //     resolves to runtime.GOMAXPROCS(0) and W = 1 executes inline on the

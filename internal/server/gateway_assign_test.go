@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -453,8 +454,9 @@ func TestGatewayAssignErrorsMatchSolo(t *testing.T) {
 }
 
 // wideRows builds n rows for a 200-feature model: four in-domain training
-// values, then out-of-domain codes that each take a 10-byte varint on the
-// wire (assign tolerates them; they score zero similarity).
+// values, then out-of-domain codes from 2^(IntSize−2) up, which take a
+// 10-byte varint each on the wire where int is 64 bits (assign tolerates
+// them; they score zero similarity).
 func wideRows(train [][]int, n int) [][]int {
 	rows := make([][]int, n)
 	for i := range rows {
@@ -465,7 +467,7 @@ func wideRows(train [][]int, n int) [][]int {
 				row[f] = src[f]
 				continue
 			}
-			row[f] = 1<<62 + i*len(src) + f
+			row[f] = 1<<(strconv.IntSize-2) + i*len(src) + f
 			if (i+f)%2 == 1 {
 				row[f] = -row[f]
 			}

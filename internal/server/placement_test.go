@@ -32,7 +32,7 @@ func rowKey(model string, row []int) string {
 func TestStatelessKeyMatchesRowKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	models := []string{"m", "syn", "vote.v2", "модель", "模型-α", "x_" + strings.Repeat("é", 40)}
-	extremes := []int{0, -1, 1, 9, 10, -10, math.MaxInt64, math.MinInt64, math.MaxInt32, math.MinInt32}
+	extremes := []int{0, -1, 1, 9, 10, -10, math.MaxInt, math.MinInt, math.MaxInt32, math.MinInt32}
 	var scratch model.AssignRequest
 	for trial := 0; trial < 3000; trial++ {
 		m := models[rng.Intn(len(models))]
@@ -44,7 +44,7 @@ func TestStatelessKeyMatchesRowKey(t *testing.T) {
 			case 1:
 				row[i] = rng.Intn(7) - 2
 			default:
-				row[i] = int(rng.Int63()) - math.MaxInt64/2
+				row[i] = int(rng.Int63()) - math.MaxInt/2
 			}
 		}
 		want := hashring.Hash(rowKey(m, row))

@@ -4,17 +4,16 @@ import (
 	"testing"
 )
 
-// FuzzPairAt fuzzes the condensed triangle index inversion that seeds every
-// parallel pairwise chunk: for any dimension n and flat index t, pairAt must
-// return an in-bounds upper-triangle pair (i, j) whose forward flat index is
-// exactly t. The float-sqrt seed estimate is only a starting guess — the
-// integer fix-up loops must land it exactly, including at the row boundaries
-// where the estimate is off by one.
+// FuzzPairAt fuzzes the triangle index inversion: for any dimension n and
+// flat index t, pairAt must return an in-bounds upper-triangle pair (i, j)
+// whose forward flat index is exactly t. The float-sqrt seed estimate is
+// only a starting guess — the integer fix-up loops must land it exactly,
+// including at the row boundaries where the estimate is off by one.
 func FuzzPairAt(f *testing.F) {
 	f.Add(2, 0)
 	f.Add(3, 2)
 	f.Add(65, 64)
-	f.Add(2000, 1998999) // last pair of the bench shape
+	f.Add(2000, 1998999) // last pair at n = 2000
 	f.Add(46342, 1073767410)
 	f.Fuzz(func(t *testing.T, n, flat int) {
 		if n < 2 || n > 1<<16 {

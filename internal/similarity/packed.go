@@ -18,12 +18,12 @@ import (
 //
 // because two rows share a set bit in feature r's plane iff they take the
 // same non-missing value there. One AND + bits.OnesCount64 per 64 bits
-// replaces up to 64 per-feature compare-and-branch iterations, which is what
-// buys the packed pairwise fill its speedup (the XOR form popcount(a XOR b)
-// counts disagreeing *bits*, not features, so the kernel uses AND).
+// replaces up to 64 per-feature compare-and-branch iterations (the XOR form
+// popcount(a XOR b) counts disagreeing *bits*, not features, so the kernel
+// uses AND).
 //
-// Rows are packed back to back into one row-major []uint64 block, so the
-// inner j-loop of a condensed fill streams consecutive cache lines.
+// Rows are packed back to back into one row-major []uint64 block, so a loop
+// over consecutive rows streams consecutive cache lines.
 type PackedRows struct {
 	n     int // rows
 	d     int // features
@@ -44,7 +44,7 @@ const maxPackedBits = 1 << 16
 // feature's plane width from the values actually observed (max code + 1 —
 // the value-dictionary cardinality when rows were coded from one). It
 // returns nil when the rows cannot be packed faithfully or profitably, and
-// callers must then keep using the unpacked kernels:
+// callers must then count with RowMatches:
 //
 //   - a value is negative but not categorical.Missing, or rows have unequal
 //     widths — the packed layout cannot reproduce RowMatches' semantics;
@@ -116,9 +116,6 @@ func (p *PackedRows) N() int { return p.n }
 
 // D reports the number of features per row.
 func (p *PackedRows) D() int { return p.d }
-
-// Words reports the packed width in uint64 words per row.
-func (p *PackedRows) Words() int { return p.words }
 
 // Row returns row i's packed words (a view into the backing block).
 func (p *PackedRows) Row(i int) []uint64 {

@@ -5,26 +5,7 @@ import (
 	"testing"
 
 	"mcdc/internal/categorical"
-	"mcdc/internal/parallel"
 )
-
-// randomRows draws n rows over the cardinality mix, with missingFrac of the
-// cells set to categorical.Missing.
-func packedRandomRows(rng *rand.Rand, n int, card []int, missingFrac float64) [][]int {
-	rows := make([][]int, n)
-	for i := range rows {
-		row := make([]int, len(card))
-		for r, m := range card {
-			if rng.Float64() < missingFrac {
-				row[r] = categorical.Missing
-			} else {
-				row[r] = rng.Intn(m)
-			}
-		}
-		rows[i] = row
-	}
-	return rows
-}
 
 // boundaryCardMixes returns cardinality mixes whose total one-hot widths sit
 // on and around the word boundaries (1, 63, 64, 65 bits), plus larger mixed
@@ -38,7 +19,7 @@ func boundaryCardMixes() map[string][]int {
 		"binary25":  nil,                       // filled below: 25 × card 2
 		"mixed130":  {2, 3, 5, 7, 64, 32, 17},  // total 130, three words
 		"lopsided":  {1, 1, 1, 1, 1, 1, 60, 1}, // total 67
-		"card3_x25": nil,                       // 25 × card 3 (the bench shape)
+		"card3_x25": nil,                       // 25 × card 3
 	}
 	b25 := make([]int, 25)
 	c25 := make([]int, 25)
@@ -56,7 +37,7 @@ func TestPackedMatchesRowMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for name, card := range boundaryCardMixes() {
 		for _, missing := range []float64{0, 0.2, 1} {
-			rows := packedRandomRows(rng, 40, card, missing)
+			rows := randomRows(rng, 40, card, missing)
 			p := PackRows(rows)
 			if p == nil {
 				t.Fatalf("%s: PackRows declined packable rows", name)
@@ -111,73 +92,5 @@ func TestPackRowsDeclines(t *testing.T) {
 	}
 	if got := p.Matches(0, 1); got != 0 {
 		t.Fatalf("all-Missing Matches = %d, want 0", got)
-	}
-}
-
-// TestPackedPairwiseMatchesUnpacked is the packed-vs-unpacked equivalence
-// property: over random cardinality mixes (including the word-boundary
-// widths) the auto-selecting fills must produce bit-for-bit the floats of
-// the unpacked oracle, for both the similarity and dissimilarity forms, at
-// several worker counts.
-func TestPackedPairwiseMatchesUnpacked(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for name, card := range boundaryCardMixes() {
-		rows := packedRandomRows(rng, 60, card, 0.1)
-		for _, workers := range []int{1, 2, 0} {
-			sim, simOracle := PairwiseCondensed(rows, workers), PairwiseCondensedUnpacked(rows, workers)
-			dis, disOracle := DissimilarityCondensed(rows, workers), DissimilarityCondensedUnpacked(rows, workers)
-			for i := 0; i < len(rows); i++ {
-				for j := i + 1; j < len(rows); j++ {
-					if got, want := sim.At(i, j), simOracle.At(i, j); got != want {
-						t.Fatalf("%s workers=%d: similarity (%d,%d) packed %v != unpacked %v",
-							name, workers, i, j, got, want)
-					}
-					if got, want := dis.At(i, j), disOracle.At(i, j); got != want {
-						t.Fatalf("%s workers=%d: dissimilarity (%d,%d) packed %v != unpacked %v",
-							name, workers, i, j, got, want)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestMeanPairwisePackedEquivalence pins MeanPairwise's packed accumulation
-// against the unpacked fold it replaced: same per-pair quotients, same chunk
-// boundaries, same fold order — so the float must be identical, not just
-// close.
-func TestMeanPairwisePackedEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for name, card := range boundaryCardMixes() {
-		rows := packedRandomRows(rng, 50, card, 0.15)
-		n, d := len(rows), len(card)
-		pairs := n * (n - 1) / 2
-		// The pre-packing implementation, verbatim: RowMatches over the same
-		// tiled pair order with the same ordered reduction.
-		want, err := parallel.MapReduce(parallel.Gate(1, pairs*d), pairs, 0.0,
-			func(lo, hi int) (float64, error) {
-				i, j := pairAt(n, lo)
-				ri := rows[i]
-				var s float64
-				for t := lo; t < hi; t++ {
-					s += float64(RowMatches(ri, rows[j])) / float64(d)
-					if j++; j == n {
-						i++
-						j = i + 1
-						ri = rows[i]
-					}
-				}
-				return s, nil
-			},
-			func(acc, next float64) float64 { return acc + next })
-		if err != nil {
-			t.Fatal(err)
-		}
-		want /= float64(pairs)
-		for _, workers := range []int{1, 2, 0} {
-			if got := MeanPairwise(rows, workers); got != want {
-				t.Fatalf("%s: MeanPairwise(workers=%d) = %v, unpacked fold = %v", name, workers, got, want)
-			}
-		}
 	}
 }

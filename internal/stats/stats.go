@@ -1,16 +1,12 @@
 // Package stats provides the statistical machinery used by the paper's
-// evaluation: the two-tailed Wilcoxon signed-rank test of Table IV,
-// mean/standard-deviation aggregation for the 50-run averages of Table III,
-// and row-level summaries of condensed dissimilarity matrices (medoids) for
-// the linkage-scaling harness.
+// evaluation: the two-tailed Wilcoxon signed-rank test of Table IV and
+// mean/standard-deviation aggregation for the 50-run averages of Table III.
 package stats
 
 import (
 	"fmt"
 	"math"
 	"sort"
-
-	"mcdc/internal/similarity"
 )
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
@@ -157,48 +153,6 @@ func exactWilcoxonP(ranks []float64, w float64) float64 {
 // normalCDF is the standard normal CDF.
 func normalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// RowSums returns, for every object of a condensed dissimilarity matrix, the
-// sum of its dissimilarities to all other objects — the per-object spread
-// behind medoid selection and outlier screens. dst is reused when it has the
-// capacity (pass nil to allocate). Each stored row is streamed once as an
-// UpperRow view (a subslice of the backing array, so the whole O(n²) sweep
-// performs no per-row allocation or copying), and the accumulation order
-// (row-major over the stored triangle) is fixed, so the result is
-// deterministic.
-func RowSums(c *similarity.Condensed, dst []float64) []float64 {
-	n := c.N()
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i := 0; i < n-1; i++ {
-		for jj, v := range c.UpperRow(i) {
-			dst[i] += v
-			dst[i+1+jj] += v
-		}
-	}
-	return dst
-}
-
-// Medoid returns the index of the object minimizing the total dissimilarity
-// to all others (ties broken by lowest index), or -1 for an empty matrix.
-func Medoid(c *similarity.Condensed) int {
-	if c.N() == 0 {
-		return -1
-	}
-	sums := RowSums(c, nil)
-	best := 0
-	for i, s := range sums {
-		if s < sums[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // SignificantlyGreater reports whether sample x significantly outperforms

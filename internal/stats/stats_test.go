@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"mcdc/internal/similarity"
 )
 
 func TestMeanStd(t *testing.T) {
@@ -157,57 +155,5 @@ func TestSignificantlyGreater(t *testing.T) {
 	}
 	if better {
 		t.Error("y does not dominate x, yet reported significant")
-	}
-}
-
-func TestRowSumsAndMedoid(t *testing.T) {
-	// Points on a line at 0, 1, 3: object 1 is the medoid (sum 1+2=3,
-	// against 0's 1+3=4 and 2's 3+2=5).
-	c := similarity.NewCondensed(3, 0)
-	c.Set(0, 1, 1)
-	c.Set(0, 2, 3)
-	c.Set(1, 2, 2)
-	sums := RowSums(c, nil)
-	want := []float64{4, 3, 5}
-	for i := range want {
-		if sums[i] != want[i] {
-			t.Errorf("RowSums[%d] = %v, want %v", i, sums[i], want[i])
-		}
-	}
-	if m := Medoid(c); m != 1 {
-		t.Errorf("Medoid = %d, want 1", m)
-	}
-	// dst reuse: a dirty, larger buffer must be reset and resliced.
-	dirty := []float64{9, 9, 9, 9, 9}
-	reused := RowSums(c, dirty)
-	if len(reused) != 3 || reused[0] != 4 || &reused[0] != &dirty[0] {
-		t.Errorf("RowSums did not reuse dst: %v", reused)
-	}
-	// Against a brute-force dense accumulation on a random matrix.
-	rng := rand.New(rand.NewSource(8))
-	n := 17
-	r := similarity.NewCondensed(n, 0)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			r.Set(i, j, rng.Float64())
-		}
-	}
-	sums = RowSums(r, nil)
-	for i := 0; i < n; i++ {
-		var s float64
-		for j := 0; j < n; j++ {
-			if j != i {
-				s += r.At(i, j)
-			}
-		}
-		if math.Abs(s-sums[i]) > 1e-12 {
-			t.Fatalf("RowSums[%d] = %v, brute force %v", i, sums[i], s)
-		}
-	}
-	if got := Medoid(similarity.NewCondensed(0, 0)); got != -1 {
-		t.Errorf("Medoid of empty matrix = %d, want -1", got)
-	}
-	if got := Medoid(similarity.NewCondensed(1, 0)); got != 0 {
-		t.Errorf("Medoid of singleton = %d, want 0", got)
 	}
 }
