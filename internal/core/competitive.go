@@ -57,6 +57,7 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 	for i := range assign {
 		assign[i] = -1
 	}
+	unit := unitWeights(len(cardinalities))
 	u := make([]float64, k)
 	g := make([]int, k)
 	gCur := make([]int, k)
@@ -88,7 +89,7 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 				if gTotal > 0 {
 					rho = float64(g[l]) / gTotal
 				}
-				if score := (1 - rho) * u[l] * tables.SimLOO(i, l, assign[i] == l); score > best {
+				if score := (1 - rho) * u[l] * tables.WeightedSimLOO(i, l, unit, assign[i] == l); score > best {
 					best, v = score, l
 				}
 			}
@@ -164,6 +165,7 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 		assign[i] = l
 		tables.Add(i, l)
 	}
+	unit := unitWeights(len(cardinalities))
 
 	for iter := 0; iter < maxIters; iter++ {
 		changed := false
@@ -173,7 +175,7 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 				if tables.Size(l) == 0 {
 					continue
 				}
-				if s := tables.SimLOO(i, l, assign[i] == l); s > best {
+				if s := tables.WeightedSimLOO(i, l, unit, assign[i] == l); s > best {
 					best, v = s, l
 				}
 			}
@@ -194,4 +196,14 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 	st := &mgcplState{assign: assign}
 	level := st.compact()
 	return &level, nil
+}
+
+// unitWeights returns d feature weights of 1, under which WeightedSimLOO is
+// the unweighted similarity of Eq. (1).
+func unitWeights(d int) []float64 {
+	w := make([]float64, d)
+	for r := range w {
+		w[r] = 1
+	}
+	return w
 }

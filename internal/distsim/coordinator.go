@@ -38,13 +38,21 @@ type Coordinator struct {
 // NewCoordinator prepares a coordinator serving the placement's shards over
 // the given data set rows. It refuses rows that do not fit the schema: every
 // worker would refuse the shards that hold them, and Wait would block
-// forever.
+// forever. It also refuses a shard naming an object outside the rows, which
+// no worker connection could serve.
 func NewCoordinator(rows [][]int, cardinalities []int, plan *Placement) (*Coordinator, error) {
 	if plan == nil || len(plan.Shards) == 0 {
 		return nil, errors.New("distsim: empty placement")
 	}
 	if err := checkRows(rows, cardinalities); err != nil {
 		return nil, fmt.Errorf("distsim: %w", err)
+	}
+	for _, s := range plan.Shards {
+		for _, i := range s.Objects {
+			if i < 0 || i >= len(rows) {
+				return nil, fmt.Errorf("distsim: shard %d object %d: outside rows [0, %d)", s.ID, i, len(rows))
+			}
+		}
 	}
 	c := &Coordinator{
 		rows:      rows,

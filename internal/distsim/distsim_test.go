@@ -430,13 +430,27 @@ func TestWorkerRejectsMalformedTask(t *testing.T) {
 
 // TestNewCoordinatorRejectsMalformedRows: a data set whose rows do not fit
 // its schema is refused up front, naming the row and feature, instead of
-// leaving every worker to refuse its shards while Wait blocks.
+// leaving every worker to refuse its shards while Wait blocks; a placement
+// naming an object past the last row is refused naming the shard and object,
+// instead of a worker connection indexing past the rows.
 func TestNewCoordinatorRejectsMalformedRows(t *testing.T) {
 	rows, card, plan := newTestJob(t, 2)
-	rows[17] = []int{0, 3, 1}
-	_, err := NewCoordinator(rows, card, plan)
-	if err == nil || !strings.Contains(err.Error(), "row 17 feature 1") {
-		t.Fatalf("NewCoordinator on a value outside its domain: %v", err)
+	outOfDomain := append([][]int(nil), rows...)
+	outOfDomain[17] = []int{0, 3, 1}
+	pastEnd := &Placement{Shards: []Shard{{ID: 0, Objects: []int{0, 1}}, {ID: 1, Objects: []int{2, 5, 3}}}}
+	for _, tc := range []struct {
+		name string
+		rows [][]int
+		plan *Placement
+		want string
+	}{
+		{"a value outside its domain", outOfDomain, plan, "row 17 feature 1"},
+		{"an object past the last row", rows[:5], pastEnd, "shard 1 object 5"},
+	} {
+		_, err := NewCoordinator(tc.rows, card, tc.plan)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewCoordinator on %s: %v", tc.name, err)
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 //go:build ignore
 
-// gen.go regenerates the committed fuzz seed corpora for internal/model and
-// internal/similarity. The files are ordinary `go test fuzz v1` corpus
-// entries, so `go test` replays them on every run and `go test -fuzz` mutates
-// outward from them. Run from the repo root:
+// gen.go regenerates the committed fuzz seed corpora for internal/model. The
+// files are ordinary `go test fuzz v1` corpus entries, so `go test` replays
+// them on every run and `go test -fuzz` mutates outward from them. Run from
+// the repo root:
 //
 //	go run internal/model/testdata/fuzz/gen.go
 package main
@@ -118,18 +118,6 @@ func main() {
 		write("internal/model/testdata/fuzz/FuzzAssignJSON/"+sd.name,
 			b([]byte(sd.body)), s(sd.model), i(sd.cluster), u64(math.Float64bits(sd.sim)), i(sd.epoch), b(sd.enc))
 	}
-
-	write("internal/similarity/testdata/fuzz/FuzzPairAt/smallest", i(2), i(0))
-	write("internal/similarity/testdata/fuzz/FuzzPairAt/row-boundary", i(65), i(64))
-	write("internal/similarity/testdata/fuzz/FuzzPairAt/bench-tail", i(2000), i(1998999))
-	write("internal/similarity/testdata/fuzz/FuzzPairAt/sqrt-precision", i(46342), i(1073767410))
-
-	write("internal/similarity/testdata/fuzz/FuzzPackRows/three-features",
-		i(3), b([]byte{0, 1, 2, 1, 0, 2}))
-	write("internal/similarity/testdata/fuzz/FuzzPackRows/missing-cells",
-		i(1), b([]byte{255, 0, 255, 7}))
-	write("internal/similarity/testdata/fuzz/FuzzPackRows/word-boundary",
-		i(2), b([]byte{63, 64, 65, 0}))
 }
 
 func b(v []byte) string   { return "[]byte(" + strconv.Quote(string(v)) + ")" }

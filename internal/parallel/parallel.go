@@ -310,28 +310,3 @@ func MapReduce[T any](workers, n int, zero T, mapFn func(lo, hi int) (T, error),
 	}
 	return acc, nil
 }
-
-// Pool is a reusable handle carrying a resolved worker count, for call sites
-// that thread one parallelism knob through several phases.
-type Pool struct {
-	workers int
-}
-
-// NewPool builds a pool of the given size (≤ 0 → GOMAXPROCS).
-func NewPool(workers int) *Pool {
-	return &Pool{workers: Resolve(workers)}
-}
-
-// Workers reports the resolved worker count.
-func (p *Pool) Workers() int { return p.workers }
-
-// ForEach runs fn over [0, n) with the pool's worker bound.
-func (p *Pool) ForEach(n int, fn func(i int) error) error {
-	return ForEach(p.workers, n, fn)
-}
-
-// ForEachChunk runs fn over workers-independent chunks of [0, n) with the
-// pool's worker bound.
-func (p *Pool) ForEachChunk(n int, fn func(lo, hi int) error) error {
-	return ForEachChunk(p.workers, n, fn)
-}

@@ -38,16 +38,9 @@ func TestGate(t *testing.T) {
 	}
 }
 
-func TestPoolSizing(t *testing.T) {
-	if p := NewPool(3); p.Workers() != 3 {
-		t.Errorf("NewPool(3).Workers() = %d", p.Workers())
-	}
-	if p := NewPool(0); p.Workers() != runtime.GOMAXPROCS(0) {
-		t.Errorf("NewPool(0).Workers() = %d, want GOMAXPROCS", p.Workers())
-	}
-
-	// The concurrency bound must hold: with W=2 never more than 2 callbacks
-	// in flight at once.
+// TestForEachBound checks the concurrency bound: with W=2 never more than 2
+// callbacks are in flight at once.
+func TestForEachBound(t *testing.T) {
 	const tasks = 64
 	var inFlight, peak atomic.Int64
 	err := ForEach(2, tasks, func(i int) error {
@@ -248,7 +241,7 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 }
 
 // TestConcurrentForEachStress drives many ForEach calls from concurrent
-// goroutines — the shape the race detector needs to certify that the pool's
+// goroutines — the shape the race detector needs to certify that ForEach's
 // internal state (cursor, error fold) is properly synchronized.
 func TestConcurrentForEachStress(t *testing.T) {
 	var wg sync.WaitGroup
@@ -276,28 +269,6 @@ func TestConcurrentForEachStress(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestPoolForEachChunk(t *testing.T) {
-	p := NewPool(4)
-	n := 500
-	out := make([]int, n)
-	if err := p.ForEachChunk(n, func(lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out[i] = i
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i {
-			t.Fatalf("out[%d] = %d", i, v)
-		}
-	}
-	if err := p.ForEach(10, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // spinLimit bounds yieldUntil. The turn scheduler reaches every condition

@@ -65,12 +65,11 @@ func FarthestFirstWorkers(rows [][]int, k int, rng *rand.Rand, workers int) []in
 		k = n
 	}
 	// Each scan below costs n·d; on small inputs the fan-out overhead
-	// exceeds the saved compute, so drop to inline execution. One pool
-	// threads the resolved bound through every phase of the traversal; the
-	// scan callbacks are infallible, so errors (recovered worker panics
-	// only) are re-raised via parallel.Must rather than seeding from a
-	// half-updated distance vector.
-	pool := parallel.NewPool(parallel.Gate(workers, n*len(rows[0])))
+	// exceeds the saved compute, so drop to inline execution. The scan
+	// callbacks are infallible, so errors (recovered worker panics only) are
+	// re-raised via parallel.Must rather than seeding from a half-updated
+	// distance vector.
+	scanWorkers := parallel.Gate(workers, n*len(rows[0]))
 	seeds := make([]int, 0, k)
 	first := rng.Intn(n)
 	seeds = append(seeds, first)
@@ -84,7 +83,7 @@ func FarthestFirstWorkers(rows [][]int, k int, rng *rand.Rand, workers int) []in
 		return d
 	}
 	minDist := make([]int, n)
-	parallel.Must(pool.ForEachChunk(n, func(lo, hi int) error {
+	parallel.Must(parallel.ForEachChunk(scanWorkers, n, func(lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			minDist[i] = hamming(rows[i], rows[first])
 		}
@@ -95,8 +94,8 @@ func FarthestFirstWorkers(rows [][]int, k int, rng *rand.Rand, workers int) []in
 		dist int
 	}
 	// The per-round argmax is only O(n) — far lighter than the O(n·d)
-	// distance scans the pool was sized for — so gate it on its own cost.
-	argmaxWorkers := parallel.Gate(pool.Workers(), n)
+	// distance scans — so gate it on its own cost.
+	argmaxWorkers := parallel.Gate(scanWorkers, n)
 	for len(seeds) < k {
 		top, err := parallel.MapReduce(argmaxWorkers, n, argmax{idx: -1, dist: -1},
 			func(lo, hi int) (argmax, error) {
@@ -117,7 +116,7 @@ func FarthestFirstWorkers(rows [][]int, k int, rng *rand.Rand, workers int) []in
 		parallel.Must(err)
 		next := top.idx
 		seeds = append(seeds, next)
-		parallel.Must(pool.ForEachChunk(n, func(lo, hi int) error {
+		parallel.Must(parallel.ForEachChunk(scanWorkers, n, func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if dd := hamming(rows[i], rows[next]); dd < minDist[i] {
 					minDist[i] = dd

@@ -3,8 +3,8 @@
 // form of Eq. (14), and the feature-contribution weighting of Eq. (15)–(18).
 //
 // The central type is Tables, an incrementally-maintained set of per-cluster,
-// per-feature value-frequency counts. All clustering algorithms in this
-// repository (MGCPL, WOCIL, k-modes variants) consume it, which keeps every
+// per-feature value-frequency counts. MGCPL, the competitive baselines, WOCIL,
+// model snapshots and the stream clusterer consume it, which keeps every
 // similarity evaluation O(d) after O(1) bookkeeping per assignment change.
 package similarity
 
@@ -129,83 +129,16 @@ func (t *Tables) Remove(i, l int) {
 	}
 }
 
-// Move reassigns object i from cluster from to cluster to.
-func (t *Tables) Move(i, from, to int) {
-	if from == to {
-		return
-	}
-	t.Remove(i, from)
-	t.Add(i, to)
-}
-
-// FeatureSim returns s(x_ir, C_l) of Eq. (2): the fraction of cluster-l
-// members sharing object i's value on feature r. Empty clusters and missing
-// values yield 0.
-func (t *Tables) FeatureSim(i, r, l int) float64 {
-	v := t.data[i][r]
-	if v == categorical.Missing || t.seen[l][r] == 0 {
-		return 0
-	}
-	return float64(t.count[l][r*t.stride+v]) / float64(t.seen[l][r])
-}
-
-// Sim returns the object–cluster similarity s(x_i, C_l) of Eq. (1): the
-// unweighted average of per-feature similarities.
-func (t *Tables) Sim(i, l int) float64 {
-	row := t.data[i]
-	cl, sl := t.count[l], t.seen[l]
-	var sum float64
-	for r, v := range row {
-		if v == categorical.Missing || sl[r] == 0 {
-			continue
-		}
-		sum += float64(cl[r*t.stride+v]) / float64(sl[r])
-	}
-	return sum / float64(len(row))
-}
-
-// WeightedSim returns the feature-weighted similarity of Eq. (14),
-// s(x_i,C_l) = (1/d)·Σ_r ω_rl·s(x_ir,C_l), with w indexed as w[r].
-func (t *Tables) WeightedSim(i, l int, w []float64) float64 {
-	row := t.data[i]
-	cl, sl := t.count[l], t.seen[l]
-	var sum float64
-	for r, v := range row {
-		if v == categorical.Missing || sl[r] == 0 {
-			continue
-		}
-		sum += w[r] * float64(cl[r*t.stride+v]) / float64(sl[r])
-	}
-	return sum / float64(len(row))
-}
-
-// SimLOO is the leave-one-out variant of Sim: when member is true, object
-// i's own contribution is removed from cluster l's counts before the
-// frequencies are formed. Competitive learners must use this form — with
-// plain Sim a singleton cluster scores a perfect 1.0 for its only member and
-// can never be eliminated.
-func (t *Tables) SimLOO(i, l int, member bool) float64 {
-	row := t.data[i]
-	cl, sl := t.count[l], t.seen[l]
-	var sum float64
-	for r, v := range row {
-		if v == categorical.Missing {
-			continue
-		}
-		cnt, seen := cl[r*t.stride+v], sl[r]
-		if member {
-			cnt--
-			seen--
-		}
-		if seen <= 0 || cnt <= 0 {
-			continue
-		}
-		sum += float64(cnt) / float64(seen)
-	}
-	return sum / float64(len(row))
-}
-
-// WeightedSimLOO is the leave-one-out variant of WeightedSim (see SimLOO).
+// WeightedSimLOO returns the feature-weighted object–cluster similarity of
+// Eq. (14), s(x_i,C_l) = (1/d)·Σ_r ω_rl·s(x_ir,C_l), with w indexed as w[r]
+// and s(x_ir,C_l) of Eq. (2) the fraction of cluster-l members sharing object
+// i's value on feature r; unit weights give Eq. (1). Missing values, features
+// with no cluster mass and zero counts contribute nothing.
+//
+// When member is true, object i's own contribution is left out of cluster l's
+// counts before the fractions are formed. Competitive learners must score an
+// object's own cluster this way: otherwise a singleton cluster scores a
+// perfect 1.0 for its only member and can never be eliminated.
 func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
 	row := t.data[i]
 	cl, sl := t.count[l], t.seen[l]
@@ -354,22 +287,4 @@ func (t *Tables) FeatureWeights(l int, dst []float64) []float64 {
 		dst[r] /= total
 	}
 	return dst
-}
-
-// Mode returns the per-feature majority value of cluster l (ties broken by
-// the lowest code), or Missing on features where the cluster has no values.
-func (t *Tables) Mode(l int) []int {
-	mode := make([]int, t.D())
-	for r := 0; r < t.D(); r++ {
-		mode[r] = categorical.Missing
-		best := 0
-		base := r * t.stride
-		for v := 0; v < t.card[r]; v++ {
-			if c := t.count[l][base+v]; c > best {
-				best = c
-				mode[r] = v
-			}
-		}
-	}
-	return mode
 }

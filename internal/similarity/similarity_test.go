@@ -28,34 +28,40 @@ func smallTables(t *testing.T) *Tables {
 	return tb
 }
 
+// unit returns d weights of 1, under which WeightedSimLOO is the unweighted
+// similarity of Eq. (1).
+func unit(d int) []float64 {
+	w := make([]float64, d)
+	for r := range w {
+		w[r] = 1
+	}
+	return w
+}
+
 func TestSimKnownValues(t *testing.T) {
 	tb := smallTables(t)
 	// Object 3 = {1,0}: cluster 0 = {{0,1},{0,0}} → feature 0 freq of value
 	// 1 is 0/2, feature 1 freq of value 0 is 1/2 → sim = (0 + 0.5)/2 = 0.25.
-	if got := tb.Sim(3, 0); math.Abs(got-0.25) > 1e-12 {
-		t.Errorf("Sim(3,0) = %v, want 0.25", got)
+	if got := tb.WeightedSimLOO(3, 0, unit(2), false); math.Abs(got-0.25) > 1e-12 {
+		t.Errorf("sim(3,0) = %v, want 0.25", got)
 	}
 	// Cluster 1 = {{1,1}} → feature 0: 1/1; feature 1 value 0: 0/1 → 0.5.
-	if got := tb.Sim(3, 1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Sim(3,1) = %v, want 0.5", got)
+	if got := tb.WeightedSimLOO(3, 1, unit(2), false); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("sim(3,1) = %v, want 0.5", got)
 	}
 }
 
 func TestLOOExcludesSelf(t *testing.T) {
 	tb := smallTables(t)
 	// Object 2 is the only member of cluster 1: LOO similarity must be 0.
-	if got := tb.SimLOO(2, 1, true); got != 0 {
-		t.Errorf("SimLOO(singleton member) = %v, want 0", got)
-	}
-	// Non-member LOO equals plain similarity.
-	if got, want := tb.SimLOO(3, 1, false), tb.Sim(3, 1); got != want {
-		t.Errorf("SimLOO(non-member) = %v, want %v", got, want)
+	if got := tb.WeightedSimLOO(2, 1, unit(2), true); got != 0 {
+		t.Errorf("LOO sim(singleton member) = %v, want 0", got)
 	}
 	// Member of cluster 0: LOO excludes its own contribution.
 	// Object 0 = {0,1}; cluster 0 minus object 0 = {{0,0}} → f0: 1/1, f1:
 	// value 1 count 0/1 → (1+0)/2 = 0.5.
-	if got := tb.SimLOO(0, 0, true); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("SimLOO(member) = %v, want 0.5", got)
+	if got := tb.WeightedSimLOO(0, 0, unit(2), true); math.Abs(got-0.5) > 1e-12 {
+		t.Errorf("LOO sim(member) = %v, want 0.5", got)
 	}
 }
 
@@ -74,9 +80,10 @@ func TestAddRemoveInverse(t *testing.T) {
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("Add/Remove not inverse: %v vs %v", before, after)
 	}
-	tb.Move(1, 0, 1)
+	tb.Remove(1, 0)
+	tb.Add(1, 1)
 	if tb.Size(0) != 1 || tb.Size(1) != 1 {
-		t.Errorf("Move: sizes = %d,%d, want 1,1", tb.Size(0), tb.Size(1))
+		t.Errorf("Remove+Add: sizes = %d,%d, want 1,1", tb.Size(0), tb.Size(1))
 	}
 }
 
@@ -173,14 +180,10 @@ func TestMissingValuesHandled(t *testing.T) {
 	tb.Add(1, 0)
 	tb.Add(2, 1)
 	// Object 0's missing feature contributes nothing.
-	got := tb.Sim(0, 0)
+	got := tb.WeightedSimLOO(0, 0, unit(2), false)
 	// Feature 0: value 0 appears 2/2; feature 1 skipped → (1+0)/2 = 0.5.
 	if math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("Sim with missing = %v, want 0.5", got)
-	}
-	mode := tb.Mode(1)
-	if mode[0] != 1 || mode[1] != 0 {
-		t.Errorf("Mode(1) = %v, want [1 0]", mode)
+		t.Errorf("sim with missing = %v, want 0.5", got)
 	}
 }
 
@@ -307,8 +310,12 @@ func TestTermMatrixMatchesWeightedSimLOO(t *testing.T) {
 	}
 }
 
-// TestLOOMatchesNaive cross-checks the incremental LOO similarity against a
-// from-scratch computation on random data.
+// TestLOOMatchesNaive cross-checks the incremental similarity against a
+// from-scratch computation on random data: the leave-one-out form with unit
+// weights for a member of the object's own cluster, and the weighted form for
+// every non-member pair, with random non-negative weights and Missing cells.
+// The weighted oracle adds every summand whose cluster has seen the feature,
+// zero counts included, and must agree under math.Float64bits.
 func TestLOOMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 50; trial++ {
@@ -333,7 +340,7 @@ func TestLOOMatchesNaive(t *testing.T) {
 		}
 		i := r.Intn(n)
 		l := assign[i]
-		got := tb.SimLOO(i, l, true)
+		got := tb.WeightedSimLOO(i, l, unit(d), true)
 		// Naive: recompute frequencies over cluster l without object i.
 		var want float64
 		for rr := 0; rr < d; rr++ {
@@ -353,7 +360,62 @@ func TestLOOMatchesNaive(t *testing.T) {
 		}
 		want /= float64(d)
 		if math.Abs(got-want) > 1e-12 {
-			t.Fatalf("trial %d: SimLOO = %v, naive = %v", trial, got, want)
+			t.Fatalf("trial %d: LOO sim = %v, naive = %v", trial, got, want)
+		}
+	}
+	for trial := 0; trial < 50; trial++ {
+		n, d, k := 1+r.Intn(30), 1+r.Intn(6), 1+r.Intn(4)
+		card := make([]int, d)
+		for j := range card {
+			card[j] = 1 + r.Intn(4)
+		}
+		rows := randomRows(r, n, card, []float64{0, 0.2, 0.6}[trial%3])
+		tb, err := NewTables(rows, card, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign := make([]int, n)
+		for i := range rows {
+			if assign[i] = r.Intn(k + 1); assign[i] < k {
+				tb.Add(i, assign[i])
+			}
+		}
+		w := make([]float64, d)
+		for rr := range w {
+			if r.Intn(4) > 0 {
+				w[rr] = 2 * r.Float64()
+			}
+		}
+		for i, row := range rows {
+			for l := 0; l < k; l++ {
+				if assign[i] == l {
+					continue
+				}
+				var want float64
+				for rr, v := range row {
+					if v == categorical.Missing {
+						continue
+					}
+					cnt, seen := 0, 0
+					for j, other := range rows {
+						if assign[j] != l || other[rr] == categorical.Missing {
+							continue
+						}
+						seen++
+						if other[rr] == v {
+							cnt++
+						}
+					}
+					if seen == 0 {
+						continue
+					}
+					want += w[rr] * float64(cnt) / float64(seen)
+				}
+				want /= float64(d)
+				if got := tb.WeightedSimLOO(i, l, w, false); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d: object %d cluster %d: weighted sim = %v, naive = %v", trial, i, l, got, want)
+				}
+			}
 		}
 	}
 }

@@ -51,8 +51,8 @@ func (t *Tables) State() *TableState {
 // FromState rebuilds a Tables from exported statistics. The result has no
 // underlying data rows, so only the statistics-facing methods are usable
 // (K, D, Size, Count, FeatureWeights, InterClusterDifference,
-// IntraClusterSimilarity, Mode, ProbeSim); the index-based mutators
-// (Add/Remove/Move) and per-object similarities must not be called on it.
+// IntraClusterSimilarity, ProbeSim); the index-based mutators (Add, Remove)
+// and per-object similarities must not be called on it.
 func FromState(st *TableState) (*Tables, error) {
 	if st == nil {
 		return nil, fmt.Errorf("similarity: nil table state")
@@ -104,9 +104,9 @@ func FromState(st *TableState) (*Tables, error) {
 // ProbeSim computes the Eq. (1) similarity of an arbitrary (possibly unseen)
 // row to cluster l: the mean, over the row's features, of the fraction of
 // cluster members sharing the row's value. Values outside [0, card) and
-// features with no cluster mass contribute 0. Unlike Sim it takes the row
-// itself rather than a data-set index, so it works on data-less restored
-// tables and on rows that were never part of the training window.
+// features with no cluster mass contribute 0. It takes the row itself rather
+// than a data-set index, so it works on data-less restored tables and on rows
+// that were never part of the training window.
 func (t *Tables) ProbeSim(row []int, l int) float64 {
 	if len(row) == 0 || t.size[l] == 0 {
 		return 0

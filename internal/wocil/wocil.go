@@ -79,7 +79,7 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 				if tables.Size(l) == 0 {
 					continue
 				}
-				if s := tables.WeightedSim(i, l, w[l]); s > bestS {
+				if s := tables.WeightedSimLOO(i, l, w[l], false); s > bestS {
 					best, bestS = l, s
 				}
 			}
