@@ -4,7 +4,9 @@
 // the dissimilarity between two values of one feature combines their direct
 // (one-hop) and indirect (two-hop, through the other features' values)
 // relationships. Clustering assigns objects to the cluster whose empirical
-// value distribution is closest under the learned dissimilarity.
+// value distribution is closest under the learned dissimilarity. The two
+// relationships weigh equally (lambda = 0.5), and the assignment loop runs
+// at most maxIters = 100 passes; neither is a setting.
 package adc
 
 import (
@@ -17,20 +19,24 @@ import (
 	"mcdc/internal/seeding"
 )
 
+const (
+	// lambda balances direct and indirect coupling in the value
+	// dissimilarity: each counts for half.
+	lambda = 0.5
+	// maxIters caps the assignment passes; the partition normally settles
+	// well before.
+	maxIters = 100
+)
+
 // Config parameterizes ADC.
 type Config struct {
-	K        int
-	MaxIters int
-	// Lambda balances direct and indirect coupling in the value
-	// dissimilarity (default 0.5).
-	Lambda float64
-	Rand   *rand.Rand
+	K    int
+	Rand *rand.Rand
 }
 
 // Result is the converged partition.
 type Result struct {
 	Labels []int
-	Iters  int
 }
 
 // graphMetric holds per-feature value dissimilarity matrices built from the
@@ -40,7 +46,7 @@ type graphMetric struct {
 }
 
 // buildMetric constructs the value-level dissimilarities.
-func buildMetric(rows [][]int, cardinalities []int, lambda float64) (*graphMetric, error) {
+func buildMetric(rows [][]int, cardinalities []int) (*graphMetric, error) {
 	n := len(rows)
 	if n == 0 {
 		return nil, errors.New("adc: empty data")
@@ -197,15 +203,7 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	if k > n {
 		k = n
 	}
-	lambda := cfg.Lambda
-	if lambda <= 0 || lambda > 1 {
-		lambda = 0.5
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
-	}
-	metric, err := buildMetric(rows, cardinalities, lambda)
+	metric, err := buildMetric(rows, cardinalities)
 	if err != nil {
 		return nil, err
 	}
@@ -267,8 +265,7 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	for l, i := range seeding.DistinctRows(rows, k, cfg.Rand) {
 		add(i, l)
 	}
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for i := 0; i < n; i++ {
 			best, bestD := -1, math.Inf(1)
@@ -316,23 +313,6 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	return &Result{Labels: compact(labels), Iters: iters + 1}, nil
-}
-
-func compact(assign []int) []int {
-	remap := make(map[int]int)
-	out := make([]int, len(assign))
-	for i, l := range assign {
-		if l < 0 {
-			out[i] = 0
-			continue
-		}
-		nl, ok := remap[l]
-		if !ok {
-			nl = len(remap)
-			remap[l] = nl
-		}
-		out[i] = nl
-	}
-	return out
+	dense, _ := categorical.DenseLabels(labels)
+	return &Result{Labels: dense}, nil
 }

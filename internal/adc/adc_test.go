@@ -10,7 +10,7 @@ import (
 
 func TestAdcMetricSymmetric(t *testing.T) {
 	ds := datasets.Synthetic("t", 200, 5, 2, 0.9, rand.New(rand.NewSource(40)))
-	m, err := buildMetric(ds.Rows, ds.Cardinalities(), 0.5)
+	m, err := buildMetric(ds.Rows, ds.Cardinalities())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestAdcErrors(t *testing.T) {
 	if _, err := Run([][]int{{0, 1}}, []int{1, 2}, Config{K: 0, Rand: rand.New(rand.NewSource(1))}); err == nil {
 		t.Error("k=0: want error")
 	}
-	if _, err := buildMetric([][]int{{0}}, []int{2}, 0.5); err == nil {
+	if _, err := buildMetric([][]int{{0}}, []int{2}); err == nil {
 		t.Error("single feature: want error")
 	}
 }

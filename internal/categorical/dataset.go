@@ -234,3 +234,24 @@ func FromStrings(name string, header []string, rows [][]string, classCol int, mi
 	}
 	return d, nil
 }
+
+// DenseLabels relabels a cluster assignment densely, 0..k-1 in order of first
+// appearance, and returns the labels with k, the number of distinct clusters.
+// A negative id marks an object no cluster took; it joins cluster 0 and does
+// not count toward k.
+func DenseLabels(assign []int) ([]int, int) {
+	remap := make(map[int]int)
+	labels := make([]int, len(assign))
+	for i, l := range assign {
+		if l < 0 {
+			continue
+		}
+		nl, ok := remap[l]
+		if !ok {
+			nl = len(remap)
+			remap[l] = nl
+		}
+		labels[i] = nl
+	}
+	return labels, len(remap)
+}

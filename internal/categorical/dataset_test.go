@@ -152,3 +152,13 @@ func TestStringSummary(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+func TestDenseLabels(t *testing.T) {
+	labels, k := DenseLabels([]int{7, -1, 3, 7, 9, 3})
+	if want := []int{0, 0, 1, 0, 2, 1}; !reflect.DeepEqual(labels, want) || k != 3 {
+		t.Errorf("DenseLabels = %v, %d; want %v, 3", labels, k, want)
+	}
+	if labels, k := DenseLabels([]int{-1, -1}); !reflect.DeepEqual(labels, []int{0, 0}) || k != 0 {
+		t.Errorf("all unassigned: DenseLabels = %v, %d; want [0 0], 0", labels, k)
+	}
+}

@@ -4,18 +4,20 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mcdc/internal/parallel"
 	"mcdc/internal/seeding"
 )
 
+// cameMaxIters caps CAME's alternating Q/Θ optimization. The loop normally
+// converges in a handful of iterations (see Theorem 2).
+const cameMaxIters = 100
+
 // CAMEConfig parameterizes Algorithm 2.
 type CAMEConfig struct {
 	// K is the sought number of clusters (the paper sets it to k*).
 	K int
-	// MaxIters caps the alternating Q/Θ optimization (the loop normally
-	// converges in a handful of iterations; see Theorem 2).
-	MaxIters int
 	// FixedWeights disables the feature-importance learning of Eq. (21)–(22)
 	// and keeps θ_r = 1/σ. This is the MCDC₄ ablation of Fig. 4.
 	FixedWeights bool
@@ -66,10 +68,6 @@ func RunCAME(encoding [][]int, cfg CAMEConfig) (*CAMEResult, error) {
 	if k > n {
 		k = n
 	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
-	}
 
 	// Per-column cardinalities of the encoding.
 	card := make([]int, sigma)
@@ -103,14 +101,14 @@ func RunCAME(encoding [][]int, cfg CAMEConfig) (*CAMEResult, error) {
 	labels := make([]int, n)
 	st.assignAll(labels)
 	iters := 0
-	for ; iters < maxIters; iters++ {
+	for ; iters < cameMaxIters; iters++ {
 		st.updateModes(labels)
 		if !cfg.FixedWeights {
 			st.updateTheta(labels)
 		}
 		next := make([]int, n)
 		st.assignAll(next)
-		if equalInts(labels, next) {
+		if slices.Equal(labels, next) {
 			labels = next
 			break
 		}
@@ -302,16 +300,4 @@ func (st *cameState) updateTheta(labels []int) {
 	for r := range st.theta {
 		st.theta[r] = float64(intra[r]) / float64(total)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -10,14 +10,12 @@ import (
 
 // CompetitiveConfig parameterizes the conventional competitive-learning
 // baseline of §II-B (no rival penalization, no multi-granular epochs). It is
-// the learning mechanism behind the MCDC₂ ablation of Fig. 4.
+// the learning mechanism behind the MCDC₂ ablation of Fig. 4. Its η of
+// Eq. (8) is MGCPL's DefaultLearningRate, and it runs at most maxInnerIters
+// learning passes.
 type CompetitiveConfig struct {
 	// InitialK is the starting number of clusters (the ablation uses k*+2).
 	InitialK int
-	// LearningRate is η of Eq. (8).
-	LearningRate float64
-	// MaxIters caps the learning passes.
-	MaxIters int
 	// Rand drives seed selection. Required.
 	Rand *rand.Rand
 }
@@ -40,14 +38,6 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 	if k > n {
 		k = n
 	}
-	eta := cfg.LearningRate
-	if eta <= 0 {
-		eta = DefaultLearningRate
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = defaultMaxInner
-	}
 
 	tables, err := similarity.NewTables(rows, cardinalities, k)
 	if err != nil {
@@ -69,7 +59,7 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 		tables.Add(i, l)
 	}
 
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < maxInnerIters; iter++ {
 		changed := false
 		var gTotal float64
 		for _, gl := range g {
@@ -106,7 +96,7 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 			}
 			gCur[v]++
 			// Award the winner by a small step (Eq. 8), clamped to [0,1].
-			if u[v] += eta; u[v] > 1 {
+			if u[v] += DefaultLearningRate; u[v] > 1 {
 				u[v] = 1
 			}
 		}
@@ -115,19 +105,17 @@ func RunCompetitive(rows [][]int, cardinalities []int, cfg CompetitiveConfig) (*
 			break
 		}
 	}
-
-	st := &mgcplState{assign: assign}
-	level := st.compact()
+	level := granularity(assign)
 	return &level, nil
 }
 
 // SimilarityPartitionConfig parameterizes the plainest ablation (MCDC₁ of
 // Fig. 4): iterative k-way partitioning that assigns every object to the
-// cluster maximizing the object–cluster similarity of Eq. (1), with k given.
+// cluster maximizing the object–cluster similarity of Eq. (1), with k given,
+// for at most maxInnerIters passes.
 type SimilarityPartitionConfig struct {
-	K        int
-	MaxIters int
-	Rand     *rand.Rand
+	K    int
+	Rand *rand.Rand
 }
 
 // RunSimilarityPartition clusters rows into exactly cfg.K clusters by
@@ -148,10 +136,6 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 	if k > n {
 		k = n
 	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = defaultMaxInner
-	}
 
 	tables, err := similarity.NewTables(rows, cardinalities, k)
 	if err != nil {
@@ -167,7 +151,7 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 	}
 	unit := unitWeights(len(cardinalities))
 
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < maxInnerIters; iter++ {
 		changed := false
 		for i := 0; i < n; i++ {
 			v, best := -1, -1.0
@@ -193,8 +177,7 @@ func RunSimilarityPartition(rows [][]int, cardinalities []int, cfg SimilarityPar
 			break
 		}
 	}
-	st := &mgcplState{assign: assign}
-	level := st.compact()
+	level := granularity(assign)
 	return &level, nil
 }
 

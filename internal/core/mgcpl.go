@@ -6,16 +6,23 @@ import (
 	"math"
 	"math/rand"
 
+	"mcdc/internal/categorical"
 	"mcdc/internal/parallel"
 	"mcdc/internal/similarity"
 )
 
 // Defaults for the MGCPL hyper-parameters, matching §IV-A of the paper
-// (η = 0.03, k₀ = √n).
+// (η = 0.03, k₀ = √n), and the fixed bounds of its loops.
 const (
 	DefaultLearningRate = 0.03
-	defaultMaxInner     = 100
-	defaultMaxEpochs    = 60
+
+	// maxInnerIters caps the passes of the inner competitive-penalization
+	// loop per granularity level, and the learning passes of the two
+	// ablation baselines. It is a safety bound: the loop normally converges
+	// when the partition stabilizes.
+	maxInnerIters = 100
+	// maxEpochs caps the number of granularity levels explored.
+	maxEpochs = 60
 
 	// defaultRivalThreshold is the redundancy gate of the rival penalty: a
 	// runner-up whose (weighted, leave-one-out) similarity reaches this
@@ -27,18 +34,14 @@ const (
 // ErrNoRand is returned when a learner is run without a random source.
 var ErrNoRand = errors.New("core: nil random source (provide *rand.Rand)")
 
-// MGCPLConfig parameterizes Algorithm 1.
+// MGCPLConfig parameterizes Algorithm 1. The loop bounds are not settings:
+// every level runs at most maxInnerIters passes, and at most maxEpochs
+// levels are learned.
 type MGCPLConfig struct {
 	// LearningRate is η of Eq. (12)–(13). Defaults to DefaultLearningRate.
 	LearningRate float64
 	// InitialK is k₀. Defaults to ⌈√n⌉ (the paper's setting).
 	InitialK int
-	// MaxInnerIters caps the passes of the inner competitive-penalization
-	// loop per granularity level (safety bound; the loop normally converges
-	// when the partition stabilizes).
-	MaxInnerIters int
-	// MaxEpochs caps the number of granularity levels explored.
-	MaxEpochs int
 	// RivalThreshold gates the rival penalty: only runner-up clusters whose
 	// similarity reaches this fraction of the winner's are treated as
 	// redundant and penalized toward elimination. Lower values coarsen the
@@ -73,12 +76,6 @@ func (c *MGCPLConfig) withDefaults(n int) MGCPLConfig {
 	}
 	if out.InitialK < 2 {
 		out.InitialK = 2
-	}
-	if out.MaxInnerIters <= 0 {
-		out.MaxInnerIters = defaultMaxInner
-	}
-	if out.MaxEpochs <= 0 {
-		out.MaxEpochs = defaultMaxEpochs
 	}
 	if out.RivalThreshold <= 0 || out.RivalThreshold > 1 {
 		out.RivalThreshold = defaultRivalThreshold
@@ -218,15 +215,15 @@ func runMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig, yield func()) 
 
 	result := &MGCPLResult{}
 	kInitial := c.InitialK
-	for epoch := 0; epoch < c.MaxEpochs; epoch++ {
+	for epoch := 0; epoch < maxEpochs; epoch++ {
 		st, err := newMGCPLState(rows, cardinalities, kInitial, c.LearningRate, c.RivalThreshold, c.Rand, c.Workers)
 		if err != nil {
 			return nil, err
 		}
-		if err := st.learnLevel(rows, c.MaxInnerIters, yield); err != nil {
+		if err := st.learnLevel(rows, yield); err != nil {
 			return nil, err
 		}
-		level := st.compact()
+		level := granularity(st.assign)
 		if level.K == kInitial && epoch > 0 {
 			// No cluster could be eliminated this epoch: convergence.
 			break
@@ -295,15 +292,15 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 }
 
 // learnLevel runs the inner competitive-penalization loop until the
-// partition stops changing (or maxIters passes). The epoch also ends once
+// partition stops changing (or maxInnerIters passes). The epoch also ends once
 // half of its starting clusters have been eliminated: one epoch represents
 // one granularity stage, and letting a single epoch cascade further would
 // skip the intermediate granularities the next (re-seeded) epochs explore.
 // yield is called once after every pass.
-func (st *mgcplState) learnLevel(rows [][]int, maxIters int, yield func()) error {
+func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 	n := len(rows)
 	minAlive := (len(st.live) + 1) / 2
-	for iter := 0; iter < maxIters; iter++ {
+	for iter := 0; iter < maxInnerIters; iter++ {
 		changed := false
 		var gTotal float64
 		for _, gl := range st.g {
@@ -502,28 +499,11 @@ func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV,
 	return v, h, simV, simH
 }
 
-// compact relabels the live, non-empty clusters densely and returns the
-// current partition.
-func (st *mgcplState) compact() Granularity {
-	remap := make(map[int]int)
-	labels := make([]int, len(st.assign))
-	for i, l := range st.assign {
-		if l < 0 {
-			// Unassigned objects (possible only in pathological cases where
-			// every similarity was zero) join cluster 0.
-			labels[i] = 0
-			continue
-		}
-		nl, ok := remap[l]
-		if !ok {
-			nl = len(remap)
-			remap[l] = nl
-		}
-		labels[i] = nl
-	}
-	k := len(remap)
-	if k == 0 {
-		k = 1
-	}
-	return Granularity{K: k, Labels: labels}
+// granularity relabels an assignment's non-empty clusters densely and
+// returns it as one partition. Unassigned objects, possible only in
+// pathological cases where every similarity was zero, join cluster 0, so a
+// partition has at least one cluster.
+func granularity(assign []int) Granularity {
+	labels, k := categorical.DenseLabels(assign)
+	return Granularity{K: max(k, 1), Labels: labels}
 }

@@ -26,7 +26,8 @@ type Method struct {
 	Name string
 	Run  func(ds *categorical.Dataset, k int, seed int64) ([]int, error)
 	// Deterministic marks methods whose output does not depend on the seed
-	// (ROCK without sampling, WOCIL); the harness runs them once.
+	// (WOCIL); the harness runs them once. ROCK is not one: it clusters a
+	// seeded sample of any set larger than its sample size.
 	Deterministic bool
 }
 

@@ -4,6 +4,8 @@
 // the cited paper's alternating-optimization scheme — fuzzy memberships,
 // weighted-majority modes, inverse-dispersion attribute weights and
 // inverse-dispersion cluster weights — on the simple-matching dissimilarity.
+// The cited defaults are constants here: fuzzifier m = 2, attribute-weight
+// exponent q = 2, and at most maxIters = 100 passes.
 package fkmawcw
 
 import (
@@ -11,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mcdc/internal/categorical"
 	"mcdc/internal/seeding"
@@ -18,13 +21,8 @@ import (
 
 // Config parameterizes FKMAWCW.
 type Config struct {
-	K        int
-	MaxIters int
-	// Fuzzifier m > 1 controls membership softness (cited default 2).
-	Fuzzifier float64
-	// WeightExponent q > 1 controls attribute-weight softness (default 2).
-	WeightExponent float64
-	Rand           *rand.Rand
+	K    int
+	Rand *rand.Rand
 }
 
 // Result carries the converged fuzzy partition, hardened labels, and the
@@ -34,10 +32,19 @@ type Result struct {
 	Membership     [][]float64 // u[i][l]
 	AttrWeights    [][]float64 // w[l][r]
 	ClusterWeights []float64   // c[l]
-	Iters          int
 }
 
-const eps = 1e-9
+const (
+	eps = 1e-9
+	// m > 1 is the fuzzifier, which controls membership softness, and q > 1
+	// controls attribute-weight softness; both take the cited default. They
+	// are floating-point constants, so 1/(m-1) divides in floating point.
+	m = 2.0
+	q = 2.0
+	// maxIters caps the alternating updates; the hardened partition
+	// normally settles well before.
+	maxIters = 100
+)
 
 // Run clusters integer-coded rows into cfg.K fuzzy clusters and returns the
 // hardened partition.
@@ -55,18 +62,6 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	}
 	if k > n {
 		k = n
-	}
-	m := cfg.Fuzzifier
-	if m <= 1 {
-		m = 2
-	}
-	q := cfg.WeightExponent
-	if q <= 1 {
-		q = 2
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
 	}
 	d := len(cardinalities)
 
@@ -206,19 +201,12 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 
 	updateMembership()
 	prev := harden()
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		updateModes()
 		updateWeights()
 		updateMembership()
 		cur := harden()
-		same := true
-		for i := range cur {
-			if cur[i] != prev[i] {
-				same = false
-				break
-			}
-		}
+		same := slices.Equal(cur, prev)
 		prev = cur
 		if same {
 			break
@@ -229,6 +217,5 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 		Membership:     u,
 		AttrWeights:    w,
 		ClusterWeights: c,
-		Iters:          iters + 1,
 	}, nil
 }

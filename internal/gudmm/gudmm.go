@@ -214,18 +214,19 @@ func (m *Metric) Dist(a, b []int) float64 {
 	return sum
 }
 
+// maxIters caps the k-modes passes under the learned metric; the partition
+// normally settles well before.
+const maxIters = 100
+
 // Config parameterizes GUDMM clustering.
 type Config struct {
-	K        int
-	MaxIters int
-	Rand     *rand.Rand
+	K    int
+	Rand *rand.Rand
 }
 
 // Result is the converged partition.
 type Result struct {
 	Labels []int
-	Modes  [][]int
-	Iters  int
 }
 
 // Run learns the metric and clusters rows into cfg.K clusters by k-modes
@@ -244,10 +245,6 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	}
 	if k > n {
 		k = n
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
 	}
 	metric, err := NewMetric(rows, cardinalities)
 	if err != nil {
@@ -324,12 +321,11 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	}
 
 	assign()
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		updateModes()
 		if !assign() {
 			break
 		}
 	}
-	return &Result{Labels: labels, Modes: modes, Iters: iters + 1}, nil
+	return &Result{Labels: labels}, nil
 }

@@ -13,11 +13,14 @@ import (
 	"mcdc/internal/seeding"
 )
 
+// maxIters caps the alternating assignment and mode updates; the partition
+// normally settles well before.
+const maxIters = 100
+
 // Config parameterizes a k-modes run.
 type Config struct {
-	K        int
-	MaxIters int
-	Rand     *rand.Rand
+	K    int
+	Rand *rand.Rand
 }
 
 // Result is the converged k-modes partition.
@@ -25,7 +28,6 @@ type Result struct {
 	Labels []int
 	Modes  [][]int
 	Cost   float64 // total Hamming dissimilarity to assigned modes
-	Iters  int
 }
 
 // Hamming returns the simple-matching dissimilarity between two value rows:
@@ -55,10 +57,6 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	}
 	if k > n {
 		k = n
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
 	}
 	d := len(cardinalities)
 
@@ -133,8 +131,7 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 		labels[i] = -1
 	}
 	assign()
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		updateModes()
 		if !assign() {
 			break
@@ -144,5 +141,5 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	for i, l := range labels {
 		cost += float64(Hamming(rows[i], modes[l]))
 	}
-	return &Result{Labels: labels, Modes: modes, Cost: cost, Iters: iters + 1}, nil
+	return &Result{Labels: labels, Modes: modes, Cost: cost}, nil
 }

@@ -17,18 +17,19 @@ type StreamState struct {
 	// Cardinalities fixes the stream's feature schema.
 	Cardinalities []int
 
-	// Stream configuration (see stream.Config).
-	WindowSize     int
-	RefreshEvery   int
-	DriftThreshold float64
-	DriftFraction  float64
+	// Stream configuration (see stream.Config). Checkpoints written before
+	// the drift threshold and MGCPL's loop bounds became constants also
+	// carry those three values, which only ever held the defaults: gob skips
+	// them here, and a build that still has the fields reads their absence
+	// as zero, which it resolves to the same defaults.
+	WindowSize    int
+	RefreshEvery  int
+	DriftFraction float64
 
 	// MGCPL configuration (the numeric knobs of core.MGCPLConfig; the random
 	// streams derive from RandSeed).
 	LearningRate   float64
 	InitialK       int
-	MaxInnerIters  int
-	MaxEpochs      int
 	RivalThreshold float64
 	Workers        int
 

@@ -117,41 +117,22 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 		}
 	}
 
+	if len(kept) == 0 {
+		// Degenerate: no links at all; everything lands in one cluster.
+		return &Result{Labels: make([]int, n), Clusters: 1}, nil
+	}
+	keptLabels, clusters := categorical.DenseLabels(agglomerate(len(kept), links, cfg.K, theta))
 	out := make([]int, n)
 	for i := range out {
 		out[i] = -1
 	}
-	remap := make(map[int]int)
-	var keptSample []int // original dataset indices of kept objects
-	var keptLabels []int
-	if len(kept) > 0 {
-		labels := agglomerate(len(kept), links, cfg.K, theta)
-		for j, slot := range kept {
-			l := labels[j]
-			nl, ok := remap[l]
-			if !ok {
-				nl = len(remap)
-				remap[l] = nl
-			}
-			out[sample[slot]] = nl
-			keptSample = append(keptSample, sample[slot])
-			keptLabels = append(keptLabels, nl)
-		}
-	}
-	clusters := len(remap)
-	if clusters == 0 {
-		// Degenerate: no links at all; everything lands in one cluster.
-		for i := range out {
-			out[i] = 0
-		}
-		return &Result{Labels: out, Clusters: 1}, nil
+	keptSample := make([]int, len(kept)) // original dataset indices of kept objects
+	for j, slot := range kept {
+		keptSample[j] = sample[slot]
+		out[sample[slot]] = keptLabels[j]
 	}
 	// Outliers and non-sampled objects are assigned by neighbour fraction.
-	identity := make(map[int]int, clusters)
-	for l := 0; l < clusters; l++ {
-		identity[l] = l
-	}
-	clusters = assignRest(rows, keptSample, keptLabels, identity, out, theta, jaccard)
+	assignRest(rows, keptSample, keptLabels, clusters, out, theta, jaccard)
 	return &Result{Labels: out, Clusters: clusters}, nil
 }
 
@@ -162,10 +143,28 @@ type pair struct {
 	va, vb   int // cluster versions at push time
 }
 
+// pairHeap pops the best merge first. Its order is total, goodness
+// descending and then a, b, va, vb ascending, so pairs of equal goodness pop
+// in the same order however the heap was filled: agglomerate fills it by
+// ranging over maps, whose order Go randomizes.
 type pairHeap []pair
 
-func (h pairHeap) Len() int            { return len(h) }
-func (h pairHeap) Less(i, j int) bool  { return h[i].goodness > h[j].goodness }
+func (h pairHeap) Len() int { return len(h) }
+func (h pairHeap) Less(i, j int) bool {
+	x, y := h[i], h[j]
+	switch {
+	case x.goodness != y.goodness:
+		return x.goodness > y.goodness
+	case x.a != y.a:
+		return x.a < y.a
+	case x.b != y.b:
+		return x.b < y.b
+	case x.va != y.va:
+		return x.va < y.va
+	default:
+		return x.vb < y.vb
+	}
+}
 func (h pairHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *pairHeap) Push(x interface{}) { *h = append(*h, x.(pair)) }
 func (h *pairHeap) Pop() interface{} {
@@ -261,15 +260,14 @@ func agglomerate(s int, links map[[2]int]int, k int, theta float64) []int {
 
 // assignRest places the non-sampled objects into the cluster maximizing the
 // normalized neighbour fraction N_i(C) / (n_C+1)^f(θ), the disk-resident
-// assignment rule of the original system. It returns the final cluster count
-// (unlinkable objects join the globally largest cluster rather than forming
-// new ones).
-func assignRest(rows [][]int, sample []int, sampleLabels []int, remap map[int]int, out []int, theta float64, jaccard func(a, b []int) float64) int {
+// assignment rule of the original system. Unlinkable objects join the
+// globally largest cluster rather than forming new ones, so the cluster
+// count stays clusters.
+func assignRest(rows [][]int, sample []int, sampleLabels []int, clusters int, out []int, theta float64, jaccard func(a, b []int) float64) {
 	f := (1 - theta) / (1 + theta)
-	clusters := len(remap)
 	sizes := make([]int, clusters)
-	for si := range sample {
-		sizes[remap[sampleLabels[si]]]++
+	for _, l := range sampleLabels {
+		sizes[l]++
 	}
 	largest := 0
 	for l, sz := range sizes {
@@ -284,7 +282,7 @@ func assignRest(rows [][]int, sample []int, sampleLabels []int, remap map[int]in
 		counts := make([]int, clusters)
 		for si, orig := range sample {
 			if jaccard(rows[i], rows[orig]) >= theta {
-				counts[remap[sampleLabels[si]]]++
+				counts[sampleLabels[si]]++
 			}
 		}
 		best, bestScore := -1, 0.0
@@ -303,5 +301,4 @@ func assignRest(rows [][]int, sample []int, sampleLabels []int, remap map[int]in
 		out[i] = best
 		sizes[best]++
 	}
-	return clusters
 }

@@ -2,6 +2,7 @@ package rock
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcdc/internal/datasets"
@@ -85,5 +86,30 @@ func TestGoodnessPrefersDenselyLinkedPairs(t *testing.T) {
 	}
 	if labels[3] == labels[0] {
 		t.Errorf("isolated object must stay separate: %v", labels)
+	}
+}
+
+// TestRockDeterministic runs ROCK five times at seed 1 and k* on Car., whose
+// 1,728 rows take the sampling path, and on Bal., which is clustered whole.
+// Both have many merges of equal goodness, so the labels hold still only if
+// the merge heap orders its pairs totally rather than in map-iteration order.
+func TestRockDeterministic(t *testing.T) {
+	for _, info := range datasets.Table2() {
+		if info.Name != "Car." && info.Name != "Bal." {
+			continue
+		}
+		ds := info.Gen(rand.New(rand.NewSource(1)))
+		var first []int
+		for run := 0; run < 5; run++ {
+			res, err := Run(ds.Rows, ds.Cardinalities(), Config{K: info.KStar, Rand: rand.New(rand.NewSource(1))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if run == 0 {
+				first = res.Labels
+			} else if !slices.Equal(res.Labels, first) {
+				t.Fatalf("%s: run %d labels differ from run 0's", info.Name, run)
+			}
+		}
 	}
 }

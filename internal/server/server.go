@@ -50,11 +50,8 @@ import (
 	"time"
 
 	"mcdc/internal/model"
+	"mcdc/internal/stream"
 )
-
-// driftThreshold mirrors stream.Config's default DriftThreshold: assignments
-// below this similarity count toward the drift counters.
-const driftThreshold = 0.2
 
 // Config parameterizes the daemon.
 type Config struct {
@@ -537,7 +534,7 @@ func (s *Server) assignOne(modelName, session string, row []int, reqID string, e
 			return codeBadRequest, err
 		}
 		bufferRow(sm, snap, row)
-		if a.Similarity < driftThreshold {
+		if a.Similarity < stream.DriftThreshold {
 			sm.lowSim.Add(1)
 		}
 		s.metrics.assignTotal.Add(1)
@@ -545,7 +542,7 @@ func (s *Server) assignOne(modelName, session string, row []int, reqID string, e
 		emit(a, snap.Epoch)
 		return "", nil
 	case session != "":
-		a, found, err := s.sessions.assign(session, row, driftThreshold, reqID)
+		a, found, err := s.sessions.assign(session, row, reqID)
 		var verr *model.VersionError
 		switch {
 		case !found:
@@ -615,7 +612,7 @@ func (s *Server) assignBatchRows(sm *servedModel, snap *model.Snapshot, rows [][
 	}
 	for i, a := range assignments {
 		bufferRow(sm, snap, rows[i])
-		if a.Similarity < driftThreshold {
+		if a.Similarity < stream.DriftThreshold {
 			sm.lowSim.Add(1)
 		}
 	}

@@ -306,13 +306,13 @@ func (p *sessionPool) dropIfSame(id string, s *session) {
 // up-to-date state back in and no arrival is lost. A non-empty reqID makes
 // the call idempotent: retrying the same request id with the same row
 // replays the cached response.
-func (p *sessionPool) assign(id string, row []int, driftThreshold float64, reqID string) (stream.Assignment, bool, error) {
+func (p *sessionPool) assign(id string, row []int, reqID string) (stream.Assignment, bool, error) {
 	for try := 0; try < 3; try++ {
 		s, err := p.get(id)
 		if s == nil {
 			return stream.Assignment{}, err != nil, err
 		}
-		a, gone, err := p.addRow(id, s, row, driftThreshold, reqID)
+		a, gone, err := p.addRow(id, s, row, reqID)
 		if !gone {
 			return a, true, err
 		}
@@ -327,7 +327,7 @@ func (p *sessionPool) assign(id string, row []int, driftThreshold float64, reqID
 // row, and a fresh row is checkpointed (and shipped to the replica holder)
 // before the assignment is returned — so the replica can always resume from
 // the exact state that produced every delivered response.
-func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold float64, reqID string) (stream.Assignment, bool, error) {
+func (p *sessionPool) addRow(id string, s *session, row []int, reqID string) (stream.Assignment, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.gone.Load() {
@@ -342,7 +342,7 @@ func (p *sessionPool) addRow(id string, s *session, row []int, driftThreshold fl
 	if err != nil {
 		return a, false, err
 	}
-	if a.Similarity < driftThreshold {
+	if a.Similarity < stream.DriftThreshold {
 		p.drift.Add(1)
 	}
 	s.lastReqID = reqID

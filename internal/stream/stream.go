@@ -3,7 +3,8 @@
 // most recent window of a categorical object stream, serves per-object
 // cluster assignments online against the current multi-granular model, and
 // re-learns the model (a full MGCPL pass over the window) when the stream
-// drifts away from it or a refresh interval elapses.
+// drifts away from it or a refresh interval elapses. An arrival drifts when
+// its best similarity is below the constant DriftThreshold.
 package stream
 
 import (
@@ -17,6 +18,11 @@ import (
 	"mcdc/internal/similarity"
 )
 
+// DriftThreshold is the assignment-similarity level below which an arrival
+// counts as poorly explained by the current model. The daemon's drift
+// counters use the same level.
+const DriftThreshold = 0.2
+
 // Config parameterizes a streaming clusterer.
 type Config struct {
 	// Cardinalities fixes the value-domain sizes of the stream's features.
@@ -27,12 +33,10 @@ type Config struct {
 	// RefreshEvery re-learns the model after this many arrivals even
 	// without drift (default WindowSize).
 	RefreshEvery int
-	// DriftThreshold is the assignment-similarity level below which an
-	// arrival counts as poorly explained (default 0.2); DriftFraction of
-	// poorly explained arrivals since the last refresh triggers an early
-	// re-learning (default 0.3).
-	DriftThreshold float64
-	DriftFraction  float64
+	// DriftFraction is the share of arrivals since the last refresh that
+	// must fall below DriftThreshold to trigger an early re-learning
+	// (default 0.3).
+	DriftFraction float64
 	// MGCPL configures the underlying analysis. Its Rand is required:
 	// NewClusterer draws the clusterer's seed from it once.
 	MGCPL core.MGCPLConfig
@@ -85,9 +89,6 @@ func newClusterer(cfg Config, seed int64) *Clusterer {
 	}
 	if cfg.RefreshEvery <= 0 {
 		cfg.RefreshEvery = cfg.WindowSize
-	}
-	if cfg.DriftThreshold <= 0 {
-		cfg.DriftThreshold = 0.2
 	}
 	if cfg.DriftFraction <= 0 {
 		cfg.DriftFraction = 0.3
@@ -150,7 +151,7 @@ func (c *Clusterer) Add(row []int) (Assignment, error) {
 		}
 		assign.Cluster = best
 		assign.Similarity = bestSim
-		if bestSim < c.cfg.DriftThreshold {
+		if bestSim < DriftThreshold {
 			c.drifted++
 		}
 	} else {
@@ -179,12 +180,9 @@ func (c *Clusterer) Snapshot() *model.StreamState {
 		Cardinalities:  append([]int(nil), c.cfg.Cardinalities...),
 		WindowSize:     c.cfg.WindowSize,
 		RefreshEvery:   c.cfg.RefreshEvery,
-		DriftThreshold: c.cfg.DriftThreshold,
 		DriftFraction:  c.cfg.DriftFraction,
 		LearningRate:   c.cfg.MGCPL.LearningRate,
 		InitialK:       c.cfg.MGCPL.InitialK,
-		MaxInnerIters:  c.cfg.MGCPL.MaxInnerIters,
-		MaxEpochs:      c.cfg.MGCPL.MaxEpochs,
 		RivalThreshold: c.cfg.MGCPL.RivalThreshold,
 		Workers:        c.cfg.MGCPL.Workers,
 		Window:         make([][]int, len(c.window)),
@@ -215,16 +213,13 @@ func Restore(st *model.StreamState) (*Clusterer, error) {
 		return nil, errNoCardinalities
 	}
 	c := newClusterer(Config{
-		Cardinalities:  append([]int(nil), st.Cardinalities...),
-		WindowSize:     st.WindowSize,
-		RefreshEvery:   st.RefreshEvery,
-		DriftThreshold: st.DriftThreshold,
-		DriftFraction:  st.DriftFraction,
+		Cardinalities: append([]int(nil), st.Cardinalities...),
+		WindowSize:    st.WindowSize,
+		RefreshEvery:  st.RefreshEvery,
+		DriftFraction: st.DriftFraction,
 		MGCPL: core.MGCPLConfig{
 			LearningRate:   st.LearningRate,
 			InitialK:       st.InitialK,
-			MaxInnerIters:  st.MaxInnerIters,
-			MaxEpochs:      st.MaxEpochs,
 			RivalThreshold: st.RivalThreshold,
 			Workers:        st.Workers,
 		},

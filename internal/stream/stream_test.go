@@ -233,7 +233,7 @@ func TestDriftRefreshAtRingBoundary(t *testing.T) {
 		t.Fatalf("re-learn window is not the wrapped drift rows:\n%v", c.window)
 	}
 	// The swapped-in model must explain the drift regime, not the old one.
-	if sim := c.probeSimBest(driftRows[0]); sim < c.cfg.DriftThreshold {
+	if sim := c.probeSimBest(driftRows[0]); sim < DriftThreshold {
 		t.Fatalf("drift row scores %v under the re-learned model", sim)
 	}
 }

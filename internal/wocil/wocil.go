@@ -14,17 +14,19 @@ import (
 	"mcdc/internal/similarity"
 )
 
+// maxIters caps the assignment passes; the partition normally settles well
+// before.
+const maxIters = 100
+
 // Config parameterizes WOCIL.
 type Config struct {
-	K        int
-	MaxIters int
+	K int
 }
 
 // Result is the converged partition with the learned subspace weights.
 type Result struct {
 	Labels  []int
 	Weights [][]float64 // w[l][r]
-	Iters   int
 }
 
 // Run clusters integer-coded rows into cfg.K clusters. The algorithm is
@@ -40,10 +42,6 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 	}
 	if k > n {
 		k = n
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 100
 	}
 	d := len(cardinalities)
 
@@ -70,8 +68,7 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 		}
 	}
 
-	iters := 0
-	for ; iters < maxIters; iters++ {
+	for iter := 0; iter < maxIters; iter++ {
 		changed := false
 		for i := 0; i < n; i++ {
 			best, bestS := -1, -1.0
@@ -98,7 +95,8 @@ func Run(rows [][]int, cardinalities []int, cfg Config) (*Result, error) {
 			break
 		}
 	}
-	return &Result{Labels: compact(assign), Weights: w, Iters: iters + 1}, nil
+	labels, _ := categorical.DenseLabels(assign)
+	return &Result{Labels: labels, Weights: w}, nil
 }
 
 // stableSeeds picks k seeds deterministically: the globally densest object
@@ -212,22 +210,4 @@ func updateWeights(t *similarity.Tables, cardinalities []int, w [][]float64) {
 			w[l][r] /= total
 		}
 	}
-}
-
-func compact(assign []int) []int {
-	remap := make(map[int]int)
-	out := make([]int, len(assign))
-	for i, l := range assign {
-		if l < 0 {
-			out[i] = 0
-			continue
-		}
-		nl, ok := remap[l]
-		if !ok {
-			nl = len(remap)
-			remap[l] = nl
-		}
-		out[i] = nl
-	}
-	return out
 }
