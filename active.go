@@ -21,9 +21,10 @@ func SelectQueries(d *Dataset, mg *MultiGranular, budget int) ([]LabelQuery, err
 }
 
 // PropagateLabels spreads expert answers (answers[objectIndex] = class) over
-// the whole data set along the granularity hierarchy: fine clusters adopt
-// their queried object's label, unlabeled fine clusters adopt their coarse
-// parent's weighted majority. Returns a complete per-object labeling.
+// the whole data set along the granularity hierarchy: answered objects keep
+// their answers, fine clusters adopt the majority of their queried objects'
+// labels, unlabeled fine clusters adopt their coarse parent's weighted
+// majority. Returns a complete per-object labeling.
 func PropagateLabels(d *Dataset, mg *MultiGranular, answers map[int]int) ([]int, error) {
 	rows, _, err := prepare(d)
 	if err != nil {

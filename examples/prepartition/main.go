@@ -1,8 +1,7 @@
 // Pre-partitioning for distributed computing: the §III-D(1) scenario of the
 // paper. MCDC's multi-granular analysis divides a categorical data set into
 // compact micro-clusters; a locality-preserving planner packs them onto
-// compute nodes; and a real coordinator/worker pipeline (TCP + gob) computes
-// distributed per-shard statistics that the coordinator merges.
+// compute nodes; each node's per-shard statistics are then merged centrally.
 //
 //	go run ./examples/prepartition
 package main
@@ -10,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"sync"
 
 	"mcdc"
 	"mcdc/internal/distsim"
@@ -51,35 +49,17 @@ func main() {
 	}
 	fmt.Printf("locality loss: %.3f (0 = no micro-cluster split across nodes)\n", loss)
 
-	// 3. Run the distributed pass for real: a coordinator serves shards
-	// over TCP, four workers compute shard statistics concurrently.
-	coord, err := distsim.NewCoordinator(ds.Rows, ds.Cardinalities(), plan)
+	// 3. The per-shard statistics each node computes over the shards it
+	// holds.
+	stats, err := distsim.Stats(ds.Rows, ds.Cardinalities(), plan)
 	if err != nil {
 		log.Fatal(err)
 	}
-	addr, err := coord.Start()
-	if err != nil {
-		log.Fatal(err)
+	shardsOn := make([]int, nodes)
+	for _, nd := range plan.NodeOf {
+		shardsOn[nd]++
 	}
-	defer coord.Close()
-	fmt.Printf("coordinator listening on %s\n", addr)
-
-	var wg sync.WaitGroup
-	for w := 0; w < nodes; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			processed, err := (&distsim.Worker{}).Run(addr)
-			if err != nil {
-				log.Printf("worker %d: %v", id, err)
-				return
-			}
-			fmt.Printf("worker %d processed %d shards\n", id, processed)
-		}(w)
-	}
-
-	stats := coord.Wait()
-	wg.Wait()
+	fmt.Printf("shards per node: %v\n", shardsOn)
 
 	// 4. Merge the distributed statistics centrally.
 	freq, total := distsim.MergeStats(stats, ds.Cardinalities())

@@ -8,8 +8,10 @@
 // more queries), and within each coarse cluster the queries are placed on
 // the medoids of its largest fine-grained sub-clusters — the objects that
 // represent the most data. Label propagation then walks the hierarchy from
-// fine to coarse: each fine cluster takes the label of its queried object if
-// it has one, otherwise the majority label of its parent coarse cluster.
+// fine to coarse: each fine cluster takes the majority label of its queried
+// objects if it has any, otherwise the majority label of its parent coarse
+// cluster. Every vote breaks ties to the smaller id, so the queries and the
+// labeling depend only on the inputs.
 package active
 
 import (
@@ -61,13 +63,7 @@ func SelectQueries(rows [][]int, mg *core.MGCPLResult, budget int) ([]Query, err
 		parentVotes[f][coarse.Labels[i]]++
 	}
 	for f, votes := range parentVotes {
-		best, bestC := 0, -1
-		for p, c := range votes {
-			if c > bestC {
-				best, bestC = p, c
-			}
-		}
-		fines[f].parent = best
+		fines[f].parent = argmaxVotes(votes)
 	}
 
 	// Order fine clusters by size (largest first) with parent round-robin:
@@ -140,10 +136,11 @@ func medoid(rows [][]int, members []int) int {
 }
 
 // Propagate spreads oracle labels (answers[objectIndex] = class) over the
-// whole data set using the granularity hierarchy: a fine cluster adopts its
-// queried object's label; unlabeled fine clusters adopt the weighted
-// majority label of their coarse parent; anything still unlabeled gets the
-// global majority. Returns a full per-object labeling.
+// whole data set using the granularity hierarchy: every answered object
+// keeps its answer; a fine cluster adopts its queried objects' majority
+// label (ties to the smaller class); unlabeled fine clusters adopt the
+// weighted majority label of their coarse parent; anything still unlabeled
+// gets the global majority. Returns a full per-object labeling.
 func Propagate(rows [][]int, mg *core.MGCPLResult, answers map[int]int) ([]int, error) {
 	if mg == nil || mg.Sigma() == 0 {
 		return nil, errors.New("active: empty multi-granular analysis")
@@ -155,13 +152,28 @@ func Propagate(rows [][]int, mg *core.MGCPLResult, answers map[int]int) ([]int, 
 	coarse := mg.Final()
 	n := len(rows)
 
-	// Fine-cluster labels from direct answers.
-	fineLabel := make(map[int]int)
-	for idx, y := range answers {
+	// Fine-cluster labels from direct answers: the majority of the answers
+	// that land in the cluster. Indices are visited in ascending order, so
+	// the error names the smallest out-of-range one, whatever the map order.
+	answered := make([]int, 0, len(answers))
+	for idx := range answers {
+		answered = append(answered, idx)
+	}
+	sort.Ints(answered)
+	fineVotes := make(map[int]map[int]int)
+	for _, idx := range answered {
 		if idx < 0 || idx >= n {
 			return nil, fmt.Errorf("active: answer index %d out of range", idx)
 		}
-		fineLabel[fine.Labels[idx]] = y
+		f := fine.Labels[idx]
+		if fineVotes[f] == nil {
+			fineVotes[f] = make(map[int]int)
+		}
+		fineVotes[f][answers[idx]]++
+	}
+	fineLabel := make(map[int]int, len(fineVotes))
+	for f, votes := range fineVotes {
+		fineLabel[f] = argmaxVotes(votes)
 	}
 	// Coarse-cluster majorities, weighted by fine-cluster sizes.
 	coarseVotes := make(map[int]map[int]int)
@@ -188,6 +200,10 @@ func Propagate(rows [][]int, mg *core.MGCPLResult, answers map[int]int) ([]int, 
 
 	out := make([]int, n)
 	for i := 0; i < n; i++ {
+		if y, ok := answers[i]; ok {
+			out[i] = y
+			continue
+		}
 		f := fine.Labels[i]
 		if y, ok := fineLabel[f]; ok {
 			out[i] = y
@@ -203,6 +219,7 @@ func Propagate(rows [][]int, mg *core.MGCPLResult, answers map[int]int) ([]int, 
 	return out, nil
 }
 
+// argmaxVotes returns the id with the most votes, ties to the smaller id.
 func argmaxVotes(votes map[int]int) int {
 	best, bestC := 0, -1
 	for y, c := range votes {

@@ -2,6 +2,8 @@ package active
 
 import (
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mcdc/internal/core"
@@ -83,6 +85,64 @@ func TestPropagateRecoversLabelsWithTinyBudget(t *testing.T) {
 	}
 }
 
+// TestSelectQueriesDeterministic: each fine cluster's coarse parent is
+// its majority parent with ties to the smaller id, so one input always gives
+// one query list. Bal. at MGCPL seed 2 has fine clusters with tied parents.
+func TestSelectQueriesDeterministic(t *testing.T) {
+	ds, err := datasets.Load("Bal.", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg := analysis(t, ds.Rows, ds.Cardinalities(), 2)
+	for _, budget := range []int{3, 5, 8, 13} {
+		first, err := SelectQueries(ds.Rows, mg, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for call := 1; call < 30; call++ {
+			got, err := SelectQueries(ds.Rows, mg, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, first) {
+				t.Fatalf("budget %d: call %d gave %v, call 0 gave %v", budget, call, got, first)
+			}
+		}
+	}
+}
+
+// TestPropagateCollidingAnswers: two answers in one fine cluster give the
+// cluster their majority (ties to the smaller class) and each answered
+// object keeps its own answer. On Car. at MGCPL seed 1, objects 0 and 1
+// share fine cluster 0.
+func TestPropagateCollidingAnswers(t *testing.T) {
+	ds, err := datasets.Load("Car.", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg := analysis(t, ds.Rows, ds.Cardinalities(), 1)
+	if fine := mg.Levels[0].Labels; fine[0] != fine[1] {
+		t.Fatalf("objects 0 and 1 are in fine clusters %d and %d, want one", fine[0], fine[1])
+	}
+	answers := map[int]int{0: 0, 1: 1}
+	first, err := Propagate(ds.Rows, mg, answers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first[0] != 0 || first[1] != 1 {
+		t.Fatalf("objects 0 and 1 labeled %d and %d, want their answers 0 and 1", first[0], first[1])
+	}
+	for call := 1; call < 100; call++ {
+		got, err := Propagate(ds.Rows, mg, answers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, first) {
+			t.Fatalf("call %d gave another labeling than call 0", call)
+		}
+	}
+}
+
 func TestActiveErrors(t *testing.T) {
 	ds := datasets.Synthetic("t", 50, 4, 2, 0.9, rand.New(rand.NewSource(72)))
 	mg := analysis(t, ds.Rows, ds.Cardinalities(), 3)
@@ -97,5 +157,11 @@ func TestActiveErrors(t *testing.T) {
 	}
 	if _, err := Propagate(ds.Rows, mg, map[int]int{999: 0}); err == nil {
 		t.Error("out-of-range answer: want error")
+	}
+	for call := 0; call < 20; call++ {
+		_, err := Propagate(ds.Rows, mg, map[int]int{999: 0, -1: 0})
+		if err == nil || !strings.Contains(err.Error(), "index -1 ") {
+			t.Fatalf("call %d: two out-of-range answers gave %v, want the smaller index named", call, err)
+		}
 	}
 }

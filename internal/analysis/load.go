@@ -69,9 +69,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// Fset returns the loader's shared FileSet.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // findModule walks upward from dir to the nearest go.mod and returns the
 // module root directory and module path.
 func findModule(dir string) (root, path string, err error) {

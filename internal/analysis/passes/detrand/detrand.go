@@ -22,9 +22,9 @@ explicitly seeded *rand.Rand owned by exactly one goroutine. This pass flags
 (1) calls that draw from the global math/rand (or math/rand/v2) state, such
 as rand.Intn and rand.Shuffle, (2) rand.New/rand.NewSource seeded from
 time.Now, and (3) any *rand.Rand method call lexically inside a function
-literal passed to internal/parallel's ForEach, ForEachTurns, ForEachChunk,
-MapReduce, or the Pool equivalents — a draw per task would make results
-depend on the worker count.`,
+literal passed to internal/parallel's ForEach, ForEachTurns, ForEachChunk
+or MapReduce — a draw per task would make results depend on the worker
+count.`,
 	Run: run,
 }
 

@@ -1,14 +1,11 @@
 package distsim
 
 import (
-	"encoding/gob"
-	"fmt"
+	"math"
 	"math/rand"
-	"net"
+	"reflect"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"mcdc/internal/categorical"
 )
@@ -181,259 +178,82 @@ func TestComputeStatsCohesion(t *testing.T) {
 	}
 }
 
-func TestCoordinatorWorkersComplete(t *testing.T) {
+// TestStatsCoversEveryShard: Stats returns one entry per shard, in shard
+// order, each the statistics of that shard's rows, and merging them counts
+// every row once.
+func TestStatsCoversEveryShard(t *testing.T) {
 	rows, card, plan := newTestJob(t, 3)
-	coord, err := NewCoordinator(rows, card, plan)
+	stats, err := Stats(rows, card, plan)
 	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
+		t.Fatalf("Stats: %v", err)
 	}
-	addr, err := coord.Start()
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer coord.Close()
-
-	errs := make(chan error, 3)
-	for w := 0; w < 3; w++ {
-		go func() {
-			_, err := (&Worker{}).Run(addr)
-			errs <- err
-		}()
-	}
-	stats := coord.Wait()
 	if len(stats) != len(plan.Shards) {
-		t.Fatalf("collected %d shard stats, want %d", len(stats), len(plan.Shards))
+		t.Fatalf("got %d shard stats, want %d", len(stats), len(plan.Shards))
+	}
+	for i, s := range plan.Shards {
+		shard := make([][]int, 0, len(s.Objects))
+		for _, obj := range s.Objects {
+			shard = append(shard, rows[obj])
+		}
+		if want := computeStats(s.ID, shard, card); !reflect.DeepEqual(stats[i], want) {
+			t.Errorf("stats[%d] = %+v, want %+v", i, stats[i], want)
+		}
 	}
 	freq, total := MergeStats(stats, card)
 	if total != len(rows) {
 		t.Errorf("merged count = %d, want %d", total, len(rows))
 	}
-	var sum int
-	for _, c := range freq[0] {
-		sum += c
-	}
-	if sum != len(rows) {
-		t.Errorf("feature-0 histogram mass = %d, want %d", sum, len(rows))
-	}
-	for w := 0; w < 3; w++ {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("worker did not finish")
-		}
+	if want := computeStats(0, rows, card).Freq; !reflect.DeepEqual(freq, want) {
+		t.Errorf("merged histograms = %v, want %v", freq, want)
 	}
 }
 
-func TestCoordinatorSurvivesWorkerFailure(t *testing.T) {
-	rows, card, plan := newTestJob(t, 2)
-	coord, err := NewCoordinator(rows, card, plan)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	addr, err := coord.Start()
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer coord.Close()
-
-	// A flaky worker that quits after one shard, then a reliable one.
-	go func() { _, _ = (&Worker{MaxShards: 1}).Run(addr) }()
-	go func() { _, _ = (&Worker{}).Run(addr) }()
-
-	done := make(chan []ShardStats, 1)
-	go func() { done <- coord.Wait() }()
-	select {
-	case stats := <-done:
-		if len(stats) != len(plan.Shards) {
-			t.Fatalf("collected %d shard stats, want %d", len(stats), len(plan.Shards))
+// TestStatsRejectsMalformedInput: rows that do not fit their schema (the
+// wrong number of values, a value outside its feature's domain, a negative
+// cardinality) are refused before any shard is cut, naming the row, feature
+// and value. Without the check computeStats would index past a value
+// histogram, or size one negatively, and panic.
+func TestStatsRejectsMalformedInput(t *testing.T) {
+	oneShard := func(n int) *Placement {
+		objs := make([]int, n)
+		for i := range objs {
+			objs[i] = i
 		}
-		_, total := MergeStats(stats, card)
-		if total != len(rows) {
-			t.Errorf("merged count = %d, want %d (every shard exactly once)", total, len(rows))
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("job did not complete after worker failure")
+		return &Placement{Shards: []Shard{{ID: 5, Objects: objs}}}
 	}
-}
-
-func TestCoordinatorEarlyClose(t *testing.T) {
-	rows, card, plan := newTestJob(t, 2)
-	coord, err := NewCoordinator(rows, card, plan)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	addr, err := coord.Start()
-	if err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	// A worker connects, then the job is aborted before completion. Close
-	// must terminate every goroutine without deadlocking, and the worker
-	// must come back (with or without an error, depending on timing).
-	workerDone := make(chan struct{})
-	go func() {
-		defer close(workerDone)
-		_, _ = (&Worker{MaxShards: 1}).Run(addr)
-	}()
-	<-workerDone
-	closed := make(chan error, 1)
-	go func() { closed <- coord.Close() }()
-	select {
-	case <-closed:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close deadlocked after early abort")
-	}
-}
-
-// TestCoordinatorConcurrentClose pins the shutdown path against racing
-// callers: Close from several goroutines at once must neither panic (a bare
-// check-then-close of the quit channel would) nor deadlock.
-func TestCoordinatorConcurrentClose(t *testing.T) {
-	rows, card, plan := newTestJob(t, 2)
-	coord, err := NewCoordinator(rows, card, plan)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
-	if _, err := coord.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = coord.Close()
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("concurrent Close deadlocked")
-	}
-}
-
-// TestWorkerRejectsVersionMismatch pins the fail-fast path of the version
-// handshake: a coordinator speaking a different protocol version yields a
-// clear error mentioning both versions, not a decode panic mid-job.
-func TestWorkerRejectsVersionMismatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_ = gob.NewEncoder(conn).Encode(message{Kind: kindHello, Proto: ProtocolVersion + 7})
-		// Hold the connection open so the worker's error comes from the
-		// version check, not a hangup.
-		var reply message
-		_ = gob.NewDecoder(conn).Decode(&reply)
-	}()
-	_, err = (&Worker{}).Run(ln.Addr().String())
-	if err == nil {
-		t.Fatal("version mismatch accepted")
-	}
-	for _, want := range []string{"protocol version mismatch", fmt.Sprintf("v%d", ProtocolVersion+7), fmt.Sprintf("v%d", ProtocolVersion)} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not contain %q", err, want)
-		}
-	}
-}
-
-// TestWorkerRejectsUnversionedCoordinator covers a pre-handshake (v1) build:
-// the first frame is a task, and the worker must refuse it by name.
-func TestWorkerRejectsUnversionedCoordinator(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_ = gob.NewEncoder(conn).Encode(message{Kind: kindTask, ShardID: 1, Rows: [][]int{{0}}, Cardinalities: []int{1}})
-		var reply message
-		_ = gob.NewDecoder(conn).Decode(&reply)
-	}()
-	_, err = (&Worker{}).Run(ln.Addr().String())
-	if err == nil || !strings.Contains(err.Error(), "version handshake") {
-		t.Fatalf("unversioned coordinator not refused by name: %v", err)
-	}
-}
-
-// TestWorkerRejectsMalformedTask pins the worker's schema check: a task row
-// with the wrong number of values, a value outside its feature's domain, or
-// a negative cardinality is refused with an error naming the shard, row and
-// feature, and no result is sent. Without the check such a task indexes
-// past the value histograms, or sizes one negatively, and the worker panics.
-func TestWorkerRejectsMalformedTask(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		card []int
 		rows [][]int
+		card []int
+		plan *Placement
 		want []string
 	}{
-		{"long row", []int{2, 2}, [][]int{{0, 1, 1}, {1, 0, 0}}, []string{"shard 5", "row 0", "3 values"}},
-		{"short row", []int{2, 2}, [][]int{{0, 1}, {1}}, []string{"shard 5", "row 1", "1 values"}},
-		{"value past domain", []int{2, 2}, [][]int{{0, 1}, {1, 2}}, []string{"shard 5", "row 1 feature 1", "value 2"}},
-		{"negative value", []int{2, 2}, [][]int{{-2, 1}}, []string{"shard 5", "row 0 feature 0", "value -2"}},
-		{"negative cardinality", []int{2, -1}, [][]int{{0, -1}}, []string{"shard 5", "feature 1", "cardinality -1"}},
+		{"long row", [][]int{{0, 1, 1}, {1, 0, 0}}, []int{2, 2}, oneShard(2), []string{"row 0", "3 values"}},
+		{"short row", [][]int{{0, 1}, {1}}, []int{2, 2}, oneShard(2), []string{"row 1", "1 values"}},
+		{"value past domain", [][]int{{0, 1}, {1, 2}}, []int{2, 2}, oneShard(2), []string{"row 1 feature 1", "value 2"}},
+		{"negative value", [][]int{{-2, 1}}, []int{2, 2}, oneShard(1), []string{"row 0 feature 0", "value -2"}},
+		{"negative cardinality", [][]int{{0, -1}}, []int{2, -1}, oneShard(1), []string{"feature 1", "cardinality -1"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ln.Close()
-			replied := make(chan bool, 1)
-			go func() {
-				conn, err := ln.Accept()
-				if err != nil {
-					replied <- false
-					return
-				}
-				defer conn.Close()
-				enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-				var hello message
-				_ = enc.Encode(message{Kind: kindHello, Proto: ProtocolVersion})
-				_ = dec.Decode(&hello)
-				_ = enc.Encode(message{Kind: kindTask, ShardID: 5, Rows: tc.rows, Cardinalities: tc.card})
-				var reply message
-				replied <- dec.Decode(&reply) == nil
-			}()
-			_, err = (&Worker{}).Run(ln.Addr().String())
+			stats, err := Stats(tc.rows, tc.card, tc.plan)
 			if err == nil {
-				t.Fatal("malformed task accepted")
+				t.Fatalf("malformed input accepted: %+v", stats)
 			}
 			for _, want := range tc.want {
 				if !strings.Contains(err.Error(), want) {
 					t.Errorf("error %q does not contain %q", err, want)
 				}
 			}
-			if <-replied {
-				t.Error("worker sent a result for a malformed task")
-			}
 		})
 	}
 }
 
-// TestNewCoordinatorRejectsMalformedRows: a data set whose rows do not fit
-// its schema is refused up front, naming the row and feature, instead of
-// leaving every worker to refuse its shards while Wait blocks; a placement
-// naming an object past the last row is refused naming the shard and object,
-// instead of a worker connection indexing past the rows.
-func TestNewCoordinatorRejectsMalformedRows(t *testing.T) {
+// TestStatsRejectsMalformedJob: on a planned job, a bad row deep in the data
+// is refused naming its row and feature, a placement naming an object past
+// the last row is refused naming the shard and object, and an empty
+// placement is refused. Without the object check computeStats would index
+// past the rows and panic.
+func TestStatsRejectsMalformedJob(t *testing.T) {
 	rows, card, plan := newTestJob(t, 2)
 	outOfDomain := append([][]int(nil), rows...)
 	outOfDomain[17] = []int{0, 3, 1}
@@ -446,90 +266,35 @@ func TestNewCoordinatorRejectsMalformedRows(t *testing.T) {
 	}{
 		{"a value outside its domain", outOfDomain, plan, "row 17 feature 1"},
 		{"an object past the last row", rows[:5], pastEnd, "shard 1 object 5"},
+		{"an empty placement", rows, &Placement{}, "empty placement"},
 	} {
-		_, err := NewCoordinator(tc.rows, card, tc.plan)
+		stats, err := Stats(tc.rows, card, tc.plan)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("NewCoordinator on %s: %v", tc.name, err)
+			t.Errorf("Stats on %s: %+v, %v", tc.name, stats, err)
 		}
 	}
 }
 
-// TestCoordinatorDropsMismatchedWorker checks the other direction: the
-// coordinator hands no work to a worker that answers the handshake with the
-// wrong version, and the job still completes through a good worker.
-func TestCoordinatorDropsMismatchedWorker(t *testing.T) {
-	rows, card, plan := newTestJob(t, 2)
-	coord, err := NewCoordinator(rows, card, plan)
+// TestGroupConsistencyDeterministic: the per-group fractions are summed in
+// one fixed order, so every call on one input gives the same bits.
+func TestGroupConsistencyDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	profiles, groups := make([]int, 1000), make([]int, 1000)
+	for i := range profiles {
+		profiles[i], groups[i] = rng.Intn(7), rng.Intn(13)
+	}
+	first, err := GroupConsistency(profiles, groups)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("GroupConsistency: %v", err)
 	}
-	addr, err := coord.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-
-	// A mismatched "worker": completes the handshake with a wrong version
-	// and then expects the connection to be closed without any task frame.
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
-	var hello message
-	if err := dec.Decode(&hello); err != nil || hello.Kind != kindHello || hello.Proto != ProtocolVersion {
-		t.Fatalf("coordinator hello = %+v, err %v", hello, err)
-	}
-	if err := enc.Encode(message{Kind: kindHello, Proto: ProtocolVersion - 1}); err != nil {
-		t.Fatal(err)
-	}
-	var frame message
-	if err := dec.Decode(&frame); err == nil {
-		t.Fatalf("mismatched worker was handed a frame: %+v", frame)
-	}
-
-	// A good worker completes the whole job.
-	go func() { _, _ = (&Worker{}).Run(addr) }()
-	done := make(chan []ShardStats, 1)
-	go func() { done <- coord.Wait() }()
-	select {
-	case stats := <-done:
-		if len(stats) != len(plan.Shards) {
-			t.Fatalf("collected %d shard stats, want %d", len(stats), len(plan.Shards))
+	for call := 1; call < 200; call++ {
+		got, err := GroupConsistency(profiles, groups)
+		if err != nil {
+			t.Fatalf("GroupConsistency: %v", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("job did not complete after dropping the mismatched worker")
-	}
-}
-
-// TestCloseUnblocksStalledHandshake pins the teardown contract: a peer that
-// connects and then goes silent parks serveWorker in a gob read; Close must
-// close the connection and return instead of hanging in wg.Wait.
-func TestCloseUnblocksStalledHandshake(t *testing.T) {
-	rows, card, plan := newTestJob(t, 2)
-	coord, err := NewCoordinator(rows, card, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := coord.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	// Never answer the handshake; give the coordinator a moment to accept
-	// and park in the hello decode.
-	time.Sleep(50 * time.Millisecond)
-
-	done := make(chan error, 1)
-	go func() { done <- coord.Close() }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close hung on a stalled handshake connection")
+		if math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d gave %v (bits %#x), call 0 gave %v (bits %#x)",
+				call, got, math.Float64bits(got), first, math.Float64bits(first))
+		}
 	}
 }

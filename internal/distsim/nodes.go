@@ -3,6 +3,7 @@ package distsim
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"mcdc/internal/categorical"
 )
@@ -66,10 +67,17 @@ func GroupConsistency(profiles, groups []int) (float64, error) {
 		counts[g][profiles[i]]++
 		sizes[g]++
 	}
+	// Sum in ascending group id: float addition is not associative, so map
+	// order would change the last bits from call to call.
+	ids := make([]int, 0, len(counts))
+	for g := range counts {
+		ids = append(ids, g)
+	}
+	sort.Ints(ids)
 	var total float64
-	for g, profCounts := range counts {
+	for _, g := range ids {
 		best := 0
-		for _, c := range profCounts {
+		for _, c := range counts[g] {
 			if c > best {
 				best = c
 			}

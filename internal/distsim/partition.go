@@ -6,11 +6,10 @@
 //  2. group compute nodes (described by categorical features, Fig. 1 of the
 //     paper) into performance-consistent pools.
 //
-// It also provides a concrete coordinator/worker runtime over TCP +
-// encoding/gob so the shard placement can drive real distributed work: the
-// coordinator streams shards to workers, workers compute per-shard cluster
-// statistics, and the coordinator merges them. Worker failures re-queue
-// their shards.
+// Stats computes the per-shard statistics each node would derive from the
+// shard it holds (counts, modes, value histograms, cohesion), and MergeStats
+// combines them the way a central server would, without moving raw objects
+// again.
 package distsim
 
 import (

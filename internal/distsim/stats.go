@@ -1,63 +1,17 @@
 package distsim
 
 import (
+	"errors"
 	"fmt"
 
 	"mcdc/internal/categorical"
 )
 
-// Wire protocol between the coordinator and its workers. Every frame is one
-// gob-encoded message; Kind discriminates the payload. A connection opens
-// with a version handshake: each side's hello carries its ProtocolVersion
-// and each side requires an exact match, so a peer built for another version
-// fails fast and by name instead of with a decode panic (or silently
-// mis-interpreted statistics) mid-job.
-//
-// Version history:
-//
-//	v1  handshake-less; such a peer fails the handshake with an
-//	    "unversioned build" error rather than a gob mismatch.
-//	v2  the hello handshake.
-//	v3  per-connection cardinality caching: the coordinator sends
-//	    Cardinalities on the first task only and the worker reuses them,
-//	    trimming every subsequent task frame.
-const ProtocolVersion = 3
-
-// messageKind discriminates protocol frames.
-type messageKind int
-
-const (
-	// kindTask carries a shard of work from coordinator to worker.
-	kindTask messageKind = iota + 1
-	// kindResult carries the shard statistics from worker to coordinator.
-	kindResult
-	// kindDone tells the worker no work remains.
-	kindDone
-	// kindHello opens a connection in both directions, carrying Proto.
-	kindHello
-)
-
-// message is the single frame type exchanged over the wire.
-type message struct {
-	Kind messageKind
-
-	// Proto is the sender's protocol version (hello frames only).
-	Proto int
-
-	// Task fields (coordinator → worker). Cardinalities is nil on follow-up
-	// tasks (the worker caches them from the connection's first task).
-	ShardID       int
-	Rows          [][]int
-	Cardinalities []int
-
-	// Result fields (worker → coordinator).
-	Stats ShardStats
-}
-
-// ShardStats is the per-shard analytics a worker computes: the object count,
-// the per-feature mode, the per-feature value histograms, and the cohesion of
-// the shard. It is the local sufficient statistic a central server needs to
-// refine or merge clusters without moving the raw objects again.
+// ShardStats is the per-shard analytics a node computes over the shard it
+// holds: the object count, the per-feature mode, the per-feature value
+// histograms, and the cohesion of the shard. It is the local sufficient
+// statistic a central server needs to refine or merge clusters without
+// moving the raw objects again.
 type ShardStats struct {
 	ShardID int
 	Count   int
@@ -73,10 +27,34 @@ type ShardStats struct {
 	Cohesion float64
 }
 
+// Stats computes the statistics of every shard of the placement over the
+// data set's rows: out[i] belongs to plan.Shards[i]. It refuses an empty
+// placement, rows that do not fit the schema, and a shard naming an object
+// outside the rows.
+func Stats(rows [][]int, cardinalities []int, plan *Placement) ([]ShardStats, error) {
+	if plan == nil || len(plan.Shards) == 0 {
+		return nil, errors.New("distsim: empty placement")
+	}
+	if err := checkRows(rows, cardinalities); err != nil {
+		return nil, fmt.Errorf("distsim: %w", err)
+	}
+	out := make([]ShardStats, len(plan.Shards))
+	for i, s := range plan.Shards {
+		shard := make([][]int, len(s.Objects))
+		for j, obj := range s.Objects {
+			if obj < 0 || obj >= len(rows) {
+				return nil, fmt.Errorf("distsim: shard %d object %d: outside rows [0, %d)", s.ID, obj, len(rows))
+			}
+			shard[j] = rows[obj]
+		}
+		out[i] = computeStats(s.ID, shard, cardinalities)
+	}
+	return out, nil
+}
+
 // checkRows requires every row to hold one value per feature of the schema
-// card, each Missing or in [0, card[r]), and no cardinality to be negative.
-// Rows and schema arrive over the network, so a worker checks them before
-// it counts anything.
+// card, each Missing or in [0, card[r]), and no cardinality to be negative,
+// so computeStats never indexes past a histogram or sizes one negatively.
 func checkRows(rows [][]int, card []int) error {
 	for r, m := range card {
 		if m < 0 {
@@ -135,4 +113,24 @@ func computeStats(shardID int, rows [][]int, cardinalities []int) ShardStats {
 		st.Cohesion = float64(matches) / float64(int64(len(cardinalities))*n*(n-1)/2)
 	}
 	return st
+}
+
+// MergeStats combines per-shard statistics into fleet-wide per-feature
+// histograms — the aggregation a central server performs after the
+// distributed pass.
+func MergeStats(stats []ShardStats, cardinalities []int) ([][]int, int) {
+	freq := make([][]int, len(cardinalities))
+	for r, m := range cardinalities {
+		freq[r] = make([]int, m)
+	}
+	total := 0
+	for _, st := range stats {
+		total += st.Count
+		for r := range st.Freq {
+			for v, cnt := range st.Freq[r] {
+				freq[r][v] += cnt
+			}
+		}
+	}
+	return freq, total
 }

@@ -311,9 +311,6 @@ func FromLabels(rows [][]int, cardinalities []int, labels []int, k int, kappa []
 // D returns the number of raw features rows must have.
 func (s *Snapshot) D() int { return len(s.Cardinalities) }
 
-// Sigma returns the number of granularity levels in the model.
-func (s *Snapshot) Sigma() int { return len(s.Levels) }
-
 // validate checks structural invariants and rebuilds the probe tables; it is
 // called by Load so a decoded snapshot is ready (and safe) to serve.
 func (s *Snapshot) validate() error {

@@ -89,9 +89,6 @@ func NewTables(rows [][]int, cardinalities []int, k int) (*Tables, error) {
 // K returns the number of cluster slots (including empty ones).
 func (t *Tables) K() int { return t.k }
 
-// N returns the number of objects in the underlying data set.
-func (t *Tables) N() int { return len(t.data) }
-
 // D returns the number of features.
 func (t *Tables) D() int { return len(t.card) }
 

@@ -15,9 +15,7 @@ import (
 // and applies per-host rules — kill (connection refused), hang (stall until
 // the client times out), blackhole (accept, say nothing, sever) — so a test
 // can make a specific backend misbehave mid-traffic without owning its
-// process. It plugs into server.GatewayConfig.Transport; FlakyListener does
-// the same on the accept side for tests that want the real listener to
-// misbehave instead.
+// process. It plugs into server.GatewayConfig.Transport.
 
 // FaultKind selects how a matched request fails.
 type FaultKind int
@@ -108,13 +106,6 @@ func (f *FaultRoundTripper) Remove(rule *FaultRule) {
 	f.rules = kept
 }
 
-// Clear removes every rule.
-func (f *FaultRoundTripper) Clear() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.rules = nil
-}
-
 // Injected reports how many faults of the kind were actually delivered.
 func (f *FaultRoundTripper) Injected(kind FaultKind) int64 {
 	return f.injected[kind].Load()
@@ -182,36 +173,3 @@ func (e *hangTimeoutError) Error() string   { return "injected hang: " + e.err.E
 func (e *hangTimeoutError) Timeout() bool   { return true }
 func (e *hangTimeoutError) Temporary() bool { return true }
 func (e *hangTimeoutError) Unwrap() error   { return e.err }
-
-// FlakyListener wraps a net.Listener and, while tripped, kills every newly
-// accepted connection immediately — the accept-side complement to
-// FaultRoundTripper for tests driving a real server socket.
-type FlakyListener struct {
-	net.Listener
-	dropping atomic.Bool
-	dropped  atomic.Int64
-}
-
-// NewFlakyListener wraps l.
-func NewFlakyListener(l net.Listener) *FlakyListener { return &FlakyListener{Listener: l} }
-
-// SetDropping toggles connection dropping.
-func (l *FlakyListener) SetDropping(v bool) { l.dropping.Store(v) }
-
-// Dropped reports how many connections were severed at accept time.
-func (l *FlakyListener) Dropped() int64 { return l.dropped.Load() }
-
-// Accept implements net.Listener.
-func (l *FlakyListener) Accept() (net.Conn, error) {
-	for {
-		c, err := l.Listener.Accept()
-		if err != nil {
-			return nil, err
-		}
-		if !l.dropping.Load() {
-			return c, nil
-		}
-		l.dropped.Add(1)
-		_ = c.Close()
-	}
-}
