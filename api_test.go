@@ -3,6 +3,7 @@ package mcdc_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"mcdc"
@@ -177,5 +178,81 @@ func TestEnsembleOption(t *testing.T) {
 	}
 	if len(res.Labels) != ds.N() {
 		t.Fatalf("labels = %d", len(res.Labels))
+	}
+}
+
+// TestOneRowDataset checks that a one-row data set is one cluster of one
+// object at every step, instead of a panic: InitialK's floor of 2 is clamped
+// to n.
+func TestOneRowDataset(t *testing.T) {
+	row := []int{1, 0, 2}
+	ds, err := mcdc.NewDataset("one", [][]int{row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := mcdc.Explore(ds, mcdc.WithSeed(1))
+	if err != nil {
+		t.Fatalf("Explore: %v", err)
+	}
+	if len(mg.Kappa) != 1 || mg.Kappa[0] != 1 {
+		t.Errorf("Explore: kappa %v, want [1]", mg.Kappa)
+	}
+	res, err := mcdc.Cluster(ds, 1, mcdc.WithSeed(1))
+	if err != nil {
+		t.Fatalf("Cluster: %v", err)
+	}
+	if len(res.Labels) != 1 || res.Labels[0] != 0 {
+		t.Fatalf("Cluster: labels %v, want [0]", res.Labels)
+	}
+	m, err := res.Model()
+	if err != nil {
+		t.Fatalf("Model: %v", err)
+	}
+	a, err := m.Assign(row)
+	if err != nil {
+		t.Fatalf("Assign: %v", err)
+	}
+	if a.Cluster != 0 || a.Similarity != 1 {
+		t.Errorf("Assign: cluster %d similarity %v, want cluster 0 similarity 1", a.Cluster, a.Similarity)
+	}
+}
+
+// TestARISingleObject checks the limit case of two trivial identical
+// partitions of one object: ARI is 1, not 0/0.
+func TestARISingleObject(t *testing.T) {
+	if got, err := mcdc.ARI([]int{0}, []int{0}); err != nil || got != 1 {
+		t.Errorf("ARI([0], [0]) = %v, %v; want 1, nil", got, err)
+	}
+	s, err := mcdc.Evaluate([]int{0}, []int{0})
+	if err != nil || s.ARI != 1 {
+		t.Errorf("Evaluate([0], [0]): ARI %v, %v; want 1, nil", s.ARI, err)
+	}
+}
+
+// TestHierarchyParentsRepeat checks that the nested tree does not depend on
+// map order: on Bal. with Explore seed 2, where some fine clusters split
+// their objects evenly between coarse ones, 30 calls give one parent list.
+func TestHierarchyParentsRepeat(t *testing.T) {
+	ds, err := mcdc.Builtin("Bal.", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mg, err := mcdc.Explore(ds, mcdc.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parents := func() []int {
+		h := mg.Hierarchy()
+		out := make([]int, len(h.Nodes))
+		for i, n := range h.Nodes {
+			out[i] = n.Parent
+		}
+		return out
+	}
+	want := parents()
+	for call := 1; call < 30; call++ {
+		if got := parents(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: parents %v, first call %v", call, got, want)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -45,30 +44,30 @@ func (r *MGCPLResult) BuildHierarchy() *Hierarchy {
 			h.Nodes = append(h.Nodes, HierarchyNode{Level: li, Cluster: c, Size: sizes[c], Parent: -1})
 		}
 	}
-	// Link each fine cluster to its majority coarse parent.
+	// Link each fine cluster, in id order, to the coarse cluster that holds
+	// most of its objects; a tie goes to the smaller coarse id. Children are
+	// appended in id order, so every Children list comes out sorted.
 	for li := 0; li+1 < len(r.Levels); li++ {
 		fine, coarse := r.Levels[li], r.Levels[li+1]
-		votes := make(map[[2]int]int)
-		for i := range fine.Labels {
-			votes[[2]int{fine.Labels[i], coarse.Labels[i]}]++
+		votes := make([]int, fine.K*coarse.K)
+		for i, f := range fine.Labels {
+			votes[f*coarse.K+coarse.Labels[i]]++
 		}
-		parentOf := make(map[int]int)
-		bestVotes := make(map[int]int)
-		for key, v := range votes {
-			if v > bestVotes[key[0]] {
-				bestVotes[key[0]] = v
-				parentOf[key[0]] = key[1]
+		for f := 0; f < fine.K; f++ {
+			p, best := -1, 0
+			for c, v := range votes[f*coarse.K : (f+1)*coarse.K] {
+				if v > best {
+					p, best = c, v
+				}
 			}
-		}
-		for f, p := range parentOf {
+			if p < 0 {
+				continue // an empty fine cluster has no parent
+			}
 			fi := h.index[[2]int{li, f}]
 			pi := h.index[[2]int{li + 1, p}]
 			h.Nodes[fi].Parent = pi
 			h.Nodes[pi].Children = append(h.Nodes[pi].Children, fi)
 		}
-	}
-	for i := range h.Nodes {
-		sort.Ints(h.Nodes[i].Children)
 	}
 	top := len(r.Levels) - 1
 	for c := 0; c < r.Levels[top].K; c++ {

@@ -71,11 +71,11 @@ func (c *MGCPLConfig) withDefaults(n int) MGCPLConfig {
 	if out.InitialK <= 0 {
 		out.InitialK = int(math.Ceil(math.Sqrt(float64(n))))
 	}
-	if out.InitialK > n {
-		out.InitialK = n
-	}
 	if out.InitialK < 2 {
 		out.InitialK = 2
+	}
+	if out.InitialK > n {
+		out.InitialK = n
 	}
 	if out.RivalThreshold <= 0 || out.RivalThreshold > 1 {
 		out.RivalThreshold = defaultRivalThreshold
@@ -147,7 +147,10 @@ func encode(results ...*MGCPLResult) [][]int {
 	return out
 }
 
-// mgcplState is the mutable learning state for one granularity level.
+// mgcplState is the mutable learning state for one granularity level. Its
+// cluster slots are the tables' slots: eliminate drops the emptied ones and
+// renumbers the survivors in index order, and every per-cluster slice
+// compacts with them.
 type mgcplState struct {
 	tables *similarity.Tables
 	assign []int       // assign[i]: current cluster of object i, -1 if none
@@ -156,7 +159,6 @@ type mgcplState struct {
 	delta  []float64   // δ_l driving the sigmoid weight u_l (Eq. 11)
 	u      []float64   // u[l] = sigmoidWeight(δ_l), rewritten wherever δ_l is
 	omega  [][]float64 // ω_rl feature weights per cluster (Eq. 18)
-	live   []int       // cluster slots still in play, in index order
 	eta    float64
 	order  []int // presentation order, reshuffled every pass
 	rng    *rand.Rand
@@ -165,18 +167,20 @@ type mgcplState struct {
 	rivalThreshold float64
 	// workers bounds the parallelism of the per-cluster weight refresh.
 	workers int
-	// terms is the value-major term matrix, one column per live slot:
-	// column c holds cluster live[c]'s summands of Eq. (14), ω_rl·count/seen
-	// for each feature r and value v (Tables.WriteTermColumn). One pass over
-	// an object's d rows of it (Tables.SumTermColumns) sums the object's
-	// similarity to every live cluster into acc[c]. dirty[l] marks cluster
-	// l's column stale after a change to l's members or to ω_l; the
-	// resetGuidance after an elimination recomputes every survivor's ω_l, so
-	// the columns an elimination moved are stale too. pickWinnerAndRival
-	// rewrites a stale column before it is read.
-	terms []float64
-	acc   []float64
-	dirty []bool
+	// terms is the value-major term matrix, one column per cluster: column
+	// l holds cluster l's summands of Eq. (14), ω_rl·count/seen for each
+	// feature r and value v (Tables.WriteTermColumn). One pass over an
+	// object's d rows of it (Tables.SumTermColumns) sums the object's
+	// similarity to every cluster, times d, into acc[l]. stale lists the
+	// columns that a change to their cluster's members or ω_l made stale,
+	// once each (isStale[l] marks the listed ones); pickWinnerAndRival
+	// rewrites a stale column before it is read, and an elimination, which
+	// moves every column, lists them all.
+	terms   []float64
+	acc     []float64
+	stale   []int
+	isStale []bool
+	slot    []int // eliminate's map from old slots to new ones
 }
 
 // weight returns u_l = 1/(1+e^(−10δ+5)), Eq. (11).
@@ -255,10 +259,11 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 		delta:          make([]float64, k),
 		u:              make([]float64, k),
 		omega:          make([][]float64, k),
-		live:           make([]int, k),
 		terms:          make([]float64, tables.TermRows()*k),
 		acc:            make([]float64, k),
-		dirty:          make([]bool, k),
+		stale:          make([]int, 0, k),
+		isStale:        make([]bool, k),
+		slot:           make([]int, k),
 		eta:            eta,
 		rivalThreshold: rivalThreshold,
 		order:          make([]int, n),
@@ -275,8 +280,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 	for l := 0; l < k; l++ {
 		st.delta[l] = 1
 		st.u[l] = sigmoidWeight(1)
-		st.live[l] = l
-		st.dirty[l] = true
+		st.markStale(l)
 		st.omega[l] = make([]float64, d)
 		for r := range st.omega[l] {
 			st.omega[l][r] = 1 / float64(d)
@@ -299,7 +303,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 // yield is called once after every pass.
 func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 	n := len(rows)
-	minAlive := (len(st.live) + 1) / 2
+	minAlive := (st.tables.K() + 1) / 2
 	for iter := 0; iter < maxInnerIters; iter++ {
 		changed := false
 		var gTotal float64
@@ -321,15 +325,15 @@ func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 		for _, i := range st.order {
 			v, h, simV, simH := st.pickWinnerAndRival(i, gTotal+gCurTotal)
 			if v < 0 {
-				continue // no live cluster can score this object
+				continue // no cluster can score this object
 			}
 			if own := st.assign[i]; own != v {
 				if own >= 0 {
 					st.tables.Remove(i, own)
-					st.dirty[own] = true
+					st.markStale(own)
 				}
 				st.tables.Add(i, v)
-				st.dirty[v] = true
+				st.markStale(v)
 				st.assign[i] = v
 				changed = true
 			}
@@ -383,7 +387,7 @@ func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 		// bystanders, and without the reset a single redundancy can cascade
 		// a healthy configuration all the way down to one cluster.
 		if st.eliminate() {
-			if len(st.live) <= minAlive {
+			if st.tables.K() <= minAlive {
 				return nil
 			}
 			st.resetGuidance()
@@ -396,21 +400,45 @@ func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 	return nil
 }
 
-// eliminate takes the clusters that are empty at the end of a pass out of
-// live, shrinks the term matrix to the survivors' columns, and reports
-// whether any cluster went. Survivors keep their index order, but their
-// columns may move: resetGuidance, which follows every elimination that
-// continues the level, marks them all stale.
+// eliminate drops the clusters that are empty at the end of a pass and
+// renumbers the survivors 0..k'−1 in index order, and reports whether any
+// cluster went. The tables, the assignment, the guidance statistics, ω and
+// the term matrix all compact with the slots, so the scan still meets the
+// clusters in their old order; every column moves, so all are stale.
 func (st *mgcplState) eliminate() bool {
-	live := st.live[:0]
-	for _, l := range st.live {
-		if st.tables.Size(l) > 0 {
-			live = append(live, l)
+	k, slot := st.tables.K(), st.slot
+	st.tables.DropEmpty(slot)
+	kept := st.tables.K()
+	if kept == k {
+		return false
+	}
+	for i, l := range st.assign {
+		if l >= 0 {
+			st.assign[i] = slot[l]
 		}
 	}
-	eliminated := len(live) < len(st.live)
-	st.live, st.acc = live, st.acc[:len(live)]
-	return eliminated
+	for l, to := range slot[:k] {
+		if to >= 0 {
+			st.g[to], st.gCur[to] = st.g[l], st.gCur[l]
+			st.delta[to], st.u[to], st.omega[to] = st.delta[l], st.u[l], st.omega[l]
+		}
+	}
+	st.g, st.gCur, st.delta, st.u, st.omega = st.g[:kept], st.gCur[:kept], st.delta[:kept], st.u[:kept], st.omega[:kept]
+	st.terms, st.acc = st.terms[:st.tables.TermRows()*kept], st.acc[:kept]
+	st.stale, st.isStale = st.stale[:0], st.isStale[:kept]
+	clear(st.isStale)
+	for l := range kept {
+		st.markStale(l)
+	}
+	return true
+}
+
+// markStale lists cluster l's term column for rewriting, once.
+func (st *mgcplState) markStale(l int) {
+	if !st.isStale[l] {
+		st.isStale[l] = true
+		st.stale = append(st.stale, l)
+	}
 }
 
 // refreshWeights recomputes the per-cluster feature weights (Eq. 15–18).
@@ -420,60 +448,69 @@ func (st *mgcplState) eliminate() bool {
 func (st *mgcplState) refreshWeights() {
 	workers := parallel.Gate(st.workers, len(st.omega)*st.tables.D())
 	parallel.Must(parallel.ForEach(workers, len(st.omega), func(l int) error {
-		if st.tables.Size(l) == 0 {
-			return nil // empty, or eliminated (which leaves a slot empty)
+		if st.tables.Size(l) > 0 {
+			st.tables.FeatureWeights(l, st.omega[l])
 		}
-		st.tables.FeatureWeights(l, st.omega[l])
-		st.dirty[l] = true
 		return nil
 	}))
+	for l := range st.omega {
+		if st.tables.Size(l) > 0 {
+			st.markStale(l)
+		}
+	}
 }
 
 // resetGuidance clears the learning statistics of the surviving clusters
 // (Algorithm 1 line 13) while keeping the current partition. Unlike a full
-// re-launch, the feature weights are recomputed from the inherited partition
-// rather than reset to uniform: the surviving clusters are already formed,
-// and evaluating the next rivalries under uniform weights would discard the
-// very feature relevances that distinguish them.
+// re-launch, the feature weights are not reset to uniform: they keep the
+// values refreshWeights computed from the inherited partition at the end of
+// the pass, because the surviving clusters are already formed, and
+// evaluating the next rivalries under uniform weights would discard the very
+// feature relevances that distinguish them.
 func (st *mgcplState) resetGuidance() {
 	for l := range st.delta {
 		st.g[l] = 0
 		st.gCur[l] = 0
 		st.delta[l] = 1
 		st.u[l] = sigmoidWeight(1)
-		if st.tables.Size(l) > 0 {
-			st.tables.FeatureWeights(l, st.omega[l])
-			st.dirty[l] = true
-		}
 	}
 }
 
 // pickWinnerAndRival evaluates Eq. (6) and Eq. (9): the winner v maximizes
-// (1−ρ_l)·u_l·s(x_i,C_l) over live clusters, and the rival h is the runner-up;
-// both are scanned in index order and ties go to the lower index.
+// (1−ρ_l)·u_l·s(x_i,C_l) over the non-empty clusters, and the rival h is the
+// runner-up; both are scanned in index order and ties go to the lower index.
 // The winning ratio ρ counts the previous pass's wins plus the wins already
 // accumulated in the current pass: purely retrospective counts leave the very
 // first pass undamped, and one early winner can then absorb the entire data
 // set before any other cluster forms.
 //
 // It also returns the similarities simV and simH of the winner and the rival.
-// Object i's own cluster is scored leave-one-out; every other cluster through
-// its column of the term matrix, all of them summed in one pass over i's
-// rows of it. After i moves out of h, h's plain similarity equals this
-// leave-one-out value, so the caller needs no second evaluation.
+// Every cluster other than object i's own is scored through its column of
+// the term matrix, all of them summed in one pass over i's rows of it; the
+// own cluster's leave-one-out sum replaces its column's, which may be stale,
+// so every similarity is acc[l]/d. After i moves out of h, h's plain
+// similarity equals this leave-one-out value, so the caller needs no second
+// evaluation.
 func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV, simH float64) {
 	own := st.assign[i]
-	for c, l := range st.live {
-		if st.dirty[l] && l != own && st.tables.Size(l) > 0 {
-			st.tables.WriteTermColumn(st.terms, len(st.live), c, l, st.omega[l])
-			st.dirty[l] = false
+	stale := st.stale[:0]
+	for _, l := range st.stale {
+		if l == own || st.tables.Size(l) == 0 {
+			stale = append(stale, l)
+			continue
 		}
+		st.tables.WriteTermColumn(st.terms, len(st.acc), l, l, st.omega[l])
+		st.isStale[l] = false
 	}
+	st.stale = stale
 	st.tables.SumTermColumns(i, st.terms, st.acc)
+	if own >= 0 {
+		st.acc[own] = st.tables.WeightedSumLOO(i, own, st.omega[own], true)
+	}
 	d := float64(st.tables.D())
 	v, h = -1, -1
 	best, second := math.Inf(-1), math.Inf(-1)
-	for c, l := range st.live {
+	for l, sum := range st.acc {
 		if st.tables.Size(l) == 0 {
 			continue
 		}
@@ -481,12 +518,7 @@ func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV,
 		if gTotal > 0 {
 			rho = float64(st.g[l]+st.gCur[l]) / gTotal
 		}
-		var sim float64
-		if l == own {
-			sim = st.tables.WeightedSimLOO(i, l, st.omega[l], true)
-		} else {
-			sim = st.acc[c] / d
-		}
+		sim := sum / d
 		score := (1 - rho) * st.u[l] * sim
 		switch {
 		case score > best:

@@ -40,10 +40,11 @@ func scanOracle(st *mgcplState, i int, gTotal float64) (v, h int, simV, simH flo
 
 // TestPickWinnerAndRivalMatchesScanOracle checks the one-pass scoring over
 // the term matrix against scanOracle for every object, on random mid-pass
-// states: clusters emptied but still live, eliminated slots, random winning
-// counts and sigmoid weights, Missing cells, and objects whose own cluster's
-// column is stale. Winner, rival and both similarities must agree under
-// math.Float64bits.
+// states: clusters emptied mid-pass, whose slots stay in the scan until the
+// pass ends, eliminations mid-level, which renumber the survivors in order
+// and relabel the assignment, random winning counts and sigmoid weights,
+// Missing cells, and objects whose own cluster's column is stale. Winner,
+// rival and both similarities must agree under math.Float64bits.
 func TestPickWinnerAndRivalMatchesScanOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 40; trial++ {
@@ -75,17 +76,17 @@ func TestPickWinnerAndRivalMatchesScanOracle(t *testing.T) {
 			if own := st.assign[i]; own != v {
 				if own >= 0 {
 					st.tables.Remove(i, own)
-					st.dirty[own] = true
+					st.markStale(own)
 				}
 				st.tables.Add(i, v)
-				st.dirty[v] = true
+				st.markStale(v)
 				st.assign[i] = v
 			}
 		}
 		check := func(step, i int, gTotal float64) {
 			t.Helper()
 			own := st.assign[i]
-			stale := own >= 0 && st.dirty[own]
+			stale := own >= 0 && st.isStale[own]
 			gv, gh, gsv, gsh := st.pickWinnerAndRival(i, gTotal)
 			wv, wh, wsv, wsh := scanOracle(st, i, gTotal)
 			if gv != wv || gh != wh || math.Float64bits(gsv) != math.Float64bits(wsv) || math.Float64bits(gsh) != math.Float64bits(wsh) {
@@ -96,28 +97,56 @@ func TestPickWinnerAndRivalMatchesScanOracle(t *testing.T) {
 		for step := 0; step < 12; step++ {
 			switch rng.Intn(4) {
 			case 0:
-				// Empty a live cluster mid-pass: its members join other
-				// live clusters, and the slot stays live until the pass ends.
-				ls := st.live
-				if len(ls) < 2 {
+				// Empty a cluster mid-pass: its members join other clusters,
+				// and the slot stays in the scan until the pass ends.
+				k := st.tables.K()
+				if k < 2 {
 					break
 				}
-				from := ls[rng.Intn(len(ls))]
+				from := rng.Intn(k)
 				for i, a := range st.assign {
 					if a != from {
 						continue
 					}
 					to := from
 					for to == from {
-						to = ls[rng.Intn(len(ls))]
+						to = rng.Intn(k)
 					}
 					move(i, to)
 				}
 			case 1:
 				// End the pass as learnLevel does: refresh ω, eliminate the
-				// emptied slots, and reset the survivors' guidance.
+				// emptied slots, and reset the survivors' guidance. The
+				// survivors must keep their order, their ω and their members.
 				st.refreshWeights()
-				if st.eliminate() {
+				want := make([]int, st.tables.K())
+				kept := 0
+				for l := range want {
+					want[l] = -1
+					if st.tables.Size(l) > 0 {
+						want[l], kept = kept, kept+1
+					}
+				}
+				before := append([]int(nil), st.assign...)
+				omega := append([][]float64(nil), st.omega...)
+				if got := st.eliminate(); got != (kept < len(want)) {
+					t.Fatalf("trial %d step %d: eliminate reported %v with %d of %d slots non-empty", trial, step, got, kept, len(want))
+				}
+				if st.tables.K() != kept || len(st.acc) != kept || len(st.omega) != kept || len(st.stale) != kept {
+					t.Fatalf("trial %d step %d: %d survivors, but K %d, %d accumulators, %d ω, %d stale columns",
+						trial, step, kept, st.tables.K(), len(st.acc), len(st.omega), len(st.stale))
+				}
+				for i, l := range before {
+					if l >= 0 && st.assign[i] != want[l] {
+						t.Fatalf("trial %d step %d: object %d in slot %d relabelled %d, want %d", trial, step, i, l, st.assign[i], want[l])
+					}
+				}
+				for l, to := range want {
+					if to >= 0 && &st.omega[to][0] != &omega[l][0] {
+						t.Fatalf("trial %d step %d: slot %d's ω did not move to slot %d", trial, step, l, to)
+					}
+				}
+				if kept < len(want) {
 					st.resetGuidance()
 				}
 			default:

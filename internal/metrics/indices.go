@@ -57,11 +57,15 @@ func comb2(x int) float64 {
 
 // AdjustedRandIndex computes ARI: pairwise agreement between the two
 // labelings corrected for chance. Range [-1, 1]; 1 for identical partitions,
-// ~0 for independent ones.
+// ~0 for independent ones. Fewer than two objects form no pair, and their
+// partitions are trivially identical: ARI is 1 (scikit-learn's limit case).
 func AdjustedRandIndex(truth, pred []int) (float64, error) {
 	c, err := newContingency(truth, pred)
 	if err != nil {
 		return 0, err
+	}
+	if c.n < 2 {
+		return 1, nil
 	}
 	var sumCells, sumA, sumB float64
 	for i, row := range c.cell {

@@ -129,14 +129,22 @@ func (t *Tables) Remove(i, l int) {
 // WeightedSimLOO returns the feature-weighted object–cluster similarity of
 // Eq. (14), s(x_i,C_l) = (1/d)·Σ_r ω_rl·s(x_ir,C_l), with w indexed as w[r]
 // and s(x_ir,C_l) of Eq. (2) the fraction of cluster-l members sharing object
-// i's value on feature r; unit weights give Eq. (1). Missing values, features
-// with no cluster mass and zero counts contribute nothing.
+// i's value on feature r; unit weights give Eq. (1). Missing values and
+// features with no cluster mass contribute nothing. A zero count adds
+// ω·0/seen, which for a finite ω ≥ 0 is +0 and leaves the sum as it was.
 //
 // When member is true, object i's own contribution is left out of cluster l's
 // counts before the fractions are formed. Competitive learners must score an
 // object's own cluster this way: otherwise a singleton cluster scores a
 // perfect 1.0 for its only member and can never be eliminated.
 func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
+	return t.WeightedSumLOO(i, l, w, member) / float64(len(t.data[i]))
+}
+
+// WeightedSumLOO is WeightedSimLOO before the division by d: the sum of
+// ω_rl·count/seen over object i's non-missing features r, in feature order
+// from +0.
+func (t *Tables) WeightedSumLOO(i, l int, w []float64, member bool) float64 {
 	row := t.data[i]
 	cl, sl := t.count[l], t.seen[l]
 	var sum float64
@@ -149,76 +157,29 @@ func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
 			cnt--
 			seen--
 		}
-		if seen <= 0 || cnt <= 0 {
+		if seen > 0 {
+			sum += w[r] * float64(cnt) / float64(seen)
+		}
+	}
+	return sum
+}
+
+// DropEmpty removes the empty cluster slots and renumbers the survivors
+// 0..K()−1 in index order, moving their counts with them. It sets slot[l] to
+// old slot l's new index, −1 for a dropped slot; slot must have K() entries.
+func (t *Tables) DropEmpty(slot []int) {
+	slot = slot[:t.k]
+	k := 0
+	for l := range slot {
+		if t.size[l] == 0 {
+			slot[l] = -1
 			continue
 		}
-		sum += w[r] * float64(cnt) / float64(seen)
+		t.size[k], t.count[k], t.seen[k] = t.size[l], t.count[l], t.seen[l]
+		slot[l] = k
+		k++
 	}
-	return sum / float64(len(row))
-}
-
-// TermRows returns the number of rows of a term matrix: one per feature r and
-// value slot v < stride. A matrix with cols columns has TermRows()·cols
-// entries.
-func (t *Tables) TermRows() int { return len(t.card) * t.stride }
-
-// WriteTermColumn writes cluster l's per-value summands of Eq. (14) into
-// column j of the value-major term matrix m with cols columns:
-// m[(r*stride+v)*cols+j] = w[r]·count/seen, or 0 where seen or count is 0.
-// Rows of values at or above a feature's cardinality are never read and are
-// left as they are. The column stays valid until cluster l's counts or w
-// change.
-func (t *Tables) WriteTermColumn(m []float64, cols, j, l int, w []float64) {
-	cl, sl := t.count[l], t.seen[l]
-	for r, card := range t.card {
-		base, seen := r*t.stride, sl[r]
-		for v := 0; v < card; v++ {
-			term := 0.0
-			if cnt := cl[base+v]; seen > 0 && cnt > 0 {
-				term = w[r] * float64(cnt) / float64(seen)
-			}
-			m[(base+v)*cols+j] = term
-		}
-	}
-}
-
-// SumTermColumns sets acc[j] = Σ_r m[(r*stride+x_ir)*cols+j] over object i's
-// non-missing features r, for every column j of the term matrix m with
-// cols = len(acc): one pass over the object's d rows of m. For a column j
-// written by WriteTermColumn(m, cols, j, l, w), acc[j]/D() equals
-// WeightedSimLOO(i, l, w, false) bit for bit: each column adds the same
-// summands in the same order, r = 0..d−1 (a summand skipped there is a +0
-// here, which leaves a non-negative sum unchanged).
-func (t *Tables) SumTermColumns(i int, m, acc []float64) {
-	clear(acc)
-	var rows [4][]float64
-	n := 0
-	for r, v := range t.data[i] {
-		if v == categorical.Missing {
-			continue
-		}
-		rows[n] = m[(r*t.stride+v)*len(acc):][:len(acc)]
-		if n++; n == len(rows) {
-			addRows4(acc, rows[0], rows[1], rows[2], rows[3])
-			n = 0
-		}
-	}
-	for _, terms := range rows[:n] {
-		for j, x := range terms {
-			acc[j] += x
-		}
-	}
-}
-
-// addRows4 adds four rows of a term matrix into acc, in row order. Each
-// column's sum stays in a register across the four adds instead of making a
-// round trip through acc per row; the rounding is the same as four separate
-// passes.
-func addRows4(acc, t0, t1, t2, t3 []float64) {
-	t0, t1, t2, t3 = t0[:len(acc)], t1[:len(acc)], t2[:len(acc)], t3[:len(acc)]
-	for j := range acc {
-		acc[j] = acc[j] + t0[j] + t1[j] + t2[j] + t3[j]
-	}
+	t.k, t.size, t.count, t.seen = k, t.size[:k], t.count[:k], t.seen[:k]
 }
 
 // InterClusterDifference computes α_rl of Eq. (15): the Euclidean separation
