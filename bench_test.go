@@ -423,11 +423,12 @@ func BenchmarkStreamCheckpoint(b *testing.B) {
 // BenchmarkFig6_ScaleN reproduces the shape of Fig. 6a: MCDC execution time
 // as n grows. The paper reports it linear in n; here it is superlinear,
 // because k₀ = ⌈√n⌉ makes each MGCPL pass O(d·n^1.5) and the passes per
-// level grow with n. On a 2-vCPU Intel Xeon VM, 8× the rows (n = 2,000 →
-// 16,000) took 34× the time: 28.5 ms → 0.96 s, medians of 8 runs at
-// -benchtime 2x.
+// level grow with n. On a 2-vCPU Intel Xeon VM, medians of 4 runs at
+// -benchtime 2x: 21.5 ms, 58.2 ms, 0.139 s, 0.843 s and 3.41 s for n =
+// 2,000, 4,000, 8,000, 16,000 and 32,000, a log–log slope of 1.85 (least
+// squares over the five sizes): 16× the rows took 159× the time.
 func BenchmarkFig6_ScaleN(b *testing.B) {
-	for _, n := range []int{2000, 4000, 8000, 16000} {
+	for _, n := range []int{2000, 4000, 8000, 16000, 32000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			ds := mcdc.SyntheticDataset("syn_n", n, 10, 3, 1)
 			b.ResetTimer()

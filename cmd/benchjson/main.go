@@ -6,6 +6,12 @@
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH.json
+//	benchjson -compare old.json new.json
+//
+// With -compare it reads two such reports and prints, for each benchmark
+// name, the runs on each side, the median and the minimum of sec/op, the
+// change of the median, and the exact two-sided p-value of a Mann–Whitney U
+// test of the two sides' runs.
 //
 // The parser understands the standard line shape
 //
@@ -19,6 +25,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -55,6 +62,26 @@ type Report struct {
 }
 
 func main() {
+	compareMode := flag.Bool("compare", false, "compare two reports: benchjson -compare old.json new.json")
+	flag.Parse()
+	if *compareMode {
+		if flag.NArg() != 2 {
+			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json")
+			os.Exit(2)
+		}
+		old, err := readReport(flag.Arg(0))
+		if err == nil {
+			var cur *Report
+			if cur, err = readReport(flag.Arg(1)); err == nil {
+				err = compare(os.Stdout, old, cur)
+			}
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		return
+	}
 	report, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

@@ -3,10 +3,12 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mcdc/internal/datasets"
 	"mcdc/internal/metrics"
+	"mcdc/internal/similarity"
 )
 
 // separated builds a well-separated k-cluster data set.
@@ -164,5 +166,50 @@ func TestSigmoidWeight(t *testing.T) {
 	}
 	if sigmoidWeight(3) <= sigmoidWeight(0.2) {
 		t.Error("sigmoid must be increasing")
+	}
+}
+
+// TestPooledEncodingIndexesOnce bounds the bytes PooledEncoding allocates on
+// a data set whose index outweighs everything else a run allocates: 1,024
+// rows of 512 features hold 2 MiB of term-row offsets, while every epoch of
+// every repeat, at k₀ = 2, allocates well under a tenth of that. Three repeats
+// of several epochs each stay under twice the index's own bytes only if one
+// index serves them all.
+func TestPooledEncodingIndexesOnce(t *testing.T) {
+	const n, d = 1024, 512
+	rng := rand.New(rand.NewSource(17))
+	rows := make([][]int, n)
+	for i := range rows {
+		rows[i] = make([]int, d)
+		for r := range rows[i] {
+			rows[i][r] = rng.Intn(2)
+		}
+	}
+	card := make([]int, d)
+	for r := range card {
+		card[r] = 2
+	}
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	index := allocated(func() {
+		if _, err := similarity.NewIndex(rows, card); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var levels int
+	pooled := allocated(func() {
+		enc, _, err := PooledEncoding(rows, card, MGCPLConfig{InitialK: 2, Workers: 2, Rand: rand.New(rand.NewSource(3))}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels = len(enc[0])
+	})
+	if pooled >= 2*index {
+		t.Fatalf("PooledEncoding allocated %d bytes over %d levels, the index alone %d: the rows were indexed more than once", pooled, levels, index)
 	}
 }

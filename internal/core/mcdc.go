@@ -38,7 +38,9 @@ type MCDCResult struct {
 
 // PooledEncoding runs MGCPL `repeats` times and concatenates the per-run
 // granularity columns into one encoding. The first run's full result is
-// returned alongside for inspection.
+// returned alongside for inspection. The rows are validated and indexed once
+// (similarity.NewIndex), and every epoch of every repeat counts its cluster
+// slots over that one read-only index.
 //
 // The repeats are independent analyses, so they fan out across cfg.Workers
 // goroutines (≤ 0 → GOMAXPROCS, 1 → sequential). With fewer workers than
@@ -63,6 +65,12 @@ func PooledEncoding(rows [][]int, cardinalities []int, cfg MGCPLConfig, repeats 
 	for r := range seeds {
 		seeds[r] = cfg.Rand.Int63()
 	}
+	ix, err := newIndex(rows, cardinalities, cfg.Rand)
+	if err != nil {
+		// Every repeat would fail on the same input, and the fan-out
+		// reports the lowest repeat's error.
+		return nil, nil, fmt.Errorf("mgcpl repeat 0: %w", err)
+	}
 	// Split the worker budget between the repeat fan-out and each repeat's
 	// inner fan-outs, so the pipeline's total CPU-bound goroutines stay
 	// within the bound WithParallelism documents instead of multiplying to
@@ -79,18 +87,14 @@ func PooledEncoding(rows [][]int, cardinalities []int, cfg MGCPLConfig, repeats 
 	innerWorkers := resolved / concurrent // ≥ 1 since resolved ≥ concurrent
 	extra := resolved % concurrent
 	results := make([]*MGCPLResult, repeats)
-	err := parallel.ForEachTurns(concurrent, repeats, func(r int, yield func()) error {
+	err = parallel.ForEachTurns(concurrent, repeats, func(r int, yield func()) error {
 		sub := cfg
 		sub.Rand = rand.New(rand.NewSource(seeds[r]))
 		sub.Workers = innerWorkers
 		if r < extra {
 			sub.Workers++
 		}
-		mg, err := runMGCPL(rows, cardinalities, sub, yield)
-		if err != nil {
-			return fmt.Errorf("mgcpl repeat %d: %w", r, err)
-		}
-		results[r] = mg
+		results[r] = runMGCPL(ix, sub, yield)
 		return nil
 	})
 	if err != nil {

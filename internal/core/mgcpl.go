@@ -178,6 +178,7 @@ type mgcplState struct {
 	// moves every column, lists them all.
 	terms   []float64
 	acc     []float64
+	score   []float64 // pickWinnerAndRival's per-slot scores of Eq. (6)
 	stale   []int
 	isStale []bool
 	slot    []int // eliminate's map from old slots to new ones
@@ -202,31 +203,43 @@ func sigmoidWeight(delta float64) float64 {
 // epoch starts with k_initial = k_new and fresh parameters; the procedure
 // stops when an epoch eliminates no further cluster (k_new = k_old).
 func RunMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig) (*MGCPLResult, error) {
-	return runMGCPL(rows, cardinalities, cfg, func() {})
+	ix, err := newIndex(rows, cardinalities, cfg.Rand)
+	if err != nil {
+		return nil, err
+	}
+	return runMGCPL(ix, cfg, func() {}), nil
 }
 
-// runMGCPL is RunMGCPL calling yield after every pass of the competitive
-// loop, so that PooledEncoding's repeats can take turns on the workers.
-func runMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig, yield func()) (*MGCPLResult, error) {
-	n := len(rows)
-	if n == 0 {
+// newIndex checks an MGCPL run's inputs and indexes the rows once for all of
+// its epochs: empty data first, then a missing random source, then the rows
+// against the cardinalities.
+func newIndex(rows [][]int, cardinalities []int, rng *rand.Rand) (*similarity.Index, error) {
+	if len(rows) == 0 {
 		return nil, errors.New("core: empty data")
 	}
-	if cfg.Rand == nil {
+	if rng == nil {
 		return nil, ErrNoRand
 	}
+	ix, err := similarity.NewIndex(rows, cardinalities)
+	if err != nil {
+		return nil, fmt.Errorf("mgcpl: %w", err)
+	}
+	return ix, nil
+}
+
+// runMGCPL is RunMGCPL over an index built by newIndex, calling yield after
+// every pass of the competitive loop, so that PooledEncoding's repeats can
+// share the index and take turns on the workers. Every epoch counts fresh
+// cluster slots over the same index.
+func runMGCPL(ix *similarity.Index, cfg MGCPLConfig, yield func()) *MGCPLResult {
+	n := ix.N()
 	c := cfg.withDefaults(n)
 
 	result := &MGCPLResult{}
 	kInitial := c.InitialK
 	for epoch := 0; epoch < maxEpochs; epoch++ {
-		st, err := newMGCPLState(rows, cardinalities, kInitial, c.LearningRate, c.RivalThreshold, c.Rand, c.Workers)
-		if err != nil {
-			return nil, err
-		}
-		if err := st.learnLevel(rows, yield); err != nil {
-			return nil, err
-		}
+		st := newMGCPLState(ix, kInitial, c.LearningRate, c.RivalThreshold, c.Rand, c.Workers)
+		st.learnLevel(yield)
 		level := granularity(st.assign)
 		if level.K == kInitial && epoch > 0 {
 			// No cluster could be eliminated this epoch: convergence.
@@ -242,15 +255,12 @@ func runMGCPL(rows [][]int, cardinalities []int, cfg MGCPLConfig, yield func()) 
 		// Degenerate safety net: one cluster containing everything.
 		result.Levels = append(result.Levels, Granularity{K: 1, Labels: make([]int, n)})
 	}
-	return result, nil
+	return result
 }
 
-func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64, rng *rand.Rand, workers int) (*mgcplState, error) {
-	tables, err := similarity.NewTables(rows, card, k)
-	if err != nil {
-		return nil, fmt.Errorf("mgcpl: %w", err)
-	}
-	n := len(rows)
+func newMGCPLState(ix *similarity.Index, k int, eta, rivalThreshold float64, rng *rand.Rand, workers int) *mgcplState {
+	tables := ix.Tables(k)
+	n := ix.N()
 	st := &mgcplState{
 		tables:         tables,
 		assign:         make([]int, n),
@@ -261,6 +271,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 		omega:          make([][]float64, k),
 		terms:          make([]float64, tables.TermRows()*k),
 		acc:            make([]float64, k),
+		score:          make([]float64, k),
 		stale:          make([]int, 0, k),
 		isStale:        make([]bool, k),
 		slot:           make([]int, k),
@@ -276,7 +287,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 	for i := range st.assign {
 		st.assign[i] = -1
 	}
-	d := len(card)
+	d := ix.D()
 	for l := 0; l < k; l++ {
 		st.delta[l] = 1
 		st.u[l] = sigmoidWeight(1)
@@ -292,7 +303,7 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 		st.assign[i] = l
 		st.tables.Add(i, l)
 	}
-	return st, nil
+	return st
 }
 
 // learnLevel runs the inner competitive-penalization loop until the
@@ -301,8 +312,8 @@ func newMGCPLState(rows [][]int, card []int, k int, eta, rivalThreshold float64,
 // one granularity stage, and letting a single epoch cascade further would
 // skip the intermediate granularities the next (re-seeded) epochs explore.
 // yield is called once after every pass.
-func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
-	n := len(rows)
+func (st *mgcplState) learnLevel(yield func()) {
+	n := len(st.order)
 	minAlive := (st.tables.K() + 1) / 2
 	for iter := 0; iter < maxInnerIters; iter++ {
 		changed := false
@@ -388,16 +399,15 @@ func (st *mgcplState) learnLevel(rows [][]int, yield func()) error {
 		// a healthy configuration all the way down to one cluster.
 		if st.eliminate() {
 			if st.tables.K() <= minAlive {
-				return nil
+				return
 			}
 			st.resetGuidance()
 			continue
 		}
 		if !changed {
-			return nil
+			return
 		}
 	}
-	return nil
 }
 
 // eliminate drops the clusters that are empty at the end of a pass and
@@ -424,7 +434,7 @@ func (st *mgcplState) eliminate() bool {
 		}
 	}
 	st.g, st.gCur, st.delta, st.u, st.omega = st.g[:kept], st.gCur[:kept], st.delta[:kept], st.u[:kept], st.omega[:kept]
-	st.terms, st.acc = st.terms[:st.tables.TermRows()*kept], st.acc[:kept]
+	st.terms, st.acc, st.score = st.terms[:st.tables.TermRows()*kept], st.acc[:kept], st.score[:kept]
 	st.stale, st.isStale = st.stale[:0], st.isStale[:kept]
 	clear(st.isStale)
 	for l := range kept {
@@ -491,6 +501,12 @@ func (st *mgcplState) resetGuidance() {
 // so every similarity is acc[l]/d. After i moves out of h, h's plain
 // similarity equals this leave-one-out value, so the caller needs no second
 // evaluation.
+//
+// The scores are formed in one branch-free pass over every slot, empty ones
+// included, and the top two are selected in a second. A slot that does not
+// beat the runner-up cannot change either, so the selection tests that
+// first, which also skips a NaN score, and only then whether the slot is
+// empty.
 func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV, simH float64) {
 	own := st.assign[i]
 	stale := st.stale[:0]
@@ -508,25 +524,37 @@ func (st *mgcplState) pickWinnerAndRival(i int, gTotal float64) (v, h int, simV,
 		st.acc[own] = st.tables.WeightedSumLOO(i, own, st.omega[own], true)
 	}
 	d := float64(st.tables.D())
+	acc, u, score := st.acc, st.u[:len(st.acc)], st.score[:len(st.acc)]
+	if gTotal > 0 {
+		g, gCur := st.g[:len(acc)], st.gCur[:len(acc)]
+		for l, sum := range acc {
+			rho := float64(g[l]+gCur[l]) / gTotal
+			score[l] = (1 - rho) * u[l] * (sum / d)
+		}
+	} else {
+		// ρ = 0, and (1−0)·u_l is u_l exactly.
+		for l, sum := range acc {
+			score[l] = u[l] * (sum / d)
+		}
+	}
 	v, h = -1, -1
 	best, second := math.Inf(-1), math.Inf(-1)
-	for l, sum := range st.acc {
-		if st.tables.Size(l) == 0 {
+	for l, s := range score {
+		if !(s > second) || st.tables.Size(l) == 0 {
 			continue
 		}
-		rho := 0.0
-		if gTotal > 0 {
-			rho = float64(st.g[l]+st.gCur[l]) / gTotal
+		if s > best {
+			second, h = best, v
+			best, v = s, l
+		} else {
+			second, h = s, l
 		}
-		sim := sum / d
-		score := (1 - rho) * st.u[l] * sim
-		switch {
-		case score > best:
-			second, h, simH = best, v, simV
-			best, v, simV = score, l, sim
-		case score > second:
-			second, h, simH = score, l, sim
-		}
+	}
+	if v >= 0 {
+		simV = acc[v] / d
+	}
+	if h >= 0 {
+		simH = acc[h] / d
 	}
 	return v, h, simV, simH
 }

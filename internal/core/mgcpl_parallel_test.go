@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"mcdc/internal/similarity"
 )
 
 // TestRefreshWeightsParallelBranch forces the parallel branch of
@@ -32,12 +34,13 @@ func TestRefreshWeightsParallelBranch(t *testing.T) {
 		cards[r] = card
 	}
 
+	ix, err := similarity.NewIndex(rows, cards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	build := func(workers int) *mgcplState {
-		st, err := newMGCPLState(rows, cards, k, DefaultLearningRate, defaultRivalThreshold,
+		st := newMGCPLState(ix, k, DefaultLearningRate, defaultRivalThreshold,
 			rand.New(rand.NewSource(3)), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Assign every not-yet-seeded object round-robin so each cluster has
 		// a non-trivial value distribution to weight.
 		for i := range rows {

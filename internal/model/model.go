@@ -256,6 +256,10 @@ func Build(rows [][]int, cardinalities []int, encoding [][]int, modes [][]int, t
 		s.Modes[l] = append([]int(nil), modes[l]...)
 	}
 	column := make([]int, n)
+	// One index of the rows serves every level's tables. It is built once
+	// the first column's labels have passed their check, so a bad label is
+	// reported ahead of a bad row.
+	var ix *similarity.Index
 	for j := 0; j < sigma; j++ {
 		// The level's slot count covers both the labels present in the
 		// encoding and the mode values referring to it (an empty final
@@ -275,10 +279,13 @@ func Build(rows [][]int, cardinalities []int, encoding [][]int, modes [][]int, t
 				kj = modes[l][j] + 1
 			}
 		}
-		t, err := similarity.NewTables(rows, cardinalities, kj)
-		if err != nil {
-			return nil, fmt.Errorf("model: level %d: %w", j, err)
+		if ix == nil {
+			var err error
+			if ix, err = similarity.NewIndex(rows, cardinalities); err != nil {
+				return nil, fmt.Errorf("model: level %d: %w", j, err)
+			}
 		}
+		t := ix.Tables(kj)
 		for i, l := range column {
 			t.Add(i, l)
 		}

@@ -256,6 +256,25 @@ func TestBuildValidation(t *testing.T) {
 	}
 }
 
+// TestBuildSharesOneIndex checks that every level table of a built snapshot
+// counts over one index of the training rows: a level that indexed the rows
+// again would hold a second copy of their term-row offsets.
+func TestBuildSharesOneIndex(t *testing.T) {
+	snap, res, rows := trainSnapshot(t, 300, 6, 3, 5)
+	if len(snap.tables) != len(res.Encoding[0]) || len(snap.tables) < 2 {
+		t.Fatalf("%d level tables for %d encoding columns, want at least 2", len(snap.tables), len(res.Encoding[0]))
+	}
+	ix := snap.tables[0].Index()
+	if ix == nil || ix.N() != len(rows) {
+		t.Fatalf("level 0 counts over an index of %v rows, want %d", ix, len(rows))
+	}
+	for j, tb := range snap.tables {
+		if tb.Index() != ix {
+			t.Fatalf("level %d counts over its own index", j)
+		}
+	}
+}
+
 // TestThetaKeepsSimilarityFinite pins the level weights Build and Load
 // accept to those every similarity can be computed from: an infinite weight,
 // or weights whose sum overflows, would make 1 − bestD/Σθ NaN for a row that

@@ -15,31 +15,31 @@ import (
 	"mcdc/internal/categorical"
 )
 
-// Tables maintains sufficient statistics of a partition of a categorical data
-// set: for each cluster l, feature r, and value v, the number of cluster
-// members taking that value, plus per-feature non-missing totals.
+// Index is the read-only part of frequency tables over one row set: each
+// object's term-row offsets, the whole-data-set counts of Eq. (15), and the
+// per-feature cardinalities and stride. NewIndex builds and validates it
+// once; any number of Tables, on any goroutines, may then count partitions
+// of the rows over it (Index.Tables) without copying or re-checking them.
 //
-// The zero value is not usable; construct with NewTables.
-type Tables struct {
-	data  [][]int // value codes, data[i][r]
-	card  []int   // per-feature domain sizes
-	k     int     // number of cluster slots (some may be empty)
-	size  []int   // n_l, objects per cluster
-	count [][]int // count[l][r*stride+v]; flattened for locality
-	seen  [][]int // seen[l][r]: non-missing members of cluster l on feature r
-	// Global (whole data set) statistics used by the inter-cluster
-	// difference term α of Eq. (15).
+// An Index restored from a TableState (FromState) has the counts and the
+// schema but no rows.
+type Index struct {
+	n      int   // number of rows
+	card   []int // per-feature domain sizes
+	stride int   // max cardinality, for flat indexing
+	// offs[i*d+r] is object i's term row on feature r, r*stride + x_ir, or
+	// −1 where x_ir is Missing. Every offset is below d·stride.
+	offs []int32
+	// Whole-data-set statistics used by the inter-cluster difference term α
+	// of Eq. (15).
 	globalCount []int // globalCount[r*stride+v]
 	globalSeen  []int // per-feature non-missing totals over X
-	stride      int   // max cardinality, for flat indexing
 }
 
-// NewTables builds empty frequency tables for k cluster slots over the given
-// data set rows (value codes) and per-feature cardinalities.
-func NewTables(rows [][]int, cardinalities []int, k int) (*Tables, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("similarity: k must be positive, got %d", k)
-	}
+// NewIndex validates the rows (value codes) against the per-feature
+// cardinalities and indexes them: every row must have one value per feature,
+// each Missing or inside its feature's domain.
+func NewIndex(rows [][]int, cardinalities []int) (*Index, error) {
 	if len(rows) == 0 {
 		return nil, categorical.ErrEmptyDataset
 	}
@@ -53,75 +53,135 @@ func NewTables(rows [][]int, cardinalities []int, k int) (*Tables, error) {
 		}
 	}
 	d := len(cardinalities)
-	t := &Tables{
-		data:        rows,
+	if d > 0 && stride > math.MaxInt32/d {
+		return nil, fmt.Errorf("similarity: %d features of up to %d values overflow the term-row offsets", d, stride)
+	}
+	x := &Index{
+		n:           len(rows),
 		card:        append([]int(nil), cardinalities...),
-		k:           k,
-		size:        make([]int, k),
-		count:       make([][]int, k),
-		seen:        make([][]int, k),
+		stride:      stride,
+		offs:        make([]int32, len(rows)*d),
 		globalCount: make([]int, d*stride),
 		globalSeen:  make([]int, d),
-		stride:      stride,
-	}
-	for l := 0; l < k; l++ {
-		t.count[l] = make([]int, d*stride)
-		t.seen[l] = make([]int, d)
 	}
 	for i, row := range rows {
 		if len(row) != d {
 			return nil, fmt.Errorf("similarity: row width %d, want %d", len(row), d)
 		}
+		offs := x.offs[i*d : (i+1)*d]
 		for r, v := range row {
 			if v == categorical.Missing {
+				offs[r] = -1
 				continue
 			}
 			if v < 0 || v >= cardinalities[r] {
 				return nil, fmt.Errorf("similarity: row %d feature %d value %d outside domain [0, %d)", i, r, v, cardinalities[r])
 			}
-			t.globalCount[r*stride+v]++
-			t.globalSeen[r]++
+			offs[r] = int32(r*stride + v)
+			x.globalCount[r*stride+v]++
+			x.globalSeen[r]++
 		}
 	}
-	return t, nil
+	return x, nil
 }
+
+// N returns the number of indexed rows.
+func (x *Index) N() int { return x.n }
+
+// D returns the number of features.
+func (x *Index) D() int { return len(x.card) }
+
+// row returns object i's term-row offsets, one per feature.
+func (x *Index) row(i int) []int32 {
+	d := len(x.card)
+	return x.offs[i*d : (i+1)*d : (i+1)*d]
+}
+
+// Tables returns empty frequency tables for k ≥ 1 cluster slots over the
+// indexed rows.
+func (x *Index) Tables(k int) *Tables {
+	d := len(x.card)
+	t := &Tables{
+		ix:    x,
+		k:     k,
+		size:  make([]int, k),
+		count: make([][]int, k),
+		seen:  make([][]int, k),
+	}
+	for l := 0; l < k; l++ {
+		t.count[l] = make([]int, d*x.stride)
+		t.seen[l] = make([]int, d)
+	}
+	return t
+}
+
+// Tables maintains sufficient statistics of a partition of a categorical data
+// set: for each cluster l, feature r, and value v, the number of cluster
+// members taking that value, plus per-feature non-missing totals. The rows
+// themselves, and the whole-data-set statistics, are read from the shared
+// Index.
+//
+// The zero value is not usable; construct with NewTables or Index.Tables.
+type Tables struct {
+	ix    *Index
+	k     int     // number of cluster slots (some may be empty)
+	size  []int   // n_l, objects per cluster
+	count [][]int // count[l][r*stride+v]; flattened for locality
+	seen  [][]int // seen[l][r]: non-missing members of cluster l on feature r
+}
+
+// NewTables builds empty frequency tables for k cluster slots over the given
+// data set rows (value codes) and per-feature cardinalities: NewIndex, then
+// Index.Tables.
+func NewTables(rows [][]int, cardinalities []int, k int) (*Tables, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("similarity: k must be positive, got %d", k)
+	}
+	x, err := NewIndex(rows, cardinalities)
+	if err != nil {
+		return nil, err
+	}
+	return x.Tables(k), nil
+}
+
+// Index returns the index the tables count over. Tables made by one
+// Index.Tables share it.
+func (t *Tables) Index() *Index { return t.ix }
 
 // K returns the number of cluster slots (including empty ones).
 func (t *Tables) K() int { return t.k }
 
 // D returns the number of features.
-func (t *Tables) D() int { return len(t.card) }
+func (t *Tables) D() int { return len(t.ix.card) }
 
 // Size returns n_l, the number of objects currently assigned to cluster l.
 func (t *Tables) Size(l int) int { return t.size[l] }
 
 // Count returns the number of members of cluster l with value v on feature r.
-func (t *Tables) Count(l, r, v int) int { return t.count[l][r*t.stride+v] }
+func (t *Tables) Count(l, r, v int) int { return t.count[l][r*t.ix.stride+v] }
 
 // Add assigns object i to cluster l, updating all statistics.
 func (t *Tables) Add(i, l int) {
-	row := t.data[i]
 	t.size[l]++
 	cl, sl := t.count[l], t.seen[l]
-	for r, v := range row {
-		if v == categorical.Missing {
+	for r, o := range t.ix.row(i) {
+		if o < 0 {
 			continue
 		}
-		cl[r*t.stride+v]++
+		cl[o]++
 		sl[r]++
 	}
 }
 
 // Remove detaches object i from cluster l, updating all statistics.
 func (t *Tables) Remove(i, l int) {
-	row := t.data[i]
 	t.size[l]--
 	cl, sl := t.count[l], t.seen[l]
-	for r, v := range row {
-		if v == categorical.Missing {
+	for r, o := range t.ix.row(i) {
+		if o < 0 {
 			continue
 		}
-		cl[r*t.stride+v]--
+		cl[o]--
 		sl[r]--
 	}
 }
@@ -138,21 +198,20 @@ func (t *Tables) Remove(i, l int) {
 // object's own cluster this way: otherwise a singleton cluster scores a
 // perfect 1.0 for its only member and can never be eliminated.
 func (t *Tables) WeightedSimLOO(i, l int, w []float64, member bool) float64 {
-	return t.WeightedSumLOO(i, l, w, member) / float64(len(t.data[i]))
+	return t.WeightedSumLOO(i, l, w, member) / float64(t.D())
 }
 
 // WeightedSumLOO is WeightedSimLOO before the division by d: the sum of
 // ω_rl·count/seen over object i's non-missing features r, in feature order
 // from +0.
 func (t *Tables) WeightedSumLOO(i, l int, w []float64, member bool) float64 {
-	row := t.data[i]
 	cl, sl := t.count[l], t.seen[l]
 	var sum float64
-	for r, v := range row {
-		if v == categorical.Missing {
+	for r, o := range t.ix.row(i) {
+		if o < 0 {
 			continue
 		}
-		cnt, seen := cl[r*t.stride+v], sl[r]
+		cnt, seen := cl[o], sl[r]
 		if member {
 			cnt--
 			seen--
@@ -186,16 +245,17 @@ func (t *Tables) DropEmpty(slot []int) {
 // between cluster l's value distribution on feature r and that of the rest of
 // the data set, scaled by 1/√2 so it lies in [0,1].
 func (t *Tables) InterClusterDifference(r, l int) float64 {
+	x := t.ix
 	inSeen := t.seen[l][r]
-	outSeen := t.globalSeen[r] - inSeen
+	outSeen := x.globalSeen[r] - inSeen
 	if inSeen == 0 || outSeen == 0 {
 		return 0
 	}
 	var sum float64
-	base := r * t.stride
-	for v := 0; v < t.card[r]; v++ {
+	base := r * x.stride
+	for v := 0; v < x.card[r]; v++ {
 		in := float64(t.count[l][base+v]) / float64(inSeen)
-		out := float64(t.globalCount[base+v]-t.count[l][base+v]) / float64(outSeen)
+		out := float64(x.globalCount[base+v]-t.count[l][base+v]) / float64(outSeen)
 		diff := in - out
 		sum += diff * diff
 	}
@@ -211,8 +271,8 @@ func (t *Tables) IntraClusterSimilarity(r, l int) float64 {
 		return 0
 	}
 	var sum float64
-	base := r * t.stride
-	for v := 0; v < t.card[r]; v++ {
+	base := r * t.ix.stride
+	for v := 0; v < t.ix.card[r]; v++ {
 		p := float64(t.count[l][base+v]) / float64(seen)
 		sum += p * p
 	}

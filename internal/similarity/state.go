@@ -31,15 +31,16 @@ type TableState struct {
 // not included: a restored Tables serves frequency lookups and similarity
 // probes for arbitrary rows, not index-based membership updates.
 func (t *Tables) State() *TableState {
+	x := t.ix
 	st := &TableState{
-		Card:        append([]int(nil), t.card...),
+		Card:        append([]int(nil), x.card...),
 		K:           t.k,
-		Stride:      t.stride,
+		Stride:      x.stride,
 		Sizes:       append([]int(nil), t.size...),
 		Counts:      make([][]int, t.k),
 		Seen:        make([][]int, t.k),
-		GlobalCount: append([]int(nil), t.globalCount...),
-		GlobalSeen:  append([]int(nil), t.globalSeen...),
+		GlobalCount: append([]int(nil), x.globalCount...),
+		GlobalSeen:  append([]int(nil), x.globalSeen...),
 	}
 	for l := 0; l < t.k; l++ {
 		st.Counts[l] = append([]int(nil), t.count[l]...)
@@ -48,8 +49,8 @@ func (t *Tables) State() *TableState {
 	return st
 }
 
-// FromState rebuilds a Tables from exported statistics. The result has no
-// underlying data rows, so only the statistics-facing methods are usable
+// FromState rebuilds a Tables from exported statistics. Its Index has no
+// rows, so only the statistics-facing methods are usable
 // (K, D, Size, Count, FeatureWeights, InterClusterDifference,
 // IntraClusterSimilarity, ProbeSim); the index-based mutators (Add, Remove)
 // and per-object similarities must not be called on it.
@@ -75,21 +76,24 @@ func FromState(st *TableState) (*Tables, error) {
 	if len(st.Sizes) != st.K || len(st.Counts) != st.K || len(st.Seen) != st.K {
 		return nil, fmt.Errorf("similarity: table state cluster slices disagree with k = %d", st.K)
 	}
-	t := &Tables{
+	x := &Index{
 		card:        append([]int(nil), st.Card...),
-		k:           st.K,
-		size:        append([]int(nil), st.Sizes...),
-		count:       make([][]int, st.K),
-		seen:        make([][]int, st.K),
+		stride:      st.Stride,
 		globalCount: append([]int(nil), st.GlobalCount...),
 		globalSeen:  append([]int(nil), st.GlobalSeen...),
-		stride:      st.Stride,
 	}
-	if len(t.globalCount) == 0 {
-		t.globalCount = make([]int, d*st.Stride)
+	if len(x.globalCount) == 0 {
+		x.globalCount = make([]int, d*st.Stride)
 	}
-	if len(t.globalSeen) == 0 {
-		t.globalSeen = make([]int, d)
+	if len(x.globalSeen) == 0 {
+		x.globalSeen = make([]int, d)
+	}
+	t := &Tables{
+		ix:    x,
+		k:     st.K,
+		size:  append([]int(nil), st.Sizes...),
+		count: make([][]int, st.K),
+		seen:  make([][]int, st.K),
 	}
 	for l := 0; l < st.K; l++ {
 		if len(st.Counts[l]) != d*st.Stride || len(st.Seen[l]) != d {
@@ -111,13 +115,13 @@ func (t *Tables) ProbeSim(row []int, l int) float64 {
 	if len(row) == 0 || t.size[l] == 0 {
 		return 0
 	}
-	cl, sl := t.count[l], t.seen[l]
+	cl, sl, card := t.count[l], t.seen[l], t.ix.card
 	var sum float64
 	for r, v := range row {
-		if v < 0 || r >= len(t.card) || v >= t.card[r] || sl[r] == 0 {
+		if v < 0 || r >= len(card) || v >= card[r] || sl[r] == 0 {
 			continue
 		}
-		sum += float64(cl[r*t.stride+v]) / float64(sl[r])
+		sum += float64(cl[r*t.ix.stride+v]) / float64(sl[r])
 	}
 	return sum / float64(len(row))
 }

@@ -4,4 +4,4 @@ package similarity
 // termSums, has checked that every term row it reads lies inside m.
 //
 //go:noescape
-func sumTerms(row []int, stride int, m, acc []float64)
+func sumTerms(offs []int32, m, acc []float64)

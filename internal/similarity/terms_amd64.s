@@ -1,29 +1,25 @@
 #include "textflag.h"
 
-// func sumTerms(row []int, stride int, m, acc []float64)
+// func sumTerms(offs []int32, m, acc []float64)
 //
-// acc[j] = Σ_r m[(r*stride+row[r])*cols+j] over the features r whose value is
-// not Missing (-1), with cols = len(acc). Each column's sum starts from +0
+// acc[j] = Σ_r m[offs[r]*cols+j] over the offsets that are not negative
+// (Missing is -1), with cols = len(acc). Each column's sum starts from +0
 // and adds the rows in feature order, one ADDPD or ADDSD lane per column, so
 // it rounds exactly as sumTermsGo does. Blocks of 16 columns are held in
-// X0–X7 while the row is walked once; 2- and 1-column tails follow.
+// X0–X7 while the offsets are walked once; 2- and 1-column tails follow.
 //
-// Registers: SI row, CX end of row, DI m at the block's first column,
+// Registers: SI offs, CX end of offs, DI m at the block's first column,
 // DX acc at the block's first column, BX columns left, R10 bytes per term
-// row (cols*8), R11 bytes per feature (stride*cols*8), R12 row cursor,
-// R13 feature r's first term row at the block's first column, AX the term
-// row of value row[r].
-TEXT ·sumTerms(SB), NOSPLIT, $0-80
-	MOVQ row_base+0(FP), SI
-	MOVQ row_len+8(FP), CX
-	MOVQ stride+24(FP), R11
-	MOVQ m_base+32(FP), DI
-	MOVQ acc_base+56(FP), DX
-	MOVQ acc_len+64(FP), BX
-	LEAQ (SI)(CX*8), CX
+// row (cols*8), R12 offset cursor, AX the term row at offset offs[r].
+TEXT ·sumTerms(SB), NOSPLIT, $0-72
+	MOVQ offs_base+0(FP), SI
+	MOVQ offs_len+8(FP), CX
+	MOVQ m_base+24(FP), DI
+	MOVQ acc_base+48(FP), DX
+	MOVQ acc_len+56(FP), BX
+	LEAQ (SI)(CX*4), CX
 	MOVQ BX, R10
 	SHLQ $3, R10
-	IMULQ R10, R11
 
 block16:
 	CMPQ BX, $16
@@ -37,37 +33,33 @@ block16:
 	XORPD X6, X6
 	XORPD X7, X7
 	MOVQ SI, R12
-	MOVQ DI, R13
 
 loop16:
-	CMPQ R12, CX
-	JEQ  done16
-	MOVQ (R12), AX
-	CMPQ AX, $-1
-	JEQ  next16
-	IMULQ R10, AX
-	ADDQ R13, AX
-	MOVUPD 0(AX), X8
-	ADDPD  X8, X0
-	MOVUPD 16(AX), X9
-	ADDPD  X9, X1
-	MOVUPD 32(AX), X10
-	ADDPD  X10, X2
-	MOVUPD 48(AX), X11
-	ADDPD  X11, X3
-	MOVUPD 64(AX), X12
-	ADDPD  X12, X4
-	MOVUPD 80(AX), X13
-	ADDPD  X13, X5
-	MOVUPD 96(AX), X14
-	ADDPD  X14, X6
-	MOVUPD 112(AX), X15
-	ADDPD  X15, X7
-
-next16:
-	ADDQ $8, R12
-	ADDQ R11, R13
-	JMP  loop16
+	CMPQ    R12, CX
+	JEQ     done16
+	MOVLQSX (R12), AX
+	ADDQ    $4, R12
+	CMPQ    AX, $0
+	JLT     loop16
+	IMULQ   R10, AX
+	ADDQ    DI, AX
+	MOVUPD  0(AX), X8
+	ADDPD   X8, X0
+	MOVUPD  16(AX), X9
+	ADDPD   X9, X1
+	MOVUPD  32(AX), X10
+	ADDPD   X10, X2
+	MOVUPD  48(AX), X11
+	ADDPD   X11, X3
+	MOVUPD  64(AX), X12
+	ADDPD   X12, X4
+	MOVUPD  80(AX), X13
+	ADDPD   X13, X5
+	MOVUPD  96(AX), X14
+	ADDPD   X14, X6
+	MOVUPD  112(AX), X15
+	ADDPD   X15, X7
+	JMP     loop16
 
 done16:
 	MOVUPD X0, 0(DX)
@@ -88,23 +80,19 @@ block2:
 	JLT   block1
 	XORPD X0, X0
 	MOVQ  SI, R12
-	MOVQ  DI, R13
 
 loop2:
-	CMPQ R12, CX
-	JEQ  done2
-	MOVQ (R12), AX
-	CMPQ AX, $-1
-	JEQ  next2
-	IMULQ R10, AX
-	ADDQ R13, AX
-	MOVUPD (AX), X8
-	ADDPD  X8, X0
-
-next2:
-	ADDQ $8, R12
-	ADDQ R11, R13
-	JMP  loop2
+	CMPQ    R12, CX
+	JEQ     done2
+	MOVLQSX (R12), AX
+	ADDQ    $4, R12
+	CMPQ    AX, $0
+	JLT     loop2
+	IMULQ   R10, AX
+	ADDQ    DI, AX
+	MOVUPD  (AX), X8
+	ADDPD   X8, X0
+	JMP     loop2
 
 done2:
 	MOVUPD X0, (DX)
@@ -118,22 +106,18 @@ block1:
 	JLT   ret
 	XORPD X0, X0
 	MOVQ  SI, R12
-	MOVQ  DI, R13
 
 loop1:
-	CMPQ R12, CX
-	JEQ  done1
-	MOVQ (R12), AX
-	CMPQ AX, $-1
-	JEQ  next1
-	IMULQ R10, AX
-	ADDQ R13, AX
-	ADDSD (AX), X0
-
-next1:
-	ADDQ $8, R12
-	ADDQ R11, R13
-	JMP  loop1
+	CMPQ    R12, CX
+	JEQ     done1
+	MOVLQSX (R12), AX
+	ADDQ    $4, R12
+	CMPQ    AX, $0
+	JLT     loop1
+	IMULQ   R10, AX
+	ADDQ    DI, AX
+	ADDSD   (AX), X0
+	JMP     loop1
 
 done1:
 	MOVSD X0, (DX)

@@ -3,4 +3,4 @@
 package similarity
 
 // sumTerms is the Go loop on every architecture but amd64.
-func sumTerms(row []int, stride int, m, acc []float64) { sumTermsGo(row, stride, m, acc) }
+func sumTerms(offs []int32, m, acc []float64) { sumTermsGo(offs, m, acc) }

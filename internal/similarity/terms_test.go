@@ -29,16 +29,30 @@ func randomTerms(rng *rand.Rand, n int) []float64 {
 	return m
 }
 
-// checkKernel runs the kernel and the Go loop on one row and requires every
-// column sum to agree under math.Float64bits.
+// rowOffsets is NewIndex's offset rule for one row with values below the
+// stride: r*stride + x_r, or −1 for Missing.
+func rowOffsets(row []int, stride int) []int32 {
+	offs := make([]int32, len(row))
+	for r, v := range row {
+		offs[r] = -1
+		if v != categorical.Missing {
+			offs[r] = int32(r*stride + v)
+		}
+	}
+	return offs
+}
+
+// checkKernel runs the kernel and the Go loop on one row's offsets and
+// requires every column sum to agree under math.Float64bits.
 func checkKernel(t *testing.T, row []int, stride int, m []float64, cols int) {
 	t.Helper()
+	offs := rowOffsets(row, stride)
 	got, want := make([]float64, cols), make([]float64, cols)
 	for j := range got {
 		got[j] = math.NaN() // the kernel must overwrite every column
 	}
-	termSums(row, len(row), stride, m, got)
-	sumTermsGo(row, stride, m, want)
+	termSums(offs, len(row)*stride, m, got)
+	sumTermsGo(offs, m, want)
 	for j := range want {
 		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
 			t.Fatalf("cols %d, row %v: column %d kernel %v (%#x), Go loop %v (%#x)",
@@ -71,37 +85,47 @@ func TestSumTermsKernelMatchesGoLoop(t *testing.T) {
 	}
 }
 
-// TestSumTermsRefusesRowsOutsideMatrix checks that the wrapper panics before
-// the kernel reads anything when a row names a term row outside the matrix:
-// a value past the stride, a negative code other than Missing, a row of the
-// wrong width, or a matrix with too few entries.
+// TestSumTermsRefusesRowsOutsideMatrix checks that no row can name a term
+// row outside the matrix: NewIndex builds no index from a value past its
+// domain or the stride, a negative code other than Missing, or a row of the
+// wrong width, and SumTermColumns panics before the kernel reads anything
+// when the matrix has too few entries.
 func TestSumTermsRefusesRowsOutsideMatrix(t *testing.T) {
 	const d, stride, cols = 3, 4, 17
-	m := make([]float64, d*stride*cols)
-	acc := make([]float64, cols)
+	card := []int{stride, 2, stride}
 	for _, tc := range []struct {
 		name string
 		row  []int
-		m    []float64
 	}{
-		{"value at the stride", []int{0, stride, 1}, m},
-		{"value far past the stride", []int{0, 1, math.MaxInt}, m},
-		{"negative value", []int{-2, 0, 1}, m},
-		{"most negative value", []int{math.MinInt, 0, 1}, m},
-		{"short row", []int{0, 1}, m},
-		{"long row", []int{0, 1, 2, 3}, m},
-		{"short matrix", []int{0, 1, 2}, m[:len(m)-1]},
+		{"value at the stride", []int{0, 1, stride}},
+		{"value past its domain, below the stride", []int{0, 2, 1}},
+		{"value far past the stride", []int{0, 1, math.MaxInt}},
+		{"negative value", []int{-2, 0, 1}},
+		{"most negative value", []int{math.MinInt, 0, 1}},
+		{"short row", []int{0, 1}},
+		{"long row", []int{0, 1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("row %v over %d entries: no panic", tc.row, len(tc.m))
-				}
-			}()
-			termSums(tc.row, d, stride, tc.m, acc)
+			if ix, err := NewIndex([][]int{{0, 0, 0}, tc.row}, card); err == nil {
+				t.Errorf("row %v over cardinalities %v: built an index of %d rows", tc.row, card, ix.N())
+			}
 		})
 	}
-	termSums([]int{categorical.Missing, stride - 1, 0}, d, stride, m, acc)
+	tb, err := NewTables([][]int{{categorical.Missing, 1, stride - 1}}, card, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := make([]float64, d*stride*cols)
+	acc := make([]float64, cols)
+	tb.SumTermColumns(0, m, acc)
+	t.Run("short matrix", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("matrix of %d entries, want %d: no panic", len(m)-1, len(m))
+			}
+		}()
+		tb.SumTermColumns(0, m[:len(m)-1], acc)
+	})
 }
 
 // TestDropEmptyMatchesRebuiltTables checks the compaction of cluster slots:

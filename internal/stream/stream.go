@@ -287,7 +287,12 @@ func (c *Clusterer) relearn() error {
 	for i, l := range final.Labels {
 		tables.Add(i, l)
 	}
-	c.tables = tables
+	// The model needs the counts, not the window's row index: tables
+	// restored from their state hold no rows, as a resumed checkpoint's do,
+	// so a session does not keep the window's term-row offsets alive.
+	if c.tables, err = similarity.FromState(tables.State()); err != nil {
+		return fmt.Errorf("stream: rebuild tables: %w", err)
+	}
 	c.k = final.K
 	c.kappa = res.Kappa()
 	c.epoch++
